@@ -67,7 +67,6 @@ from .sim import (  # noqa: E402
     SweepPoint,
     VariantSpec,
     derive_subseed,
-    residency_of,
     run,
     select_state,
     sweep,
@@ -119,6 +118,5 @@ __all__ = [
     "run",
     "sweep",
     "select_state",
-    "residency_of",
     "derive_subseed",
 ]

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import configparser
 import io
+import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -121,8 +122,10 @@ class CStateSpec:
             raise ValidationError(
                 f"{self.name}: implied_pstate must be one of {PSTATE_NAMES}"
             )
-        if self.transition_time_us < 0 or self.target_residency_us < 0:
-            raise ValidationError(f"{self.name}: times must be nonnegative")
+        # Chained comparisons also reject NaN, which compares false.
+        if not (0 <= self.transition_time_us < math.inf
+                and 0 <= self.target_residency_us < math.inf):
+            raise ValidationError(f"{self.name}: times must be finite and nonnegative")
         if self.power_mw < 0:
             raise ValidationError(f"{self.name}: power must be nonnegative")
         if self.hw_entry_ns < 0 or self.hw_exit_ns < 0:

@@ -230,7 +230,10 @@ def _resolve_variants(names: List[str], parsed_variants: Dict[str, VariantSpec],
 def cmd_sim_sweep(args, parser) -> int:
     parsed = load_sim_config(args.config)
     catalog = _catalog_from_args(args)
-    qps_list = [float(x) for x in args.qps.split(",") if x.strip()]
+    try:
+        qps_list = [float(x) for x in args.qps.split(",") if x.strip()]
+    except ValueError:
+        raise ParseError(f"bad --qps list {args.qps!r}") from None
     if not qps_list:
         parser.error("--qps needs a comma-separated list of rates")
     names = [x.strip() for x in args.variants.split(",") if x.strip()]

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
@@ -426,8 +426,63 @@ def _getint(sec, key, default=None):
         raise ParseError(f"[{sec.name}] bad integer for {key!r}: {raw!r}") from None
 
 
+def _getoptfloat(sec, key):
+    """An optional number: None when the key is absent or empty."""
+    if not (sec.get(key) or "").strip():
+        return None
+    return _getfloat(sec, key)
+
+
+def _check_keys(sec, allowed) -> None:
+    unknown = sorted(set(sec) - set(allowed))
+    if unknown:
+        raise ParseError(f"[{sec.name}] unknown key {unknown[0]!r}")
+
+
+# Sections that map one to one onto the fields of a spec dataclass; each
+# key's type is its field default's type.
+_SPEC_SECTIONS = {
+    "arrival": ArrivalSpec,
+    "service": ServiceSpec,
+    "governor": GovernorPolicy,
+    "snoop": SnoopSpec,
+    "perf": PerfModel,
+}
+_SIM_KEYS = (
+    "cores", "duration_s", "seed", "cstates_enabled", "dispatch",
+    "network_rtt_us", "pack_queue_cap", "turbo_c0_power_w",
+)
+_VARIANT_KEYS = ("cstates", "turbo_c0_power_w")
+_GETTERS = {float: _getfloat, int: _getint}
+
+
+def _spec_from_section(cp, name):
+    """The section's spec dataclass, with each absent key at its default."""
+    cls = _SPEC_SECTIONS[name]
+    if name not in cp:
+        return cls()
+    sec = cp[name]
+    _check_keys(sec, [f.name for f in fields(cls)])
+    kwargs = {}
+    for f in fields(cls):
+        getter = _GETTERS.get(type(f.default))
+        if getter is not None:
+            kwargs[f.name] = getter(sec, f.name, f.default)
+        else:
+            kwargs[f.name] = (sec.get(f.name) or "").strip() or f.default
+    return cls(**kwargs)
+
+
+def _state_list(raw: str) -> frozenset:
+    return frozenset(s.strip() for s in raw.split(",") if s.strip())
+
+
 def loads_sim_config(text: str) -> ParsedSimConfig:
-    """Parse the INI-style simulation config (see docs/formats.md)."""
+    """Parse the INI-style simulation config (see docs/formats.md).
+
+    Unknown sections and keys and malformed numbers raise ParseError;
+    values that parse but break a contract raise ValidationError.
+    """
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
@@ -435,72 +490,30 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         raise ParseError(f"bad sim config: {e}") from None
     if "sim" not in cp:
         raise ParseError("sim config needs a [sim] section")
+    if cp.defaults():
+        raise ParseError(f"unknown section [{cp.default_section}]")
+    for section in cp.sections():
+        if section != "sim" and section not in _SPEC_SECTIONS \
+                and not section.startswith("variant:"):
+            raise ParseError(f"unknown section [{section}]")
+
     sim_sec = cp["sim"]
-
-    empty: Dict[str, str] = {}
-    arrival_sec = cp["arrival"] if "arrival" in cp else empty
-    service_sec = cp["service"] if "service" in cp else empty
-    governor_sec = cp["governor"] if "governor" in cp else empty
-    snoop_sec = cp["snoop"] if "snoop" in cp else empty
-
-    def opt(sec, key, default=""):
-        value = sec.get(key, default)
-        return value if value is not None else default
-
-    arrival = ArrivalSpec(
-        process=opt(arrival_sec, "process", "poisson").strip() or "poisson",
-        rate_qps=float(opt(arrival_sec, "rate_qps", "0") or 0),
-        burst_on_ms=float(opt(arrival_sec, "burst_on_ms", "1") or 1),
-        burst_off_ms=float(opt(arrival_sec, "burst_off_ms", "1") or 1),
+    _check_keys(sim_sec, _SIM_KEYS)
+    config = SimConfig(
+        cores=_getint(sim_sec, "cores"),
+        duration_s=_getfloat(sim_sec, "duration_s"),
+        seed=_getint(sim_sec, "seed"),
+        arrival=_spec_from_section(cp, "arrival"),
+        service=_spec_from_section(cp, "service"),
+        dispatch=sim_sec.get("dispatch", "round_robin").strip() or "round_robin",
+        governor=_spec_from_section(cp, "governor"),
+        cstates_enabled=_state_list(sim_sec.get("cstates_enabled", "C0,C1,C1E,C6")),
+        turbo_c0_power_w=_getoptfloat(sim_sec, "turbo_c0_power_w"),
+        snoop=_spec_from_section(cp, "snoop"),
+        network_rtt_us=_getfloat(sim_sec, "network_rtt_us", 0.0),
+        pack_queue_cap=_getint(sim_sec, "pack_queue_cap", 4),
     )
-    service = ServiceSpec(
-        dist=opt(service_sec, "dist", "exponential").strip() or "exponential",
-        mean_us=float(opt(service_sec, "mean_us", "10") or 10),
-        sigma=float(opt(service_sec, "sigma", "0.5") or 0.5),
-    )
-    governor = GovernorPolicy(
-        predictor=opt(governor_sec, "predictor", "clairvoyant").strip() or "clairvoyant",
-        ewma_alpha=float(opt(governor_sec, "ewma_alpha", "0.5") or 0.5),
-    )
-    snoop = SnoopSpec(
-        rate_per_core_hz=float(opt(snoop_sec, "rate_per_core_hz", "0") or 0),
-        service_ns=int(opt(snoop_sec, "service_ns", "50") or 50),
-    )
-
-    enabled_raw = sim_sec.get("cstates_enabled", "C0,C1,C1E,C6")
-    enabled = frozenset(s.strip() for s in enabled_raw.split(",") if s.strip())
-    turbo_raw = sim_sec.get("turbo_c0_power_w", "").strip()
-    turbo = float(turbo_raw) if turbo_raw else None
-
-    try:
-        config = SimConfig(
-            cores=_getint(sim_sec, "cores"),
-            duration_s=_getfloat(sim_sec, "duration_s"),
-            seed=_getint(sim_sec, "seed"),
-            arrival=arrival,
-            service=service,
-            dispatch=sim_sec.get("dispatch", "round_robin").strip() or "round_robin",
-            governor=governor,
-            cstates_enabled=enabled,
-            turbo_c0_power_w=turbo,
-            snoop=snoop,
-            network_rtt_us=_getfloat(sim_sec, "network_rtt_us", 0.0),
-            pack_queue_cap=_getint(sim_sec, "pack_queue_cap", 4),
-        )
-    except ValidationError:
-        raise
-    except ValueError as e:
-        raise ParseError(f"bad sim config: {e}") from None
-
-    if "perf" in cp:
-        perf_sec = cp["perf"]
-        perf = PerfModel(
-            freq_penalty=_getfloat(perf_sec, "freq_penalty", 0.01),
-            scalability=_getfloat(perf_sec, "scalability", 1.0),
-            delta_transition_ns=_getint(perf_sec, "delta_transition_ns", 100),
-        )
-    else:
-        perf = PerfModel()
+    perf = _spec_from_section(cp, "perf")
 
     variants: Dict[str, VariantSpec] = {}
     for section in cp.sections():
@@ -510,13 +523,11 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         if not name:
             raise ParseError(f"variant section {section!r} needs a name")
         sec = cp[section]
-        states_raw = sec.get("cstates", "")
-        states = frozenset(s.strip() for s in states_raw.split(",") if s.strip())
+        states = _state_list(sec.get("cstates", ""))
         if not states:
             raise ParseError(f"[{section}] needs a cstates list")
-        v_turbo_raw = sec.get("turbo_c0_power_w", "").strip()
-        v_turbo = float(v_turbo_raw) if v_turbo_raw else None
-        variants[name] = VariantSpec(name, states, v_turbo)
+        _check_keys(sec, _VARIANT_KEYS)
+        variants[name] = VariantSpec(name, states, _getoptfloat(sec, "turbo_c0_power_w"))
 
     return ParsedSimConfig(config=config, perf=perf, variants=variants)
 

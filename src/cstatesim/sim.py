@@ -9,12 +9,20 @@ power in a distinguished "transition" residency bucket.  Snoops hitting
 a core resident in an agile deep idle state (C6A/C6AE) briefly wake the
 caches without leaving the state.
 
-Determinism is a hard guarantee: virtual time is integer nanoseconds,
-ties in the event heap break on a fixed type priority (phase
-completions before arrivals before snoops before governor decisions)
-and then on an insertion sequence number, and all randomness flows from
-named streams derived from the config seed.  Running the same config
-twice produces byte-identical reports.
+Each core is a state machine (serving, idle-pending, entering,
+resident, exiting) with at most one pending event.  Cores interact only
+through dispatch, so the arrival stream drives the run: before each
+arrival, every core replays its own events that sort before it.  Snoops
+never move a core out of its state, so they are drawn lazily: when a
+resident agile interval ends, the core's own Poisson snoop stream is
+drawn across it, which is exact by memorylessness.
+
+Determinism is a hard guarantee: virtual time is integer nanoseconds;
+ties break on one integer key per event, time << 2 | priority (phase
+events before an arrival at the same time, governor decisions after
+it); and all randomness flows from named streams derived from the
+config seed, one snoop stream per core.  Running the same config twice
+produces byte-identical reports.
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -29,13 +37,12 @@ just an alternate active power level).
 from __future__ import annotations
 
 import hashlib
-import heapq
-import itertools
 import math
 import random
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
@@ -56,7 +63,6 @@ __all__ = [
     "run",
     "sweep",
     "select_state",
-    "residency_of",
     "derive_subseed",
     "percentile_us",
 ]
@@ -70,6 +76,14 @@ _PREDICTORS = ("clairvoyant", "ewma", "last_idle")
 # an agile deep idle state (the cache subsystem is awake exactly as in
 # that state).
 _SNOOP_POWER_TWIN = {"C6A": "C1", "C6AE": "C1E"}
+
+
+def _require_finite(spec) -> None:
+    """Reject a NaN or infinite float in any field (integers are always finite)."""
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -88,6 +102,7 @@ class ArrivalSpec:
     burst_off_ms: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.process not in _ARRIVAL_PROCESSES:
             raise ValidationError(f"arrival process must be one of {_ARRIVAL_PROCESSES}")
         if self.rate_qps < 0:
@@ -105,6 +120,7 @@ class ServiceSpec:
     sigma: float = 0.5  # lognormal shape parameter
 
     def __post_init__(self):
+        _require_finite(self)
         if self.dist not in _SERVICE_DISTS:
             raise ValidationError(f"service dist must be one of {_SERVICE_DISTS}")
         if self.mean_us <= 0:
@@ -121,6 +137,7 @@ class SnoopSpec:
     service_ns: int = 50
 
     def __post_init__(self):
+        _require_finite(self)
         if self.rate_per_core_hz < 0:
             raise ValidationError("snoop rate must be nonnegative")
         if self.service_ns < 0:
@@ -131,10 +148,9 @@ class SnoopSpec:
 class GovernorPolicy:
     """Idle-duration predictor feeding state selection.
 
-    clairvoyant reads the next scheduled arrival off the event heap (an
-    oracle); ewma smooths observed idle durations with weight
-    ewma_alpha on the newest one; last_idle repeats the previous idle
-    duration.
+    clairvoyant reads the time of the next arrival (an oracle); ewma
+    smooths observed idle durations with weight ewma_alpha on the newest
+    one; last_idle repeats the previous idle duration.
     """
 
     predictor: str = "clairvoyant"
@@ -163,10 +179,12 @@ class SimConfig:
     pack_queue_cap: int = 4  # pack_lowest_index spills past this queue depth
 
     def __post_init__(self):
+        _require_finite(self)
         if self.cores < 1:
             raise ValidationError("cores must be >= 1")
-        if not (self.duration_s > 0):
-            raise ValidationError("duration_s must be positive")
+        # The run's horizon is duration_s in whole nanoseconds.
+        if not (round(self.duration_s * 1e9) >= 1):
+            raise ValidationError("duration_s must be at least 1 ns")
         if not (0 <= self.seed < 2 ** 64):
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         if self.dispatch not in _DISPATCH_POLICIES:
@@ -207,10 +225,11 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Optional per-run diagnostics for property checks."""
+    """Optional per-run diagnostics for property checks (entries are in
+    time order per core, not across cores)."""
 
     idle_intervals: List[Tuple[str, int]]     # (state, observed idle ns)
-    decisions: List[Tuple[int, str]]          # (core, state) in decision order
+    decisions: List[Tuple[int, str]]          # (core, state)
 
 
 @dataclass(frozen=True)
@@ -232,11 +251,6 @@ class SimReport:
     trace: Optional[SimTrace] = None
 
 
-def residency_of(report: SimReport) -> ResidencyProfile:
-    """The aggregated residency profile, ready for the analytic model."""
-    return report.residency
-
-
 def percentile_us(sorted_ns: Sequence[int], pct: float) -> float:
     """Nearest-rank percentile of a sorted latency list, in microseconds."""
     if not sorted_ns:
@@ -252,6 +266,39 @@ def derive_subseed(seed: int, *parts) -> int:
     return int.from_bytes(digest[:8], "big") >> 1
 
 
+def _depth(spec) -> Tuple[float, int]:
+    """Idle-state depth: target residency, ties toward lower power."""
+    return (spec.target_residency_us, -spec.power_mw)
+
+
+def _state_picker(enabled: frozenset, catalog: Catalog):
+    """Governor state selection as a threshold table, built once per menu.
+
+    Sorted by depth (stably over names), the states that fit a prediction
+    form a prefix, so one bisect counts them; picks[k] is the choice when
+    k states fit, picks[0] the shallowest state as the fallback.  Equal
+    depths resolve to the first name, as max() and min() over names do.
+    Returns pick(predicted_us) -> state name.
+    """
+    # Sorted names for cross-process determinism: set iteration order
+    # depends on hash randomization.
+    states = sorted((catalog[name] for name in sorted(enabled) if name != "C0"), key=_depth)
+    if not states:
+        raise ValidationError("no idle states enabled")
+    first: Dict[Tuple[float, int], str] = {}
+    for s in states:
+        first.setdefault(_depth(s), s.name)
+    thresholds = [s.target_residency_us for s in states]
+    picks = [states[0].name] + [first[_depth(s)] for s in states]
+
+    def pick(predicted_us: float) -> str:
+        # A NaN prediction fits nothing, like one below every target.
+        if not predicted_us >= thresholds[0]:
+            return picks[0]
+        return picks[bisect_right(thresholds, predicted_us)]
+    return pick
+
+
 def select_state(
     governor: GovernorPolicy,
     predicted_idle_us: float,
@@ -264,18 +311,7 @@ def select_state(
     (so C6A is deeper than C1 even though they share a latency class).
     Falls back to the shallowest enabled idle state when nothing fits.
     """
-    # Sorted for cross-process determinism: set iteration order depends on
-    # hash randomization, and max() keeps the first of tied candidates.
-    candidates = [catalog[name] for name in sorted(enabled) if name != "C0"]
-    if not candidates:
-        raise ValidationError("no idle states enabled")
-
-    def key(s):
-        return (s.target_residency_us, -s.power_mw)
-    fits = [s for s in candidates if s.target_residency_us <= predicted_idle_us]
-    if fits:
-        return max(fits, key=key)
-    return min(candidates, key=key)
+    return catalog[_state_picker(enabled, catalog)(predicted_idle_us)]
 
 
 # ---------------------------------------------------------------------------
@@ -351,34 +387,29 @@ class _Service:
 # Engine
 # ---------------------------------------------------------------------------
 
-# Event type priorities: phase completions, then arrivals, then snoops,
-# then governor decisions.  This makes same-timestamp behavior well
-# defined (an arrival landing exactly when a queue drains is served
-# before the governor can put the core to sleep).
-_P_PHASE = 0
-_P_ARRIVAL = 1
-_P_SNOOP = 2
-_P_GOVERNOR = 3
-
-_K_COMPLETION = 0
-_K_ENTRY_DONE = 1
-_K_EXIT_DONE = 2
-_K_ARRIVAL = 3
-_K_SNOOP = 4
-_K_GOVERNOR = 5
-
-# Core phases
+# Core phases.  The phase fixes a core's one pending event: a completion
+# while serving, a governor decision while idle-pending, entry-done while
+# entering (or aborting: an arrival landed mid-entry), exit-done while
+# exiting.  A resident core waits for an arrival and holds no event.
 _PH_SERVING = 0
 _PH_IDLE_PENDING = 1
 _PH_ENTERING = 2
-_PH_RESIDENT = 3
-_PH_EXITING = 4
+_PH_ABORTING = 3
+_PH_RESIDENT = 4
+_PH_EXITING = 5
+
+# Event keys are (time << 2 | priority): phase events (completion, entry
+# done, exit done; priority 0) sort before an arrival at the same time,
+# and governor decisions after it, so an arrival landing exactly when a
+# queue drains is served before the governor can put the core to sleep.
+_PRIO_ARRIVAL = 1
+_PRIO_GOVERNOR = 2
 
 
 class _Core:
     __slots__ = (
-        "idx", "phase", "state", "queue", "cur_arrival", "load",
-        "gov_gen", "abort_pending", "idle_start", "pred_us",
+        "idx", "phase", "key", "state", "queue",
+        "idle_start", "res_start", "pred_us",
         "seg_since", "seg_power", "seg_bucket", "buckets", "entries",
         "energy_pj", "snoop_clear_ns",
     )
@@ -386,13 +417,11 @@ class _Core:
     def __init__(self, idx: int, bucket_names):
         self.idx = idx
         self.phase = _PH_IDLE_PENDING
+        self.key = _PRIO_GOVERNOR  # every core decides at t = 0
         self.state = None
-        self.queue = deque()     # FIFO of (arrival_ns, service_ns); index 0 serves
-        self.cur_arrival = 0
-        self.load = 0            # queued plus in service
-        self.gov_gen = 0
-        self.abort_pending = False
+        self.queue = deque()  # FIFO of (arrival_ns, service_ns); index 0 serves
         self.idle_start = 0
+        self.res_start = 0
         self.pred_us = 0.0
         self.seg_since = 0
         self.seg_power = 0
@@ -440,6 +469,7 @@ def run(
     else:
         active_mw = catalog["C0"].power_mw
     state_mw = {name: catalog[name].power_mw for name in enabled}
+    pick_state = _state_picker(config.cstates_enabled, catalog)
 
     # Entry/exit latencies: controller flow totals for the agile states,
     # catalog hardware figures for everything else.
@@ -458,72 +488,115 @@ def run(
     # Snoop window: cache wake + service + re-entry, charged at the
     # power of the state's shallow twin (its cache subsystem is awake
     # exactly as in that state) instead of the resident state's power.
+    # Only states in these tables are snooped.
+    snoop_rate = config.snoop.rate_per_core_hz
     snoop_window_ns: Dict[str, int] = {}
     snoop_delta_mw: Dict[str, int] = {}
-    for name in AGILE_STATES & config.cstates_enabled:
+    for name in AGILE_STATES & config.cstates_enabled if snoop_rate > 0 else ():
         flow = fsm.snoop_timeline(name, service_ns=config.snoop.service_ns)
         snoop_window_ns[name] = flow.total_ns + config.snoop.service_ns
         twin = catalog[_SNOOP_POWER_TWIN[name]].power_mw
         snoop_delta_mw[name] = max(0, twin - catalog[name].power_mw)
 
-    rng_arrival = random.Random(derive_subseed(config.seed, "arrival"))
-    rng_service = random.Random(derive_subseed(config.seed, "service"))
-    rng_dispatch = random.Random(derive_subseed(config.seed, "dispatch"))
-    rng_snoop = random.Random(derive_subseed(config.seed, "snoop"))
+    def stream(*name) -> random.Random:
+        return random.Random(derive_subseed(config.seed, *name))
 
-    arrivals = _Arrivals(config.arrival, rng_arrival)
-    service = _Service(config.service, rng_service, inflation)
+    arrivals = _Arrivals(config.arrival, stream("arrival"))
+    service = _Service(config.service, stream("service"), inflation)
+    rng_dispatch = stream("dispatch")
+    snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if snoop_window_ns else []
 
     t_end = round(config.duration_s * 1e9)
+    never = t_end << 2  # no event at or past the horizon is applied
     bucket_names = enabled + [TRANSITION_BUCKET]
     cores = [_Core(i, bucket_names) for i in range(config.cores)]
 
-    heap: List[tuple] = []
-    seq = itertools.count()
-
-    def push(t: int, prio: int, kind: int, core_idx: int, aux: int = 0) -> None:
-        heapq.heappush(heap, (t, prio, next(seq), kind, core_idx, aux))
-
-    # Prime the event heap: one governor decision per core, the first
-    # arrival, and the first snoop per core.
-    for core in cores:
-        core.gov_gen += 1
-        push(0, _P_GOVERNOR, _K_GOVERNOR, core.idx, core.gov_gen)
-    next_arrival = arrivals.next()
-    if next_arrival is not None:
-        push(next_arrival, _P_ARRIVAL, _K_ARRIVAL, -1)
-    snoop_rate = config.snoop.rate_per_core_hz
-
-    def next_snoop_gap() -> int:
-        # Clamp past the horizon: a draw that large never fires, and at
-        # very low rates the raw nanosecond value can overflow round().
-        gap_ns = rng_snoop.expovariate(snoop_rate) * 1e9
-        if not gap_ns < t_end + 1:
-            return t_end + 1
-        return max(1, round(gap_ns))
-
-    if snoop_rate > 0:
-        for core in cores:
-            push(next_snoop_gap(), _P_SNOOP, _K_SNOOP, core.idx)
-
     latencies_ns: List[int] = []
     rtt_ns = round(config.network_rtt_us * 1000)
-    rr_next = 0
-    offered = completed = 0
-    wakeups_aborted = 0
-    snoops_served = 0
-    in_system = 0
-    peak_queue = 0
+    rr_next = offered = completed = wakeups_aborted = snoops_served = 0
+    in_system = peak_queue = 0
+    dispatch = config.dispatch
+    pack_cap = config.pack_queue_cap
     predictor = config.governor.predictor
+    clairvoyant = predictor == "clairvoyant"
     alpha = config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
 
-    def start_service(core: _Core, t: int) -> None:
-        core.phase = _PH_SERVING
-        arrival_ns, service_ns = core.queue[0]
-        core.cur_arrival = arrival_ns
-        push(t + service_ns, _P_PHASE, _K_COMPLETION, core.idx)
+    def advance(core: _Core, bound: int, next_arrival) -> None:
+        """Apply the core's events whose keys sort before bound, in order."""
+        nonlocal completed, in_system
+        key = core.key
+        while key < bound:
+            t = key >> 2
+            phase = core.phase
+            if phase == _PH_SERVING:  # completion
+                arrival_ns, _service_ns = core.queue.popleft()
+                in_system -= 1
+                completed += 1
+                latencies_ns.append(t - arrival_ns + rtt_ns)
+                if core.queue:
+                    key = (t + core.queue[0][1]) << 2
+                else:
+                    core.phase = _PH_IDLE_PENDING
+                    key = t << 2 | _PRIO_GOVERNOR
+            elif phase == _PH_IDLE_PENDING:  # governor decision
+                if clairvoyant:
+                    # The oracle reads the next arrival, which is strictly
+                    # later than t: same-time arrivals sort first.
+                    predicted_us = (next_arrival - t) / 1000.0
+                else:
+                    predicted_us = core.pred_us
+                state = pick_state(predicted_us)
+                if trace:
+                    decisions.append((core.idx, state))
+                core.state = state
+                core.entries[state] += 1
+                core.phase = _PH_ENTERING
+                core.idle_start = t
+                core.switch_segment(t, TRANSITION_BUCKET, active_mw)
+                key = (t + entry_ns[state]) << 2
+            elif phase == _PH_ENTERING:  # entry done
+                core.phase = _PH_RESIDENT
+                core.res_start = t
+                core.switch_segment(t, core.state, state_mw[core.state])
+                key = never
+            elif phase == _PH_ABORTING:  # entry done: exit, still in transition
+                core.phase = _PH_EXITING
+                key = (t + exit_ns[core.state]) << 2
+            else:  # exit done; an exit only follows an arrival, so work is queued
+                core.entries["C0"] += 1
+                core.switch_segment(t, "C0", active_mw)
+                core.phase = _PH_SERVING
+                key = (t + core.queue[0][1]) << 2
+        core.key = key
+
+    def serve_snoops(core: _Core, t_stop: int) -> None:
+        """Draw and charge the core's snoops in [res_start, t_stop).
+
+        Windows clip at the horizon and do not double-charge when they
+        overlap.
+        """
+        nonlocal snoops_served
+        rng = snoop_rngs[core.idx]
+        window = snoop_window_ns[core.state]
+        delta_mw = snoop_delta_mw[core.state]
+        ts = core.res_start
+        while True:
+            # Compare before rounding: at very low rates the raw
+            # nanosecond value can overflow round().
+            gap_ns = rng.expovariate(snoop_rate) * 1e9
+            if not gap_ns < t_stop - ts:
+                return
+            ts += max(1, round(gap_ns))
+            if ts >= t_stop:
+                return
+            start = max(ts, core.snoop_clear_ns)
+            end = min(ts + window, t_end)
+            if end > start:
+                core.energy_pj += delta_mw * (end - start)
+                core.snoop_clear_ns = end
+            snoops_served += 1
 
     def observe_idle(core: _Core, t: int) -> None:
         """Feed the predictor when an arrival ends an idle period."""
@@ -536,132 +609,61 @@ def run(
         elif predictor == "last_idle":
             core.pred_us = obs_us
 
-    def begin_exit(core: _Core, t: int) -> None:
-        core.phase = _PH_EXITING
-        core.switch_segment(t, TRANSITION_BUCKET, active_mw)
-        push(t + exit_ns[core.state], _P_PHASE, _K_EXIT_DONE, core.idx)
+    # Before each arrival (times strictly increase), every core replays
+    # its own events that sort before it; then the arrival is dispatched.
+    t = arrivals.next() or math.inf  # None: no arrivals at all
+    while t < t_end:
+        bound = t << 2 | _PRIO_ARRIVAL
+        for core in cores:
+            if core.key < bound:
+                advance(core, bound, t)
 
-    def dispatch_core() -> _Core:
-        nonlocal rr_next
-        policy = config.dispatch
-        if policy == "round_robin":
+        offered += 1
+        service_ns = service.next_ns()
+        if dispatch == "round_robin":
             core = cores[rr_next]
             rr_next = (rr_next + 1) % len(cores)
-            return core
-        if policy == "random":
-            return cores[rng_dispatch.randrange(len(cores))]
-        # pack_lowest_index: fill the lowest-indexed core up to the cap,
-        # then spill; when everything is at the cap, least loaded wins.
-        for core in cores:
-            if core.load < config.pack_queue_cap:
-                return core
-        return min(cores, key=lambda c: (c.load, c.idx))
-
-    while heap and heap[0][0] < t_end:
-        t, _prio, _seq, kind, core_idx, aux = heapq.heappop(heap)
-
-        if kind == _K_ARRIVAL:
-            offered += 1
-            service_ns = service.next_ns()
-            core = dispatch_core()
-            core.queue.append((t, service_ns))
-            core.load += 1
-            in_system += 1
-            if in_system > peak_queue:
-                peak_queue = in_system
-            phase = core.phase
-            if phase == _PH_IDLE_PENDING:
-                core.gov_gen += 1  # cancel the pending governor decision
-                start_service(core, t)
-            elif phase == _PH_RESIDENT:
-                observe_idle(core, t)
-                begin_exit(core, t)
-            elif phase == _PH_ENTERING:
-                wakeups_aborted += 1
-                if not core.abort_pending:
-                    core.abort_pending = True
-                    observe_idle(core, t)
-            # serving or already exiting: the queue entry is enough
-            nxt = arrivals.next()
-            if nxt is not None:
-                push(nxt, _P_ARRIVAL, _K_ARRIVAL, -1)
-
-        elif kind == _K_COMPLETION:
-            core = cores[core_idx]
-            arrival_ns, _service_ns = core.queue.popleft()
-            core.load -= 1
-            in_system -= 1
-            completed += 1
-            latencies_ns.append(t - arrival_ns + rtt_ns)
-            if core.queue:
-                start_service(core, t)
+        elif dispatch == "random":
+            core = cores[rng_dispatch.randrange(len(cores))]
+        else:
+            # pack_lowest_index: fill the lowest-indexed core up to the
+            # cap, then spill; when everything is at the cap, least
+            # loaded wins (lowest index among ties).
+            for core in cores:
+                if len(core.queue) < pack_cap:
+                    break
             else:
-                core.phase = _PH_IDLE_PENDING
-                core.gov_gen += 1
-                push(t, _P_GOVERNOR, _K_GOVERNOR, core.idx, core.gov_gen)
-
-        elif kind == _K_GOVERNOR:
-            core = cores[core_idx]
-            if aux != core.gov_gen or core.phase != _PH_IDLE_PENDING:
-                continue  # stale decision, an arrival got there first
-            if predictor == "clairvoyant":
-                if config.arrival.rate_qps > 0:
-                    # Exactly one arrival is always pending; arrivals.t is
-                    # its timestamp, and it is strictly in the future here
-                    # because same-time arrivals are processed first.
-                    predicted_us = max(0.0, (arrivals.t - t) / 1000.0)
-                else:
-                    predicted_us = math.inf
-            else:
-                predicted_us = core.pred_us
-            state = select_state(
-                config.governor, predicted_us, config.cstates_enabled, catalog
-            ).name
-            if trace:
-                decisions.append((core.idx, state))
-            core.state = state
-            core.entries[state] += 1
-            core.phase = _PH_ENTERING
-            core.abort_pending = False
-            core.idle_start = t
+                core = min(cores, key=lambda c: len(c.queue))
+        core.queue.append((t, service_ns))
+        in_system += 1
+        if in_system > peak_queue:
+            peak_queue = in_system
+        phase = core.phase
+        if phase == _PH_IDLE_PENDING:  # the pending decision is dropped
+            core.phase = _PH_SERVING
+            core.key = (t + service_ns) << 2
+        elif phase == _PH_RESIDENT:
+            observe_idle(core, t)
+            if core.state in snoop_window_ns:
+                serve_snoops(core, t)
+            core.phase = _PH_EXITING
             core.switch_segment(t, TRANSITION_BUCKET, active_mw)
-            push(t + entry_ns[state], _P_PHASE, _K_ENTRY_DONE, core.idx)
+            core.key = (t + exit_ns[core.state]) << 2
+        elif phase == _PH_ENTERING:
+            wakeups_aborted += 1
+            core.phase = _PH_ABORTING
+            observe_idle(core, t)
+        elif phase == _PH_ABORTING:
+            wakeups_aborted += 1
+        # serving or already exiting: the queue entry is enough
+        t = arrivals.next()
 
-        elif kind == _K_ENTRY_DONE:
-            core = cores[core_idx]
-            if core.abort_pending:
-                begin_exit(core, t)
-            else:
-                core.phase = _PH_RESIDENT
-                core.switch_segment(t, core.state, state_mw[core.state])
-
-        elif kind == _K_EXIT_DONE:
-            core = cores[core_idx]
-            core.entries["C0"] += 1
-            core.switch_segment(t, "C0", active_mw)
-            if core.queue:
-                start_service(core, t)
-            else:  # defensive: exits are always triggered by an arrival
-                core.phase = _PH_IDLE_PENDING
-                core.gov_gen += 1
-                push(t, _P_GOVERNOR, _K_GOVERNOR, core.idx, core.gov_gen)
-
-        else:  # _K_SNOOP
-            core = cores[core_idx]
-            if core.phase == _PH_RESIDENT and core.state in snoop_window_ns:
-                # Caches wake in place; charge the elevated power for the
-                # window without leaving the state.  Windows clip at the
-                # horizon and do not double-charge when they overlap.
-                start = max(t, core.snoop_clear_ns)
-                end = min(t + snoop_window_ns[core.state], t_end)
-                if end > start:
-                    core.energy_pj += snoop_delta_mw[core.state] * (end - start)
-                    core.snoop_clear_ns = end
-                snoops_served += 1
-            push(t + next_snoop_gap(), _P_SNOOP, _K_SNOOP, core.idx)
-
-    # Close every core's open segment at the horizon.
+    # The horizon: replay what is left before it, charge the snoops of
+    # the cores still resident, and close every core's open segment.
     for core in cores:
+        advance(core, never, t)
+        if core.phase == _PH_RESIDENT and core.state in snoop_window_ns:
+            serve_snoops(core, t_end)
         core.switch_segment(t_end, core.seg_bucket, core.seg_power)
 
     energy_pj = sum(core.energy_pj for core in cores)
@@ -696,16 +698,10 @@ def run(
     )
 
     latencies_ns.sort()
+    stats = LatencyStats()
     if latencies_ns:
-        stats = LatencyStats(
-            mean=sum(latencies_ns) / len(latencies_ns) / 1000.0,
-            p50=percentile_us(latencies_ns, 50.0),
-            p95=percentile_us(latencies_ns, 95.0),
-            p99=percentile_us(latencies_ns, 99.0),
-            p999=percentile_us(latencies_ns, 99.9),
-        )
-    else:
-        stats = LatencyStats()
+        stats = LatencyStats(sum(latencies_ns) / len(latencies_ns) / 1000.0, *(
+            percentile_us(latencies_ns, pct) for pct in (50.0, 95.0, 99.0, 99.9)))
 
     # High-water-mark saturation heuristic: the backlog grew well past
     # anything a stable queue produces and never drained.

@@ -283,3 +283,14 @@ def test_negative_power_in_file_rejected():
 def test_malformed_ini_rejected():
     with pytest.raises(ParseError):
         loads_catalog("not an ini file [ oops")
+
+
+def test_nan_target_residency_in_file_rejected():
+    # NaN compares false against every bound, so it used to pass the
+    # range checks and leave the governor's depth order undefined.
+    text = "[C6]\n" \
+           "transition_time_us = 133\ntarget_residency_us = nan\n" \
+           "power_w = 0.1\nhw_entry_ns = 87000\nhw_exit_ns = 30000\n" \
+           "implied_pstate = Pn\n"
+    with pytest.raises(ParseError, match="finite"):
+        loads_catalog(text)

@@ -239,6 +239,31 @@ class TestSimCli:
         for name in BUILTIN_VARIANTS:
             assert name in err
 
+    def test_sweep_bad_qps_is_parse_error(self, capsys, sim_config):
+        code, out, err = run_cli(
+            capsys,
+            "sim", "sweep",
+            "--config", sim_config,
+            "--qps", "1000,abc",
+            "--variants", "baseline",
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: bad --qps list '1000,abc'\n"
+
+    @pytest.mark.parametrize("typo, message", [
+        ("[arrival]\nrate_qp = 1000\n", "[arrival] unknown key 'rate_qp'"),
+        ("[servce]\nmean_us = 20\n", "unknown section [servce]"),
+        ("[arrival]\nrate_qps = abc\n", "[arrival] bad number for 'rate_qps': 'abc'"),
+    ])
+    def test_run_config_typo_is_parse_error(self, capsys, tmp_path, typo, message):
+        path = tmp_path / "typo.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 0.01\nseed = 3\n\n" + typo)
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
     def test_demo_self_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "sim", "demo", "--duration", "0.05")
         assert code == 0

@@ -427,6 +427,38 @@ class TestSimConfigFile:
         with pytest.raises(ParseError, match="bad integer for 'cores'"):
             loads_sim_config("[sim]\ncores = two\nduration_s = 1\nseed = 1\n")
 
+    def test_unknown_section_rejected(self):
+        with pytest.raises(ParseError, match=r"unknown section \[servce\]"):
+            loads_sim_config(MINIMAL_INI + "\n[servce]\nmean_us = 20\n")
+
+    def test_unknown_default_section_rejected(self):
+        with pytest.raises(ParseError, match=r"unknown section \[DEFAULT\]"):
+            loads_sim_config(MINIMAL_INI + "\n[DEFAULT]\nmean_us = 20\n")
+
+    @pytest.mark.parametrize("section, line, key", [
+        ("arrival", "rate_qp = 1000", "rate_qp"),
+        ("sim", "core = 4", "core"),
+        ("perf", "freq_penalti = 0.1", "freq_penalti"),
+        ("variant:x", "cstates = C0,C1\nturbo = 12", "turbo"),
+    ])
+    def test_unknown_key_rejected(self, section, line, key):
+        text = MINIMAL_INI + f"\n[{section}]\n{line}\n"
+        if section == "sim":
+            text = MINIMAL_INI.replace("[sim]\n", f"[sim]\n{line}\n")
+        with pytest.raises(ParseError, match=rf"unknown key '{key}'"):
+            loads_sim_config(text)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("arrival", "rate_qps = abc", r"\[arrival\] bad number for 'rate_qps': 'abc'"),
+        ("service", "mean_us = 1O", r"\[service\] bad number for 'mean_us'"),
+        ("snoop", "service_ns = 5.5", r"\[snoop\] bad integer for 'service_ns'"),
+        ("variant:hot", "cstates = C0,C1\nturbo_c0_power_w = hot",
+         r"\[variant:hot\] bad number for 'turbo_c0_power_w'"),
+    ])
+    def test_bad_number_in_any_section(self, section, line, message):
+        with pytest.raises(ParseError, match=message):
+            loads_sim_config(MINIMAL_INI + f"\n[{section}]\n{line}\n")
+
     def test_variant_needs_cstates(self):
         text = MINIMAL_INI + "\n[variant:empty]\nnote = nothing\n"
         with pytest.raises(ParseError, match="needs a cstates list"):

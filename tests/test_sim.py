@@ -19,13 +19,20 @@ Hand-derived expectations used below:
   two report fields must agree to float round-off.
 """
 
+import dataclasses
+import hashlib
+import itertools
+import json
 import math
+import random
 
 import pytest
 
-from cstatesim.catalog import default_catalog
+from cstatesim import fsm
+from cstatesim.catalog import Catalog, default_catalog
 from cstatesim.errors import ValidationError
 from cstatesim.model import PerfModel
+from cstatesim.reporting import sim_report_document
 from cstatesim.sim import (
     ArrivalSpec,
     GovernorPolicy,
@@ -127,6 +134,35 @@ class TestSelectState:
         with pytest.raises(ValidationError, match="no idle states"):
             select_state(self.GOV, 5.0, frozenset(), CATALOG)
 
+    def test_equal_depth_resolves_to_first_name(self):
+        # C1E made a twin of C1 (same target residency and power): the
+        # first name wins whether the twins fit or are the fallback.
+        c1 = CATALOG["C1"]
+        twin = dataclasses.replace(c1, name="C1E")
+        catalog = Catalog(cstates={**CATALOG.cstates, "C1E": twin}, pstates=CATALOG.pstates)
+        for predicted_us in (0.0, c1.target_residency_us, 50.0):
+            assert select_state(self.GOV, predicted_us, frozenset({"C1E", "C1"}),
+                                catalog).name == "C1"
+
+    def test_matches_scan_over_every_menu(self):
+        # The threshold table agrees with the definition: the deepest
+        # fitting state by (target residency, -power), else the
+        # shallowest, first name among equals.
+        def key(s):
+            return (s.target_residency_us, -s.power_mw)
+        idle = ["C1", "C1E", "C6", "C6A", "C6AE"]
+        predictions = [-1.0, 0.0, math.nan, math.inf] + [
+            s.target_residency_us + d
+            for s in CATALOG.cstates.values() for d in (-1e-9, 0.0, 1e-9)
+        ]
+        for r in range(1, len(idle) + 1):
+            for menu in itertools.combinations(idle, r):
+                states = [CATALOG[n] for n in sorted(menu)]
+                for p in predictions:
+                    fits = [s for s in states if s.target_residency_us <= p]
+                    want = max(fits, key=key) if fits else min(states, key=key)
+                    assert self.pick(p, set(menu) | {"C0"}) == want.name, (menu, p)
+
 
 # ---------------------------------------------------------------------------
 # determinism and seeding
@@ -205,6 +241,34 @@ class TestConfigValidation:
     def test_bursty_needs_positive_phases(self):
         with pytest.raises(ValidationError, match="burst"):
             ArrivalSpec(process="bursty", rate_qps=100.0, burst_on_ms=0.0)
+
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValidationError, match="rate_qps must be finite"):
+            ArrivalSpec(rate_qps=math.nan)
+
+    def test_infinite_service_mean_rejected(self):
+        with pytest.raises(ValidationError, match="mean_us must be finite"):
+            ServiceSpec(mean_us=math.inf)
+
+    def test_infinite_snoop_rate_rejected(self):
+        # An infinite rate draws zero gaps: one snoop per nanosecond.
+        with pytest.raises(ValidationError, match="rate_per_core_hz must be finite"):
+            SnoopSpec(rate_per_core_hz=math.inf)
+
+    def test_infinite_duration_rejected(self):
+        with pytest.raises(ValidationError, match="duration_s must be finite"):
+            quiet_config(duration_s=math.inf)
+
+    def test_sub_nanosecond_duration_rejected(self):
+        # It rounds to an empty horizon, which left nothing to average over.
+        for duration_s in (0.0, -1.0, 4e-10):
+            with pytest.raises(ValidationError, match="at least 1 ns"):
+                quiet_config(duration_s=duration_s)
+        assert run(quiet_config(duration_s=6e-10)).residency.duration_s == 1e-9
+
+    def test_nan_rtt_rejected(self):
+        with pytest.raises(ValidationError, match="network_rtt_us must be finite"):
+            quiet_config(network_rtt_us=math.nan)
 
 
 # ---------------------------------------------------------------------------
@@ -335,6 +399,41 @@ class TestSnoops:
         report = run(loaded_config())
         assert report.snoops_served == 0
 
+    def test_lazy_snoops_over_a_horizon_long_residency(self):
+        # One core, no arrivals: it enters C6A at t = 0 and stays
+        # resident up to the horizon, so its one resident interval is
+        # closed by the horizon.  Served snoops are Poisson in the
+        # resident time; each charges its window at C1 - C6A power,
+        # less window overlaps and the part past the horizon.
+        rate_hz = 20_000.0
+        cfg = quiet_config(duration_s=0.05, cstates_enabled=frozenset({"C0", "C6A"}),
+                           snoop=SnoopSpec(rate_per_core_hz=rate_hz))
+        on = run(cfg)
+        off = run(dataclasses.replace(cfg, snoop=SnoopSpec()))
+        t_end = 50_000_000
+        res_start = fsm.entry_timeline("C6A").total_ns
+        assert on.residency.residency["C6A"] == (t_end - res_start) / t_end
+
+        mu = rate_hz * (t_end - res_start) * 1e-9
+        assert abs(on.snoops_served - mu) <= 6 * math.sqrt(mu)
+
+        # The core's own stream, drawn from the start of the interval.
+        rng = random.Random(derive_subseed(cfg.seed, "snoop", 0))
+        times = []
+        ts = res_start
+        while True:
+            ts += max(1, round(rng.expovariate(rate_hz) * 1e9))
+            if ts >= t_end:
+                break
+            times.append(ts)
+        assert on.snoops_served == len(times)
+        window = fsm.snoop_timeline("C6A", service_ns=50).total_ns + 50
+        overlap = sum(max(0, a + window - b) for a, b in zip(times, times[1:]))
+        clipped = max(0, times[-1] + window - t_end)
+        delta_mw = CATALOG["C1"].power_mw - CATALOG["C6A"].power_mw
+        excess_pj = delta_mw * (len(times) * window - overlap - clipped)
+        assert (on.energy_j - off.energy_j) * 1e12 == pytest.approx(excess_pj, rel=1e-9)
+
 
 # ---------------------------------------------------------------------------
 # mispredicting governors
@@ -457,3 +556,59 @@ class TestSweep:
         assert [(p.qps, p.variant, p.report.energy_j) for p in serial] == [
             (p.qps, p.variant, p.report.energy_j) for p in parallel
         ]
+
+
+# ---------------------------------------------------------------------------
+# golden results
+
+AGILE_MENU = frozenset({"C0", "C6A", "C6AE", "C6"})
+
+# Snoops-off configs whose results are pinned by hash.  Together they
+# cover every arrival process, dispatch policy (pack_queue_cap 1
+# included) and predictor, agile menus, a network RTT, turbo and a
+# zero-rate run.
+GOLDEN = [
+    (dict(cores=2, duration_s=0.02, seed=11, arrival=ArrivalSpec("poisson", 20_000.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant")),
+     "26f567c0f69144837cc89543e033952c403c15b603d16f217b44f8ce9f71816f"),
+    (dict(cores=3, duration_s=0.02, seed=12, arrival=ArrivalSpec("periodic", 30_000.0),
+          service=ServiceSpec("fixed", 15.0), dispatch="random",
+          governor=GovernorPolicy("ewma", 0.3), cstates_enabled=AGILE_MENU),
+     "6b2448a1daac3dc89bcab835f97fc8a44be20bbc4fe4dbfca7eb7ae151e40076"),
+    (dict(cores=2, duration_s=0.02, seed=13,
+          arrival=ArrivalSpec("bursty", 20_000.0, burst_on_ms=0.5, burst_off_ms=1.5),
+          service=ServiceSpec("lognormal", 20.0, sigma=1.0), dispatch="pack_lowest_index",
+          pack_queue_cap=1, governor=GovernorPolicy("last_idle"),
+          cstates_enabled=frozenset({"C0", "C1", "C6"})),
+     "163d023a0a996f8cd3402d6e04b7fd8bdf278200e2f9aad4831ac76cbc7b1229"),
+    (dict(cores=4, duration_s=0.02, seed=14,
+          arrival=ArrivalSpec("bursty", 40_000.0, burst_on_ms=1.0, burst_off_ms=1.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="pack_lowest_index",
+          governor=GovernorPolicy("clairvoyant"), cstates_enabled=AGILE_MENU,
+          network_rtt_us=25.0),
+     "9e8a050d34e99a6230b052b5b56f9d6c6eb3b5cb18750368c64061129112a069"),
+    (dict(cores=2, duration_s=0.01, seed=15, arrival=ArrivalSpec("poisson", 0.0)),
+     "d93c4630c0c33ce8b2887f4837510397f97d9a1f88a289abbbfb13401d3346bb"),
+    (dict(cores=2, duration_s=0.02, seed=16, arrival=ArrivalSpec("poisson", 15_000.0),
+          service=ServiceSpec("lognormal", 10.0, sigma=0.5), dispatch="random",
+          governor=GovernorPolicy("last_idle"),
+          cstates_enabled=frozenset({"C0", "C1E", "C6AE"}), network_rtt_us=3.5),
+     "0f573eebf44c553bc27fd944c659f27e19a29336cd31122ba2f16bfba7facdf0"),
+    (dict(cores=1, duration_s=0.02, seed=17, arrival=ArrivalSpec("periodic", 7_000.0),
+          service=ServiceSpec("fixed", 12.0), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant"), cstates_enabled=frozenset({"C0", "C6A"})),
+     "8fdf6c4fcb04fdc0300b3d1f1bd1e74fdec22e34a07de2af6f21e8c3468ccc84"),
+    (dict(cores=3, duration_s=0.02, seed=18, arrival=ArrivalSpec("poisson", 60_000.0),
+          service=ServiceSpec("exponential", 25.0), dispatch="pack_lowest_index",
+          governor=GovernorPolicy("ewma", 0.7), cstates_enabled=AGILE_MENU,
+          turbo_c0_power_w=11.0),
+     "1a36751faaebd45e280e2a6b74236292809a5b79ef7ac1fd220850b55539301a"),
+]
+
+
+@pytest.mark.parametrize("kwargs, digest", GOLDEN,
+                         ids=[f"seed{kwargs['seed']}" for kwargs, _ in GOLDEN])
+def test_golden_results_hash(kwargs, digest):
+    results = sim_report_document(run(SimConfig(**kwargs)))["results"]
+    assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
