@@ -77,8 +77,8 @@ class PState:
     def __post_init__(self):
         if self.name not in PSTATE_NAMES:
             raise ValidationError(f"unknown P-state name {self.name!r}")
-        if self.frequency_ghz <= 0:
-            raise ValidationError(f"{self.name}: frequency must be positive")
+        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
+            raise ValidationError(f"{self.name}: frequency must be finite and positive")
         if self.c0_power_mw <= 0:
             raise ValidationError(f"{self.name}: C0 power must be positive")
 
@@ -355,10 +355,11 @@ def save_catalog(catalog: Catalog, path: str) -> None:
 
 
 def _watts_to_mw(value: float, where: str) -> int:
-    if value < 0:
-        raise ParseError(f"{where}: power must be nonnegative")
     # Powers are quantized to whole milliwatts on ingest.
-    return round(value * 1000.0)
+    mw = value * 1000.0
+    if not (math.isfinite(mw) and mw >= 0):
+        raise ParseError(f"{where}: power must be finite and nonnegative")
+    return round(mw)
 
 
 def loads_catalog(text: str) -> Catalog:

@@ -9,20 +9,31 @@ power in a distinguished "transition" residency bucket.  Snoops hitting
 a core resident in an agile deep idle state (C6A/C6AE) briefly wake the
 caches without leaving the state.
 
-Each core is a state machine (serving, idle-pending, entering,
-resident, exiting) with at most one pending event.  Cores interact only
-through dispatch, so the arrival stream drives the run: before each
-arrival, every core replays its own events that sort before it.  Snoops
-never move a core out of its state, so they are drawn lazily: when a
-resident agile interval ends, the core's own Poisson snoop stream is
-drawn across it, which is exact by memorylessness.
+The engine is a per-core Lindley recursion driven by the arrival
+stream.  Service is FIFO and non-preemptive, so a request's completion
+time is fixed when it arrives, and each core carries only the time its
+queued work completes.  An idle period starts there and is resolved in
+closed form by the core's next arrival (or by the horizon): the
+governor's decision, then either an entry the arrival aborts (the exit
+follows the entry's end) or a residency the arrival ends (the exit
+follows the arrival).  Snoops never move a core out of its state, so
+they are drawn lazily: when a resident agile interval ends, the core's
+own Poisson snoop stream is drawn across it, which is exact by
+memorylessness.
 
-Determinism is a hard guarantee: virtual time is integer nanoseconds;
-ties break on one integer key per event, time << 2 | priority (phase
-events before an arrival at the same time, governor decisions after
-it); and all randomness flows from named streams derived from the
-config seed, one snoop stream per core.  Running the same config twice
-produces byte-identical reports.
+Same-nanosecond ties: a completion at an arrival's time leaves the
+queue before the arrival joins it; an arrival exactly when the queue
+drains finds the core still awake (the governor's decision is dropped
+and service starts at once); an arrival exactly when an entry completes
+finds the core resident, so it pays the full exit and does not abort
+the entry.  Every arrival before an aborted entry completes counts as
+an aborted wake-up.  Nothing at or past the horizon is applied: a
+request completing there is not counted, and time is clipped at it.
+
+Determinism is a hard guarantee: virtual time is integer nanoseconds,
+and all randomness flows from named streams derived from the config
+seed (arrivals, service, dispatch, and one snoop stream per core).
+Running the same config twice produces byte-identical reports.
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -39,11 +50,13 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from . import fsm
 from .catalog import AGILE_STATES, Catalog, default_catalog
@@ -182,6 +195,11 @@ class SimConfig:
         _require_finite(self)
         if self.cores < 1:
             raise ValidationError("cores must be >= 1")
+        # Arrival times and latencies (at most the horizon plus the RTT)
+        # are stored as 64-bit integer nanoseconds.
+        if not (self.duration_s * 1e9 + self.network_rtt_us * 1e3 < 2 ** 62):
+            raise ValidationError(
+                "duration_s plus network_rtt_us must be below 2**62 ns (about 146 years)")
         # The run's horizon is duration_s in whole nanoseconds.
         if not (round(self.duration_s * 1e9) >= 1):
             raise ValidationError("duration_s must be at least 1 ns")
@@ -225,8 +243,12 @@ class LatencyStats:
 
 @dataclass(frozen=True)
 class SimTrace:
-    """Optional per-run diagnostics for property checks (entries are in
-    time order per core, not across cores)."""
+    """Optional per-run diagnostics for property checks.
+
+    Entries are in time order per core, not across cores: each idle
+    period is recorded when the arrival that ends it (or the horizon)
+    is reached.  idle_intervals holds the periods an arrival ended.
+    """
 
     idle_intervals: List[Tuple[str, int]]     # (state, observed idle ns)
     decisions: List[Tuple[int, str]]          # (core, state)
@@ -315,131 +337,71 @@ def select_state(
 
 
 # ---------------------------------------------------------------------------
-# Arrival processes
+# Arrival and service streams
 # ---------------------------------------------------------------------------
 
-class _Arrivals:
-    """Generates absolute arrival timestamps (integer ns), one ahead."""
+def _arrival_times(spec: ArrivalSpec, rng: random.Random,
+                   t_end: int) -> Tuple[array, float]:
+    """Absolute arrival times in integer ns, strictly increasing.
 
-    def __init__(self, spec: ArrivalSpec, rng: random.Random):
-        self.spec = spec
-        self.rng = rng
-        self.t = 0
-        if spec.process == "bursty" and spec.rate_qps > 0:
-            on_s = spec.burst_on_ms * 1e-3
-            off_s = spec.burst_off_ms * 1e-3
-            # Scale the on-phase rate so the long-run average is rate_qps.
-            self.on_rate = spec.rate_qps * (on_s + off_s) / on_s
-            self.on_mean_s = on_s
-            self.off_mean_s = off_s
-            self.on_end = self.t + max(1, round(rng.expovariate(1.0 / on_s) * 1e9))
-        elif spec.process == "periodic" and spec.rate_qps > 0:
-            self.interval_ns = max(1, round(1e9 / spec.rate_qps))
+    Returns every arrival before t_end, and the first one at or past it
+    (math.inf when rate_qps is 0), which the clairvoyant governor reads
+    last; that one is kept apart because it can exceed the array's
+    64-bit range.  The bursty process is an on/off modulated Poisson
+    stream whose on-phase rate is scaled so the long-run average is
+    rate_qps.
+    """
+    if spec.rate_qps <= 0:
+        return array("q"), math.inf
+    if spec.process == "periodic":
+        interval = max(1, round(1e9 / spec.rate_qps))
+        times = array("q", range(interval, t_end, interval))
+        return times, (len(times) + 1) * interval
+    if spec.process == "poisson":
+        on_rate, on_end = spec.rate_qps, math.inf
+    else:
+        on_s = spec.burst_on_ms * 1e-3
+        off_s = spec.burst_off_ms * 1e-3
+        on_rate = spec.rate_qps * (on_s + off_s) / on_s
+        on_end = max(1, round(rng.expovariate(1.0 / on_s) * 1e9))
+    times = array("q")
+    append = times.append
+    expo = rng.expovariate
+    uniform, log = rng.random, math.log
+    t = 0
+    while True:
+        # max(1, round(expo(on_rate) * 1e9)), inlined: one uniform draw
+        # each, and a nonnegative gap rounds to 0 only when below 1.
+        cand = t + (round(-log(1.0 - uniform()) / on_rate * 1e9) or 1)
+        if cand <= on_end:
+            if cand >= t_end:
+                return times, cand
+            t = cand
+            append(t)
+        else:  # the on phase is over: an off phase, then the next on phase
+            t = on_end + max(1, round(expo(1.0 / off_s) * 1e9))
+            on_end = t + max(1, round(expo(1.0 / on_s) * 1e9))
 
-    def next(self) -> Optional[int]:
-        spec = self.spec
-        if spec.rate_qps <= 0:
-            return None
-        if spec.process == "periodic":
-            self.t += self.interval_ns
-            return self.t
-        if spec.process == "poisson":
-            gap = self.rng.expovariate(spec.rate_qps)
-            self.t += max(1, round(gap * 1e9))
-            return self.t
-        # bursty
-        while True:
-            gap = self.rng.expovariate(self.on_rate)
-            cand = self.t + max(1, round(gap * 1e9))
-            if cand <= self.on_end:
-                self.t = cand
-                return cand
-            self.t = self.on_end
-            off = max(1, round(self.rng.expovariate(1.0 / self.off_mean_s) * 1e9))
-            on = max(1, round(self.rng.expovariate(1.0 / self.on_mean_s) * 1e9))
-            self.t += off
-            self.on_end = self.t + on
 
-
-class _Service:
-    """Per-request service time draws in integer ns, optionally inflated."""
-
-    def __init__(self, spec: ServiceSpec, rng: random.Random, inflation: float):
-        self.spec = spec
-        self.rng = rng
-        self.inflation = inflation
-        if spec.dist == "lognormal":
-            # Choose mu so the distribution mean equals mean_us.
-            self.mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
-
-    def next_ns(self) -> int:
-        spec = self.spec
-        if spec.dist == "fixed":
-            s = spec.mean_us * 1e-6
-        elif spec.dist == "exponential":
-            s = self.rng.expovariate(1.0 / (spec.mean_us * 1e-6))
-        else:
-            s = self.rng.lognormvariate(self.mu, spec.sigma)
-        return max(1, round(s * self.inflation * 1e9))
+def _service_times(spec: ServiceSpec, rng: random.Random, n: int,
+                   inflation: float) -> Iterator[int]:
+    """n per-request service times in integer ns, each inflated."""
+    if spec.dist == "fixed":
+        return repeat(max(1, round(spec.mean_us * 1e-6 * inflation * 1e9)), n)
+    if spec.dist == "exponential":
+        # rng.expovariate(rate), inlined as in _arrival_times.
+        uniform, log, rate = rng.random, math.log, 1.0 / (spec.mean_us * 1e-6)
+        return (round(-log(1.0 - uniform()) / rate * inflation * 1e9) or 1 for _ in range(n))
+    # Choose mu so the distribution mean equals mean_us.
+    mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
+    # rng.lognormvariate(mu, sigma), inlined.
+    normal, exp, sigma = rng.normalvariate, math.exp, spec.sigma
+    return (round(exp(normal(mu, sigma)) * inflation * 1e9) or 1 for _ in range(n))
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
-
-# Core phases.  The phase fixes a core's one pending event: a completion
-# while serving, a governor decision while idle-pending, entry-done while
-# entering (or aborting: an arrival landed mid-entry), exit-done while
-# exiting.  A resident core waits for an arrival and holds no event.
-_PH_SERVING = 0
-_PH_IDLE_PENDING = 1
-_PH_ENTERING = 2
-_PH_ABORTING = 3
-_PH_RESIDENT = 4
-_PH_EXITING = 5
-
-# Event keys are (time << 2 | priority): phase events (completion, entry
-# done, exit done; priority 0) sort before an arrival at the same time,
-# and governor decisions after it, so an arrival landing exactly when a
-# queue drains is served before the governor can put the core to sleep.
-_PRIO_ARRIVAL = 1
-_PRIO_GOVERNOR = 2
-
-
-class _Core:
-    __slots__ = (
-        "idx", "phase", "key", "state", "queue",
-        "idle_start", "res_start", "pred_us",
-        "seg_since", "seg_power", "seg_bucket", "buckets", "entries",
-        "energy_pj", "snoop_clear_ns",
-    )
-
-    def __init__(self, idx: int, bucket_names):
-        self.idx = idx
-        self.phase = _PH_IDLE_PENDING
-        self.key = _PRIO_GOVERNOR  # every core decides at t = 0
-        self.state = None
-        self.queue = deque()  # FIFO of (arrival_ns, service_ns); index 0 serves
-        self.idle_start = 0
-        self.res_start = 0
-        self.pred_us = 0.0
-        self.seg_since = 0
-        self.seg_power = 0
-        self.seg_bucket = "C0"
-        self.buckets = {name: 0 for name in bucket_names}
-        self.entries = {name: 0 for name in bucket_names if name != TRANSITION_BUCKET}
-        self.energy_pj = 0
-        self.snoop_clear_ns = 0
-
-    def switch_segment(self, t: int, bucket: str, power_mw: int) -> None:
-        span = t - self.seg_since
-        if span:
-            self.buckets[self.seg_bucket] += span
-            self.energy_pj += self.seg_power * span
-        self.seg_since = t
-        self.seg_bucket = bucket
-        self.seg_power = power_mw
-
 
 def run(
     config: SimConfig,
@@ -494,27 +456,46 @@ def run(
     snoop_delta_mw: Dict[str, int] = {}
     for name in AGILE_STATES & config.cstates_enabled if snoop_rate > 0 else ():
         flow = fsm.snoop_timeline(name, service_ns=config.snoop.service_ns)
-        snoop_window_ns[name] = flow.total_ns + config.snoop.service_ns
+        window = flow.total_ns + config.snoop.service_ns
+        # Like the request utilization check: at one window per snoop
+        # or more, the snoops alone would keep the core busy.
+        if snoop_rate * window * 1e-9 >= 1.0:
+            raise ValidationError(
+                f"snoop rate {snoop_rate:g} Hz times the {window} ns {name} "
+                f"snoop window is not below 1"
+            )
+        snoop_window_ns[name] = window
         twin = catalog[_SNOOP_POWER_TWIN[name]].power_mw
         snoop_delta_mw[name] = max(0, twin - catalog[name].power_mw)
 
     def stream(*name) -> random.Random:
         return random.Random(derive_subseed(config.seed, *name))
 
-    arrivals = _Arrivals(config.arrival, stream("arrival"))
-    service = _Service(config.service, stream("service"), inflation)
+    t_end = round(config.duration_s * 1e9)
+    arrivals, lookahead = _arrival_times(config.arrival, stream("arrival"), t_end)
+    offered = len(arrivals)
+    services = _service_times(config.service, stream("service"), offered, inflation)
     rng_dispatch = stream("dispatch")
     snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if snoop_window_ns else []
 
-    t_end = round(config.duration_s * 1e9)
-    never = t_end << 2  # no event at or past the horizon is applied
-    bucket_names = enabled + [TRANSITION_BUCKET]
-    cores = [_Core(i, bucket_names) for i in range(config.cores)]
+    # Per-core state.  A core's queued work completes at free[c]; what
+    # happened before that is settled, except for an idle period that
+    # starts at free[c] and is resolved by the core's next arrival (or
+    # the horizon).
+    n_cores = config.cores
+    free = [0] * n_cores              # every core decides at t = 0
+    abort_until = [0] * n_cores       # when its latest aborted entry completes
+    queues = [deque() for _ in range(n_cores)]  # completion times of queued work
+    last_arrival = [0] * n_cores      # index of its latest arrival
+    pred_us = [0.0] * n_cores
+    transition_ns = [0] * n_cores
+    resident_ns = [{name: 0 for name in enabled if name != "C0"} for _ in range(n_cores)]
+    entries = [{name: 0 for name in enabled} for _ in range(n_cores)]
+    snoop_clear_ns = [0] * n_cores
 
-    latencies_ns: List[int] = []
+    latencies_ns = array("q")
     rtt_ns = round(config.network_rtt_us * 1000)
-    rr_next = offered = completed = wakeups_aborted = snoops_served = 0
-    in_system = peak_queue = 0
+    wakeups_aborted = snoops_served = snoop_pj = popped = peak_queue = 0
     dispatch = config.dispatch
     pack_cap = config.pack_queue_cap
     predictor = config.governor.predictor
@@ -523,150 +504,160 @@ def run(
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
 
-    def advance(core: _Core, bound: int, next_arrival) -> None:
-        """Apply the core's events whose keys sort before bound, in order."""
-        nonlocal completed, in_system
-        key = core.key
-        while key < bound:
-            t = key >> 2
-            phase = core.phase
-            if phase == _PH_SERVING:  # completion
-                arrival_ns, _service_ns = core.queue.popleft()
-                in_system -= 1
-                completed += 1
-                latencies_ns.append(t - arrival_ns + rtt_ns)
-                if core.queue:
-                    key = (t + core.queue[0][1]) << 2
-                else:
-                    core.phase = _PH_IDLE_PENDING
-                    key = t << 2 | _PRIO_GOVERNOR
-            elif phase == _PH_IDLE_PENDING:  # governor decision
-                if clairvoyant:
-                    # The oracle reads the next arrival, which is strictly
-                    # later than t: same-time arrivals sort first.
-                    predicted_us = (next_arrival - t) / 1000.0
-                else:
-                    predicted_us = core.pred_us
-                state = pick_state(predicted_us)
-                if trace:
-                    decisions.append((core.idx, state))
-                core.state = state
-                core.entries[state] += 1
-                core.phase = _PH_ENTERING
-                core.idle_start = t
-                core.switch_segment(t, TRANSITION_BUCKET, active_mw)
-                key = (t + entry_ns[state]) << 2
-            elif phase == _PH_ENTERING:  # entry done
-                core.phase = _PH_RESIDENT
-                core.res_start = t
-                core.switch_segment(t, core.state, state_mw[core.state])
-                key = never
-            elif phase == _PH_ABORTING:  # entry done: exit, still in transition
-                core.phase = _PH_EXITING
-                key = (t + exit_ns[core.state]) << 2
-            else:  # exit done; an exit only follows an arrival, so work is queued
-                core.entries["C0"] += 1
-                core.switch_segment(t, "C0", active_mw)
-                core.phase = _PH_SERVING
-                key = (t + core.queue[0][1]) << 2
-        core.key = key
+    def decide(c: int, t: int, hi: int) -> str:
+        """The governor's state for core c's idle period starting at t.
 
-    def serve_snoops(core: _Core, t_stop: int) -> None:
-        """Draw and charge the core's snoops in [res_start, t_stop).
+        Arrival hi (offered at the horizon) is the one that ends the
+        period, so the first arrival after t is no later than it.
+        """
+        if clairvoyant:
+            # The oracle reads the first arrival after t, on any core.
+            k = bisect_right(arrivals, t, last_arrival[c], hi)
+            predicted_us = ((arrivals[k] if k < offered else lookahead) - t) / 1000.0
+        else:
+            predicted_us = pred_us[c]
+        state = pick_state(predicted_us)
+        if trace:
+            decisions.append((c, state))
+        entries[c][state] += 1
+        return state
+
+    def serve_snoops(c: int, state: str, ts: int, t_stop: int) -> None:
+        """Draw and charge core c's snoops while resident over [ts, t_stop).
 
         Windows clip at the horizon and do not double-charge when they
         overlap.
         """
-        nonlocal snoops_served
-        rng = snoop_rngs[core.idx]
-        window = snoop_window_ns[core.state]
-        delta_mw = snoop_delta_mw[core.state]
-        ts = core.res_start
+        nonlocal snoops_served, snoop_pj
+        uniform, log = snoop_rngs[c].random, math.log
+        window = snoop_window_ns[state]
+        delta_mw = snoop_delta_mw[state]
+        clear = snoop_clear_ns[c]
+        served = pj = 0
         while True:
+            # expovariate(snoop_rate), inlined as in _arrival_times.
             # Compare before rounding: at very low rates the raw
             # nanosecond value can overflow round().
-            gap_ns = rng.expovariate(snoop_rate) * 1e9
+            gap_ns = -log(1.0 - uniform()) / snoop_rate * 1e9
             if not gap_ns < t_stop - ts:
-                return
-            ts += max(1, round(gap_ns))
+                break
+            ts += round(gap_ns) or 1
             if ts >= t_stop:
-                return
-            start = max(ts, core.snoop_clear_ns)
-            end = min(ts + window, t_end)
+                break
+            end = ts + window
+            if end > t_end:
+                end = t_end
+            start = ts if ts > clear else clear
             if end > start:
-                core.energy_pj += delta_mw * (end - start)
-                core.snoop_clear_ns = end
-            snoops_served += 1
+                pj += delta_mw * (end - start)
+                clear = end
+            served += 1
+        snoops_served += served
+        snoop_pj += pj
+        snoop_clear_ns[c] = clear
 
-    def observe_idle(core: _Core, t: int) -> None:
-        """Feed the predictor when an arrival ends an idle period."""
-        obs_ns = t - core.idle_start
-        if trace:
-            idle_intervals.append((core.state, obs_ns))
-        obs_us = obs_ns / 1000.0
-        if predictor == "ewma":
-            core.pred_us = alpha * obs_us + (1.0 - alpha) * core.pred_us
-        elif predictor == "last_idle":
-            core.pred_us = obs_us
-
-    # Before each arrival (times strictly increase), every core replays
-    # its own events that sort before it; then the arrival is dispatched.
-    t = arrivals.next() or math.inf  # None: no arrivals at all
-    while t < t_end:
-        bound = t << 2 | _PRIO_ARRIVAL
-        for core in cores:
-            if core.key < bound:
-                advance(core, bound, t)
-
-        offered += 1
-        service_ns = service.next_ns()
+    record = latencies_ns.append
+    for i, (t, service_ns) in enumerate(zip(arrivals, services)):
         if dispatch == "round_robin":
-            core = cores[rr_next]
-            rr_next = (rr_next + 1) % len(cores)
+            c = i % n_cores
         elif dispatch == "random":
-            core = cores[rng_dispatch.randrange(len(cores))]
+            c = rng_dispatch.randrange(n_cores)
         else:
             # pack_lowest_index: fill the lowest-indexed core up to the
             # cap, then spill; when everything is at the cap, least
             # loaded wins (lowest index among ties).
-            for core in cores:
-                if len(core.queue) < pack_cap:
+            for c in range(n_cores):
+                queue = queues[c]
+                while queue and queue[0] <= t:
+                    queue.popleft()
+                    popped += 1
+                if len(queue) < pack_cap:
                     break
             else:
-                core = min(cores, key=lambda c: len(c.queue))
-        core.queue.append((t, service_ns))
-        in_system += 1
-        if in_system > peak_queue:
-            peak_queue = in_system
-        phase = core.phase
-        if phase == _PH_IDLE_PENDING:  # the pending decision is dropped
-            core.phase = _PH_SERVING
-            core.key = (t + service_ns) << 2
-        elif phase == _PH_RESIDENT:
-            observe_idle(core, t)
-            if core.state in snoop_window_ns:
-                serve_snoops(core, t)
-            core.phase = _PH_EXITING
-            core.switch_segment(t, TRANSITION_BUCKET, active_mw)
-            core.key = (t + exit_ns[core.state]) << 2
-        elif phase == _PH_ENTERING:
-            wakeups_aborted += 1
-            core.phase = _PH_ABORTING
-            observe_idle(core, t)
-        elif phase == _PH_ABORTING:
-            wakeups_aborted += 1
-        # serving or already exiting: the queue entry is enough
-        t = arrivals.next()
+                c = min(range(n_cores), key=lambda k: len(queues[k]))
+        queue = queues[c]
+        f = free[c]
+        if t < f:
+            # Serving, or waking up for earlier work: join the queue.
+            # Arriving before an aborted entry completes is one more
+            # aborted wake-up.
+            if t < abort_until[c]:
+                wakeups_aborted += 1
+            while queue[0] <= t:
+                queue.popleft()
+                popped += 1
+        else:
+            popped += len(queue)
+            queue.clear()
+            if t > f:
+                # Resolve the idle period that began when the queue
+                # drained at f: the entry completes at e unless this
+                # arrival aborts it, and the wake-up exit follows.
+                state = decide(c, f, i)
+                e = f + entry_ns[state]
+                if t < e:
+                    wakeups_aborted += 1
+                    abort_until[c] = e
+                    wake = e + exit_ns[state]
+                    transition_ns[c] += wake - f
+                else:
+                    resident_ns[c][state] += t - e
+                    if state in snoop_window_ns:
+                        serve_snoops(c, state, e, t)
+                    wake = t + exit_ns[state]
+                    transition_ns[c] += e - f + wake - t
+                if wake < t_end:
+                    entries[c]["C0"] += 1
+                else:  # the horizon cuts the exit short
+                    transition_ns[c] -= wake - t_end
+                idle_ns = t - f
+                if trace:
+                    idle_intervals.append((state, idle_ns))
+                if predictor == "ewma":
+                    pred_us[c] = alpha * (idle_ns / 1000.0) + (1.0 - alpha) * pred_us[c]
+                elif predictor == "last_idle":
+                    pred_us[c] = idle_ns / 1000.0
+                f = wake
+            # else t == f: the queue drained just now, so the governor's
+            # decision is dropped and service starts at once.
+        f += service_ns
+        free[c] = f
+        last_arrival[c] = i
+        queue.append(f)
+        if f < t_end:
+            record(f - t + rtt_ns)
+        # i + 1 - popped bounds the backlog from above (other cores may
+        # hold completions at or before t); pop them all only when the
+        # bound could raise the peak.
+        if i + 1 - popped > peak_queue:
+            for queue in queues:
+                while queue and queue[0] <= t:
+                    queue.popleft()
+                    popped += 1
+            peak_queue = max(peak_queue, i + 1 - popped)
 
-    # The horizon: replay what is left before it, charge the snoops of
-    # the cores still resident, and close every core's open segment.
-    for core in cores:
-        advance(core, never, t)
-        if core.phase == _PH_RESIDENT and core.state in snoop_window_ns:
-            serve_snoops(core, t_end)
-        core.switch_segment(t_end, core.seg_bucket, core.seg_power)
+    # The horizon: a core whose queue drains before it takes one last
+    # decision, and is still entering or resident at t_end.
+    for c in range(n_cores):
+        f = free[c]
+        if f < t_end:
+            state = decide(c, f, offered)
+            e = f + entry_ns[state]
+            transition_ns[c] += min(e, t_end) - f
+            if e < t_end:
+                resident_ns[c][state] += t_end - e
+                if state in snoop_window_ns:
+                    serve_snoops(c, state, e, t_end)
 
-    energy_pj = sum(core.energy_pj for core in cores)
+    # Integer picojoules: C0 and transitions draw active power.
+    energy_pj = snoop_pj
+    buckets = []
+    for c, resident in enumerate(resident_ns):
+        idle = sum(resident.values())
+        energy_pj += (t_end - idle) * active_mw
+        energy_pj += sum(ns * state_mw[name] for name, ns in resident.items())
+        buckets.append({"C0": t_end - idle - transition_ns[c], **resident,
+                        TRANSITION_BUCKET: transition_ns[c]})
     energy_j = energy_pj * 1e-12
     # Average over the realized horizon (t_end is duration_s rounded to
     # whole nanoseconds) so energy, power, and residency stay one
@@ -677,34 +668,33 @@ def run(
     per_core = [
         ResidencyProfile(
             duration_s=horizon_s,
-            residency={name: core.buckets[name] / t_end for name in bucket_names},
-            transitions=dict(core.entries),
+            residency={name: ns / t_end for name, ns in bucket.items()},
+            transitions=core_entries,
         )
-        for core in cores
+        for bucket, core_entries in zip(buckets, entries)
     ]
     agg_residency = {
-        name: sum(core.buckets[name] for core in cores) / (t_end * config.cores)
-        for name in bucket_names
+        name: sum(bucket[name] for bucket in buckets) / (t_end * config.cores)
+        for name in buckets[0]
     }
-    agg_transitions = {
-        name: sum(core.entries[name] for core in cores)
-        for name in bucket_names
-        if name != TRANSITION_BUCKET
-    }
+    agg_transitions = {name: sum(e[name] for e in entries) for name in enabled}
     aggregated = ResidencyProfile(
         duration_s=horizon_s,
         residency=agg_residency,
         transitions=agg_transitions,
     )
 
-    latencies_ns.sort()
+    completed = len(latencies_ns)
+    del arrivals  # drop the stream before the sort's copy
+    latencies = sorted(latencies_ns)
     stats = LatencyStats()
-    if latencies_ns:
-        stats = LatencyStats(sum(latencies_ns) / len(latencies_ns) / 1000.0, *(
-            percentile_us(latencies_ns, pct) for pct in (50.0, 95.0, 99.0, 99.9)))
+    if latencies:
+        stats = LatencyStats(sum(latencies) / completed / 1000.0, *(
+            percentile_us(latencies, pct) for pct in (50.0, 95.0, 99.0, 99.9)))
 
     # High-water-mark saturation heuristic: the backlog grew well past
     # anything a stable queue produces and never drained.
+    in_system = offered - completed
     saturated = peak_queue >= max(32, 8 * config.cores) and in_system >= peak_queue / 2
 
     return SimReport(

@@ -294,3 +294,27 @@ def test_nan_target_residency_in_file_rejected():
            "implied_pstate = Pn\n"
     with pytest.raises(ParseError, match="finite"):
         loads_catalog(text)
+
+
+def test_infinite_power_in_file_rejected():
+    # round() of an infinite wattage raised a bare OverflowError.
+    text = "[C6A]\n" \
+           "transition_time_us = 2\ntarget_residency_us = 2\n" \
+           "power_w = inf\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
+           "implied_pstate = P1\n"
+    with pytest.raises(ParseError, match="finite"):
+        loads_catalog(text)
+
+
+@pytest.mark.parametrize("value", ["inf", "1e306"])
+def test_infinite_turbo_power_in_file_rejected(value):
+    # 1e306 W is finite but overflows to infinity in milliwatts.
+    with pytest.raises(ParseError, match="finite"):
+        loads_catalog(f"[turbo]\nc0_power_w = {value}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_pstate_frequency_in_file_rejected(value):
+    text = f"[pstate:P1]\nfrequency_ghz = {value}\nc0_power_w = 4.0\n"
+    with pytest.raises(ParseError, match="frequency must be finite"):
+        loads_catalog(text)

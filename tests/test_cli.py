@@ -264,6 +264,15 @@ class TestSimCli:
         assert out == ""
         assert err == f"error: {message}\n"
 
+    def test_run_unbounded_snoop_rate_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "snoop.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 1\nseed = 3\n"
+                        "cstates_enabled = C0,C6A\n\n[snoop]\nrate_per_core_hz = 1e10\n")
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: snoop rate 1e+10 Hz times the 60 ns C6A snoop window is not below 1\n"
+
     def test_demo_self_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "sim", "demo", "--duration", "0.05")
         assert code == 0

@@ -25,6 +25,7 @@ import itertools
 import json
 import math
 import random
+import time
 
 import pytest
 
@@ -266,6 +267,22 @@ class TestConfigValidation:
                 quiet_config(duration_s=duration_s)
         assert run(quiet_config(duration_s=6e-10)).residency.duration_s == 1e-9
 
+    def test_horizon_beyond_64_bit_nanoseconds_rejected(self):
+        # Times are stored as 64-bit nanoseconds; 1e300 s also overflowed
+        # round() with a bare OverflowError.
+        for overrides in (dict(duration_s=1e300), dict(duration_s=1e10),
+                          dict(network_rtt_us=5e15)):
+            with pytest.raises(ValidationError, match="below 2\\*\\*62 ns"):
+                quiet_config(**overrides)
+
+    def test_first_arrival_far_past_the_horizon(self):
+        # At 1e-12 qps the first arrival lands about 1e21 ns out, past
+        # the 64-bit range; the clairvoyant governor still reads it.
+        report = run(quiet_config(arrival=ArrivalSpec(rate_qps=1e-12),
+                                  cstates_enabled=frozenset({"C0", "C1", "C6"})))
+        assert report.requests_offered == 0
+        assert report.transitions == {"C0": 0, "C1": 0, "C6": 1}
+
     def test_nan_rtt_rejected(self):
         with pytest.raises(ValidationError, match="network_rtt_us must be finite"):
             quiet_config(network_rtt_us=math.nan)
@@ -434,6 +451,125 @@ class TestSnoops:
         excess_pj = delta_mw * (len(times) * window - overlap - clipped)
         assert (on.energy_j - off.energy_j) * 1e12 == pytest.approx(excess_pj, rel=1e-9)
 
+    def test_unbounded_snoop_rate_rejected_at_once(self):
+        # 1e10 Hz against a 60 ns window: 600 snoops due per window.  The
+        # engine draws snoops one per loop step, so a 1 s run of an idle
+        # C6A core used to take hours.
+        cfg = quiet_config(duration_s=1.0, cstates_enabled=frozenset({"C0", "C6A"}),
+                           snoop=SnoopSpec(rate_per_core_hz=1e10))
+        start = time.perf_counter()
+        with pytest.raises(ValidationError, match="snoop window is not below 1"):
+            run(cfg)
+        assert time.perf_counter() - start < 1.0
+
+    def test_snoop_rate_just_below_one_per_window_runs(self):
+        window = fsm.snoop_timeline("C6A", service_ns=50).total_ns + 50
+        rate_hz = 0.9e9 / window
+        cfg = quiet_config(duration_s=20e-6, cstates_enabled=frozenset({"C0", "C6A"}),
+                           snoop=SnoopSpec(rate_per_core_hz=rate_hz))
+        assert run(cfg).snoops_served > 0
+
+    def test_snoop_rate_ignored_without_agile_states(self):
+        # Only C6A/C6AE are snooped, so the rate bound has nothing to bound.
+        cfg = quiet_config(snoop=SnoopSpec(rate_per_core_hz=1e10))
+        assert run(cfg).snoops_served == 0
+
+
+# ---------------------------------------------------------------------------
+# same-nanosecond tie rules
+#
+# Periodic arrivals and fixed service, so every time below is computed
+# by hand (all times in ns).
+
+
+def drop_config(**overrides):
+    """Arrivals every 10000 ns with 9996 ns of work on 1 core, menu
+    {C0, C1} (4 ns entry, 4 ns exit), horizon 50000.
+
+    Decision at 0: C1, resident [4, 10000).  t=10000 wakes it (exit to
+    10004), done at 20000.  t=20000 lands exactly there: done at 29996.
+    t=30000: the decision at 29996 enters C1 until 30000, the arrival
+    wakes it (exit to 30004), done at 40000.  t=40000 lands exactly
+    there: done at 49996.  The horizon's decision at 49996 is still
+    entering at 50000.
+    """
+    base = dict(cores=1, duration_s=50e-6, seed=1,
+                arrival=ArrivalSpec("periodic", 100_000.0),
+                service=ServiceSpec("fixed", 9.996),
+                cstates_enabled=frozenset({"C0", "C1"}))
+    base.update(overrides)
+    return SimConfig(**base)
+
+
+class TestTieRules:
+    def test_arrival_at_free_drops_the_decision(self):
+        # t=20000 and t=40000 meet a queue that drained in the same ns:
+        # no entry, service starts at once, latency is the service time.
+        report = run(drop_config(), trace=True)
+        assert report.transitions == {"C0": 2, "C1": 3}
+        assert report.trace.decisions == [(0, "C1")] * 3
+        assert report.requests_completed == 4
+        assert report.latency_us.mean == pytest.approx((2 * 10.0 + 2 * 9.996) / 4)
+        assert report.latency_us.p50 == 9.996
+
+    def test_arrival_at_entry_end_is_resident(self):
+        # t=30000 is exactly when the entry begun at 29996 completes: the
+        # core counts as resident for 0 ns, the entry is not aborted, and
+        # the wake-up pays the full 4 ns exit.
+        report = run(drop_config(), trace=True)
+        assert report.wakeups_aborted == 0
+        assert report.trace.idle_intervals == [("C1", 10_000), ("C1", 4)]
+        residency = report.residency.residency
+        assert residency["C1"] == 9996 / 50_000
+        assert residency["transition"] == (8 + 8 + 4) / 50_000
+        assert residency["C0"] == 39_984 / 50_000
+
+    def test_completion_at_arrival_leaves_before_peak_counts(self):
+        # The request done at 20000 leaves before the one arriving at
+        # 20000 joins, so the backlog never exceeds 1.
+        assert run(drop_config()).peak_queue == 1
+
+    def test_each_arrival_inside_an_aborted_entry_counts(self):
+        # Menu {C0, C6}: 87000 ns entry, 30000 ns exit; 1000 ns of work
+        # every 30000 ns, horizon 125000.  The entry begun at 0 is
+        # aborted by t=30000 and again hit by t=60000 (two aborted
+        # wake-ups); t=90000 lands in the exit (87000 to 117000) and is
+        # not counted.  The queue drains at 118000, 119000, 120000;
+        # t=120000 lands at free.  The horizon's decision at 121000 is
+        # still entering.
+        config = SimConfig(cores=1, duration_s=125e-6, seed=1,
+                           arrival=ArrivalSpec("periodic", 1e9 / 30_000),
+                           service=ServiceSpec("fixed", 1.0),
+                           cstates_enabled=frozenset({"C0", "C6"}))
+        report = run(config, trace=True)
+        assert report.wakeups_aborted == 2
+        assert report.transitions == {"C0": 1, "C6": 2}
+        assert report.trace.idle_intervals == [("C6", 30_000)]
+        assert report.residency.residency == {
+            "C0": 4000 / 125_000, "C6": 0.0, "transition": 121_000 / 125_000}
+        assert report.latency_us.mean == (88.0 + 59.0 + 30.0 + 1.0) / 4
+        assert report.peak_queue == 3
+
+    def test_two_core_round_robin_peak_queue(self):
+        # Two cores take alternate arrivals every 1000 ns, each 1998 ns
+        # of work, menu {C0, C1}, horizon 6500.  Core 0: t=1000 wakes it
+        # (exit to 1004), done 3002; t=3000 queues, done 5000; t=5000
+        # lands at free, done 6998.  Core 1: t=2000, done 4002; t=4000
+        # queues, done 6000; t=6000 lands at free, done 7998.  Backlog at
+        # each arrival: 1, 2, 3, 3 (3002 is done by 4000), 2, 2.
+        config = SimConfig(cores=2, duration_s=6.5e-6, seed=1,
+                           arrival=ArrivalSpec("periodic", 1e6),
+                           service=ServiceSpec("fixed", 1.998),
+                           dispatch="round_robin",
+                           cstates_enabled=frozenset({"C0", "C1"}))
+        report = run(config)
+        assert report.peak_queue == 3
+        assert report.requests_offered == 6
+        assert report.requests_completed == 4
+        assert report.latency_us.mean == (2.002 + 2.002 + 2.0 + 2.0) / 4
+        assert report.wakeups_aborted == 0
+        assert report.transitions == {"C0": 2, "C1": 2}
+
 
 # ---------------------------------------------------------------------------
 # mispredicting governors
@@ -563,10 +699,10 @@ class TestSweep:
 
 AGILE_MENU = frozenset({"C0", "C6A", "C6AE", "C6"})
 
-# Snoops-off configs whose results are pinned by hash.  Together they
-# cover every arrival process, dispatch policy (pack_queue_cap 1
-# included) and predictor, agile menus, a network RTT, turbo and a
-# zero-rate run.
+# Configs whose results are pinned by hash.  Together they cover every
+# arrival process, dispatch policy (pack_queue_cap 1 included) and
+# predictor, agile menus, a network RTT, turbo, a zero-rate run, and
+# snoops at 20-200 kHz per core (a zero snoop service window included).
 GOLDEN = [
     (dict(cores=2, duration_s=0.02, seed=11, arrival=ArrivalSpec("poisson", 20_000.0),
           service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
@@ -604,6 +740,22 @@ GOLDEN = [
           governor=GovernorPolicy("ewma", 0.7), cstates_enabled=AGILE_MENU,
           turbo_c0_power_w=11.0),
      "1a36751faaebd45e280e2a6b74236292809a5b79ef7ac1fd220850b55539301a"),
+    (dict(cores=2, duration_s=0.02, seed=19, arrival=ArrivalSpec("poisson", 20_000.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="pack_lowest_index",
+          pack_queue_cap=2, governor=GovernorPolicy("ewma", 0.5), cstates_enabled=AGILE_MENU,
+          snoop=SnoopSpec(20_000.0)),
+     "1a9dfe6752bae822fe7a620d144aa3f2a3816a7b501ec998b453758c988e868c"),
+    (dict(cores=3, duration_s=0.02, seed=20,
+          arrival=ArrivalSpec("bursty", 30_000.0, burst_on_ms=0.5, burst_off_ms=0.5),
+          service=ServiceSpec("lognormal", 15.0, sigma=0.8), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant"),
+          cstates_enabled=frozenset({"C0", "C1", "C6A"}), snoop=SnoopSpec(200_000.0)),
+     "fa90381f2f7c11ad09b14175182560cd8d7d83a7dd1d2ac6f0ed81b759f32160"),
+    (dict(cores=2, duration_s=0.02, seed=21, arrival=ArrivalSpec("periodic", 12_000.0),
+          service=ServiceSpec("fixed", 10.0), dispatch="random",
+          governor=GovernorPolicy("last_idle"), cstates_enabled=frozenset({"C0", "C1E", "C6AE"}),
+          snoop=SnoopSpec(100_000.0, service_ns=0)),
+     "d0089d6210d6b6a15ceb533eccc0456ace16b920e7ba7107894bfca29d37d92d"),
 ]
 
 
