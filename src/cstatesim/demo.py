@@ -13,10 +13,13 @@ family promises:
     from the baseline run's own residency profile at every point;
   * p99 latency degradation bounded by a couple of percent.
 
-Both variants at a given load run with the same seed, so the comparison
-is paired: identical arrival and service-time draws, with only the
-idle-state menu (and the service-time inflation that comes with the
-agile states) differing.
+Both variants at a given load run with the same seed and against the
+same arrival and service streams, drawn once per load, so the
+comparison is paired: identical arrival and service-time draws, with
+only the idle-state menu (and the service-time inflation that comes
+with the agile states) differing.  Each load has its own sub-seed,
+derive_subseed(seed, "demo", i), and every point equals a stand-alone
+run at it.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ from .sim import (
     SimReport,
     SweepPoint,
     VariantSpec,
+    _draw_streams,
     derive_subseed,
     run,
 )
@@ -118,16 +122,15 @@ def demo_sweep(
 
     points: List[DemoPoint] = []
     for i, qps in enumerate(loads_qps):
-        # One sub-seed per load, shared by both variants: the comparison
-        # at each load is paired at equal seed.
+        # One sub-seed and one draw of the streams per load, shared by
+        # both variants: the comparison at each load is paired.
         point_seed = derive_subseed(seed, "demo", i)
         cfg = replace(base, seed=point_seed, arrival=replace(base.arrival, rate_qps=qps))
-        rep_base = run(
-            replace(cfg, cstates_enabled=BASELINE.cstates), catalog=catalog, perf=perf
-        )
-        rep_agile = run(
-            replace(cfg, cstates_enabled=AGILE.cstates), catalog=catalog, perf=perf
-        )
+        streams = _draw_streams(cfg)
+        rep_base = run(replace(cfg, cstates_enabled=BASELINE.cstates),
+                       catalog=catalog, perf=perf, streams=streams)
+        rep_agile = run(replace(cfg, cstates_enabled=AGILE.cstates),
+                        catalog=catalog, perf=perf, streams=streams)
         savings = 1.0 - rep_agile.avg_power_w / rep_base.avg_power_w
         bound = upper_bound_savings(_bound_profile(rep_base.residency), catalog)
         p99_delta = (

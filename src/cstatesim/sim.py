@@ -33,7 +33,9 @@ request completing there is not counted, and time is clipped at it.
 Determinism is a hard guarantee: virtual time is integer nanoseconds,
 and all randomness flows from named streams derived from the config
 seed (arrivals, service, dispatch, and one snoop stream per core).
-Running the same config twice produces byte-identical reports.
+Running the same config twice produces byte-identical reports.  The
+arrival and service streams do not depend on the idle-state menu, so a
+sweep draws them once per load and every variant replays them.
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -55,8 +57,8 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
-from itertools import repeat
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
 from .catalog import AGILE_STATES, Catalog, default_catalog
@@ -120,8 +122,20 @@ class ArrivalSpec:
             raise ValidationError(f"arrival process must be one of {_ARRIVAL_PROCESSES}")
         if self.rate_qps < 0:
             raise ValidationError("rate_qps must be nonnegative")
-        if self.process == "bursty" and (self.burst_on_ms <= 0 or self.burst_off_ms <= 0):
-            raise ValidationError("burst on/off means must be positive")
+        if self.process == "bursty":
+            if self.burst_on_ms <= 0 or self.burst_off_ms <= 0:
+                raise ValidationError("burst on/off means must be positive")
+            # Phase lengths are drawn as integer nanoseconds.
+            if not (self.burst_on_ms * 1e6 < 2 ** 62 and self.burst_off_ms * 1e6 < 2 ** 62):
+                raise ValidationError("burst on/off means must be below 2**62 ns")
+            # The stream is drawn one on/off cycle at a time, so the
+            # expected cycles per arrival bound the work of drawing the
+            # first arrival past the horizon (about 10k cycles at most).
+            per_cycle = self.rate_qps * (self.burst_on_ms + self.burst_off_ms) * 1e-3
+            if self.rate_qps > 0 and not per_cycle >= 1e-4:
+                raise ValidationError(
+                    f"bursty rate_qps {self.rate_qps:g} expects {per_cycle:.3g} arrivals "
+                    f"per on/off cycle; at least 1e-4 are needed")
 
 
 @dataclass(frozen=True)
@@ -300,7 +314,9 @@ def _state_picker(enabled: frozenset, catalog: Catalog):
     form a prefix, so one bisect counts them; picks[k] is the choice when
     k states fit, picks[0] the shallowest state as the fallback.  Equal
     depths resolve to the first name, as max() and min() over names do.
-    Returns pick(predicted_us) -> state name.
+    Returns pick(predicted_us) -> state name, and the state every pick
+    gives when the table holds only one (else None): then no prediction
+    can change the choice.
     """
     # Sorted names for cross-process determinism: set iteration order
     # depends on hash randomization.
@@ -318,7 +334,7 @@ def _state_picker(enabled: frozenset, catalog: Catalog):
         if not predicted_us >= thresholds[0]:
             return picks[0]
         return picks[bisect_right(thresholds, predicted_us)]
-    return pick
+    return pick, (picks[0] if len(set(picks)) == 1 else None)
 
 
 def select_state(
@@ -333,32 +349,41 @@ def select_state(
     (so C6A is deeper than C1 even though they share a latency class).
     Falls back to the shallowest enabled idle state when nothing fits.
     """
-    return catalog[_state_picker(enabled, catalog)(predicted_idle_us)]
+    pick, _ = _state_picker(enabled, catalog)
+    return catalog[pick(predicted_idle_us)]
 
 
 # ---------------------------------------------------------------------------
 # Arrival and service streams
 # ---------------------------------------------------------------------------
 
+# Stream arrays are filled a chunk at a time from list comprehensions:
+# faster than from a generator, and no temporary list holds every item.
+_CHUNK = 4096
+
 def _arrival_times(spec: ArrivalSpec, rng: random.Random,
                    t_end: int) -> Tuple[array, float]:
     """Absolute arrival times in integer ns, strictly increasing.
 
     Returns every arrival before t_end, and the first one at or past it
-    (math.inf when rate_qps is 0), which the clairvoyant governor reads
-    last; that one is kept apart because it can exceed the array's
-    64-bit range.  The bursty process is an on/off modulated Poisson
-    stream whose on-phase rate is scaled so the long-run average is
-    rate_qps.
+    (math.inf when rate_qps is 0, or when its gap overflows a float),
+    which the clairvoyant governor reads last; that one is kept apart
+    because it can exceed the array's 64-bit range.  The bursty process
+    is an on/off modulated Poisson stream whose on-phase rate is scaled
+    so the long-run average is rate_qps.
     """
     if spec.rate_qps <= 0:
         return array("q"), math.inf
+    inf = math.inf
     if spec.process == "periodic":
-        interval = max(1, round(1e9 / spec.rate_qps))
+        try:
+            interval = max(1, round(1e9 / spec.rate_qps))
+        except OverflowError:  # the gap is past any float: nothing arrives
+            return array("q"), inf
         times = array("q", range(interval, t_end, interval))
         return times, (len(times) + 1) * interval
     if spec.process == "poisson":
-        on_rate, on_end = spec.rate_qps, math.inf
+        on_rate, on_end = spec.rate_qps, inf
     else:
         on_s = spec.burst_on_ms * 1e-3
         off_s = spec.burst_off_ms * 1e-3
@@ -372,7 +397,10 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
     while True:
         # max(1, round(expo(on_rate) * 1e9)), inlined: one uniform draw
         # each, and a nonnegative gap rounds to 0 only when below 1.
-        cand = t + (round(-log(1.0 - uniform()) / on_rate * 1e9) or 1)
+        try:
+            cand = t + (round(-log(1.0 - uniform()) / on_rate * 1e9) or 1)
+        except OverflowError:  # the gap is past any float: it never arrives
+            cand = inf
         if cand <= on_end:
             if cand >= t_end:
                 return times, cand
@@ -383,36 +411,106 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
             on_end = t + max(1, round(expo(1.0 / on_s) * 1e9))
 
 
-def _service_times(spec: ServiceSpec, rng: random.Random, n: int,
-                   inflation: float) -> Iterator[int]:
-    """n per-request service times in integer ns, each inflated."""
+def _service_seconds(spec: ServiceSpec, rng: random.Random, n: int) -> array:
+    """n per-request service times in seconds, before any inflation."""
     if spec.dist == "fixed":
-        return repeat(max(1, round(spec.mean_us * 1e-6 * inflation * 1e9)), n)
+        return array("d", [spec.mean_us * 1e-6]) * n
+    seconds = array("d")
     if spec.dist == "exponential":
         # rng.expovariate(rate), inlined as in _arrival_times.
         uniform, log, rate = rng.random, math.log, 1.0 / (spec.mean_us * 1e-6)
-        return (round(-log(1.0 - uniform()) / rate * inflation * 1e9) or 1 for _ in range(n))
+        for lo in range(0, n, _CHUNK):
+            seconds.fromlist([-log(1.0 - uniform()) / rate for _ in range(min(_CHUNK, n - lo))])
+        return seconds
     # Choose mu so the distribution mean equals mean_us.
     mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
     # rng.lognormvariate(mu, sigma), inlined.
     normal, exp, sigma = rng.normalvariate, math.exp, spec.sigma
-    return (round(exp(normal(mu, sigma)) * inflation * 1e9) or 1 for _ in range(n))
+    for lo in range(0, n, _CHUNK):
+        seconds.fromlist([exp(normal(mu, sigma)) for _ in range(min(_CHUNK, n - lo))])
+    return seconds
+
+
+@dataclass(frozen=True)
+class _Streams:
+    """The draws of one load that no idle-state menu changes.
+
+    Every variant run against the same streams serves the same requests
+    at the same times, so comparisons between menus are paired (common
+    random numbers); only the menu-dependent service inflation differs.
+    """
+
+    key: tuple            # (seed, arrival, service, t_end) they were drawn for
+    arrivals: array       # 'q': arrival times before t_end, in ns
+    lookahead: float      # the first arrival at or past t_end
+    service_s: array      # 'd': one service time per arrival, in s
+
+    def service_ns(self, inflation: float) -> array:
+        """Service times inflated and rounded to whole ns (at least 1).
+
+        round(x * inflation * 1e9) is the arithmetic a run always used,
+        so results do not depend on whether the streams are shared.
+        Built for each run and not kept: it costs far less than the draw,
+        and a run drops it before its latency sort, the peak of its
+        memory.
+        """
+        ns = array("q")
+        seconds = self.service_s
+        for lo in range(0, len(seconds), _CHUNK):
+            ns.fromlist([round(x * inflation * 1e9) or 1 for x in seconds[lo:lo + _CHUNK]])
+        return ns
+
+
+def _streams_key(config: SimConfig) -> tuple:
+    """What a run's streams must have been drawn for."""
+    return (config.seed, config.arrival, config.service, round(config.duration_s * 1e9))
+
+
+def _draw_streams(config: SimConfig) -> _Streams:
+    """Draw the arrival and service streams of config's seed and horizon."""
+    key = _streams_key(config)
+    seed, arrival, service, t_end = key
+    arrivals, lookahead = _arrival_times(
+        arrival, random.Random(derive_subseed(seed, "arrival")), t_end)
+    service_s = _service_seconds(
+        service, random.Random(derive_subseed(seed, "service")), len(arrivals))
+    return _Streams(key, arrivals, lookahead, service_s)
 
 
 # ---------------------------------------------------------------------------
 # Engine
 # ---------------------------------------------------------------------------
 
+# The controller flows depend only on their arguments, so each is built
+# once per process rather than once per run.
+@lru_cache(maxsize=None)
+def _agile_latencies_ns(name: str) -> Tuple[int, int]:
+    """Entry and exit totals of an agile state's controller flows."""
+    return fsm.entry_timeline(name).total_ns, fsm.exit_timeline(name).total_ns
+
+
+@lru_cache(maxsize=64)
+def _snoop_window_ns(name: str, service_ns: int) -> int:
+    """A snoop's window in an agile state: cache wake, service, re-entry."""
+    return fsm.snoop_timeline(name, service_ns=service_ns).total_ns + service_ns
+
+
 def run(
     config: SimConfig,
     catalog: Optional[Catalog] = None,
     perf: Optional[PerfModel] = None,
     trace: bool = False,
+    *,
+    streams: Optional[_Streams] = None,
 ) -> SimReport:
     """Simulate one configuration and summarize it.
 
     perf only matters when an agile deep idle state is enabled: then
     every service time is divided by (1 - freq_penalty * scalability).
+    streams, when given, are the arrival and service draws of config's
+    seed, arrival, service and horizon (from _draw_streams), shared by
+    every variant at one load; without them the run draws its own, with
+    the same result.
     """
     if catalog is None:
         catalog = default_catalog()
@@ -431,7 +529,7 @@ def run(
     else:
         active_mw = catalog["C0"].power_mw
     state_mw = {name: catalog[name].power_mw for name in enabled}
-    pick_state = _state_picker(config.cstates_enabled, catalog)
+    pick_state, only_state = _state_picker(config.cstates_enabled, catalog)
 
     # Entry/exit latencies: controller flow totals for the agile states,
     # catalog hardware figures for everything else.
@@ -441,8 +539,7 @@ def run(
         if name == "C0":
             continue
         if name in AGILE_STATES:
-            entry_ns[name] = fsm.entry_timeline(name).total_ns
-            exit_ns[name] = fsm.exit_timeline(name).total_ns
+            entry_ns[name], exit_ns[name] = _agile_latencies_ns(name)
         else:
             entry_ns[name] = catalog[name].hw_entry_ns
             exit_ns[name] = catalog[name].hw_exit_ns
@@ -455,8 +552,7 @@ def run(
     snoop_window_ns: Dict[str, int] = {}
     snoop_delta_mw: Dict[str, int] = {}
     for name in AGILE_STATES & config.cstates_enabled if snoop_rate > 0 else ():
-        flow = fsm.snoop_timeline(name, service_ns=config.snoop.service_ns)
-        window = flow.total_ns + config.snoop.service_ns
+        window = _snoop_window_ns(name, config.snoop.service_ns)
         # Like the request utilization check: at one window per snoop
         # or more, the snoops alone would keep the core busy.
         if snoop_rate * window * 1e-9 >= 1.0:
@@ -471,10 +567,16 @@ def run(
     def stream(*name) -> random.Random:
         return random.Random(derive_subseed(config.seed, *name))
 
+    if streams is None:
+        streams = _draw_streams(config)
+    elif streams.key != _streams_key(config):
+        raise ValidationError(
+            "streams were drawn for another seed, arrival, service or duration")
     t_end = round(config.duration_s * 1e9)
-    arrivals, lookahead = _arrival_times(config.arrival, stream("arrival"), t_end)
+    arrivals, lookahead = streams.arrivals, streams.lookahead
     offered = len(arrivals)
-    services = _service_times(config.service, stream("service"), offered, inflation)
+    services = streams.service_ns(inflation)
+    del streams  # keep only what the loop reads: a run's own service_s is freed
     rng_dispatch = stream("dispatch")
     snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if snoop_window_ns else []
 
@@ -498,7 +600,9 @@ def run(
     wakeups_aborted = snoops_served = snoop_pj = popped = peak_queue = 0
     dispatch = config.dispatch
     pack_cap = config.pack_queue_cap
-    predictor = config.governor.predictor
+    # With one idle state on the menu no prediction can change the
+    # choice, so none is made.
+    predictor = config.governor.predictor if only_state is None else None
     clairvoyant = predictor == "clairvoyant"
     alpha = config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
@@ -513,10 +617,11 @@ def run(
         if clairvoyant:
             # The oracle reads the first arrival after t, on any core.
             k = bisect_right(arrivals, t, last_arrival[c], hi)
-            predicted_us = ((arrivals[k] if k < offered else lookahead) - t) / 1000.0
+            state = pick_state(((arrivals[k] if k < offered else lookahead) - t) / 1000.0)
+        elif only_state is None:
+            state = pick_state(pred_us[c])
         else:
-            predicted_us = pred_us[c]
-        state = pick_state(predicted_us)
+            state = only_state
         if trace:
             decisions.append((c, state))
         entries[c][state] += 1
@@ -685,7 +790,7 @@ def run(
     )
 
     completed = len(latencies_ns)
-    del arrivals  # drop the stream before the sort's copy
+    del arrivals, services  # drop a run's own draws before the sort's copy
     latencies = sorted(latencies_ns)
     stats = LatencyStats()
     if latencies:
@@ -741,20 +846,16 @@ class SweepPoint:
     p99_delta_vs_first: float = 0.0
 
 
-def _point_config(base: SimConfig, qps: float, variant: VariantSpec,
-                  load_idx: int) -> SimConfig:
-    return replace(
-        base,
-        seed=derive_subseed(base.seed, load_idx, variant.name),
-        arrival=replace(base.arrival, rate_qps=qps),
-        cstates_enabled=variant.cstates,
-        turbo_c0_power_w=variant.turbo_c0_power_w,
-    )
-
-
-def _run_point(args) -> SimReport:
-    config, catalog, perf = args
-    return run(config, catalog=catalog, perf=perf)
+def _sweep_load(args) -> List[SimReport]:
+    """Every variant at one load, run against the load's shared streams."""
+    config, variants, catalog, perf = args
+    streams = _draw_streams(config)
+    return [
+        run(replace(config, cstates_enabled=variant.cstates,
+                    turbo_c0_power_w=variant.turbo_c0_power_w),
+            catalog=catalog, perf=perf, streams=streams)
+        for variant in variants
+    ]
 
 
 def sweep(
@@ -765,11 +866,16 @@ def sweep(
     perf: Optional[PerfModel] = None,
     jobs: int = 1,
 ) -> List[SweepPoint]:
-    """Cross-product of loads and variants, each with a derived sub-seed.
+    """Cross-product of loads and variants, paired at each load.
 
-    The first variant is the comparison baseline: every point carries
-    its average-power savings and mean/p99 latency deltas against the
-    first variant at the same load.
+    Load i runs at the sub-seed derive_subseed(base.seed, i), and every
+    variant at it serves the same arrival and service draws (common
+    random numbers), so each point equals a stand-alone run at that
+    seed and the comparisons measure the menus, not seed noise.  The
+    first variant is the comparison baseline: every point carries its
+    average-power savings and mean/p99 latency deltas against the first
+    variant at the same load.  Points are load-major, variants in the
+    order given; with jobs > 1, loads run in parallel processes.
     """
     if not qps_list:
         raise ValidationError("qps_list must not be empty")
@@ -777,28 +883,23 @@ def sweep(
         raise ValidationError("variants must not be empty")
     jobs = max(1, jobs)
 
-    tasks = []
-    for i, qps in enumerate(qps_list):
-        for variant in variants:
-            tasks.append((_point_config(base, qps, variant, i), catalog, perf))
-
+    tasks = [
+        (replace(base, seed=derive_subseed(base.seed, i),
+                 arrival=replace(base.arrival, rate_qps=qps)),
+         variants, catalog, perf)
+        for i, qps in enumerate(qps_list)
+    ]
     if jobs == 1:
-        reports = [_run_point(task) for task in tasks]
+        per_load = [_sweep_load(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            reports = list(pool.map(_run_point, tasks))
+            per_load = list(pool.map(_sweep_load, tasks))
 
     points: List[SweepPoint] = []
-    idx = 0
-    for i, qps in enumerate(qps_list):
-        first: Optional[SimReport] = None
-        for variant in variants:
-            rep = reports[idx]
-            idx += 1
-            if first is None:
-                first = rep
-                points.append(SweepPoint(variant.name, qps, rep))
-                continue
+    for qps, reports in zip(qps_list, per_load):
+        first = reports[0]
+        points.append(SweepPoint(variants[0].name, qps, first))
+        for variant, rep in zip(variants[1:], reports[1:]):
             base_p = first.avg_power_w
             savings = (base_p - rep.avg_power_w) / base_p if base_p > 0 else 0.0
             mean_d = (

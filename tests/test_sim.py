@@ -33,7 +33,8 @@ from cstatesim import fsm
 from cstatesim.catalog import Catalog, default_catalog
 from cstatesim.errors import ValidationError
 from cstatesim.model import PerfModel
-from cstatesim.reporting import sim_report_document
+from cstatesim.demo import demo_sweep
+from cstatesim.reporting import canonical_hash, emit_plot_table, sim_report_document
 from cstatesim.sim import (
     ArrivalSpec,
     GovernorPolicy,
@@ -41,6 +42,7 @@ from cstatesim.sim import (
     SimConfig,
     SnoopSpec,
     VariantSpec,
+    _draw_streams,
     derive_subseed,
     run,
     select_state,
@@ -282,6 +284,39 @@ class TestConfigValidation:
                                   cstates_enabled=frozenset({"C0", "C1", "C6"})))
         assert report.requests_offered == 0
         assert report.transitions == {"C0": 0, "C1": 0, "C6": 1}
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("process", ["periodic", "poisson"])
+    def test_vanishing_rate_draws_no_arrival(self, process, seed):
+        # At 1e-300 qps a gap in ns overflows a float; it used to end in
+        # a bare OverflowError from round().  Such an arrival never comes.
+        report = run(quiet_config(seed=seed, arrival=ArrivalSpec(process, 1e-300),
+                                  cstates_enabled=frozenset({"C0", "C1", "C6"})))
+        assert report.requests_offered == 0
+        assert report.transitions == {"C0": 0, "C1": 0, "C6": 1}
+
+    @pytest.mark.parametrize("rate_qps", [1e-300, 1e-100, 0.049])
+    def test_bursty_rate_below_one_arrival_per_10k_cycles_rejected(self, rate_qps):
+        # The bursty stream is drawn one on/off cycle at a time, so at
+        # 1e-100 qps the draw of the first arrival never ended (and at
+        # 1e-300 a gap overflowed round()).
+        with pytest.raises(ValidationError, match="per on/off cycle"):
+            ArrivalSpec("bursty", rate_qps)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_bursty_rate_at_the_cycle_bound_runs(self, seed):
+        # 1e-4 arrivals per 2 ms cycle: about 10k cycles drawn to find
+        # the first arrival past a 1 ms horizon.
+        started = time.monotonic()
+        report = run(quiet_config(seed=seed, arrival=ArrivalSpec("bursty", 0.05)))
+        assert report.requests_offered == 0
+        assert time.monotonic() - started < 5.0
+
+    def test_bursty_phase_beyond_64_bit_nanoseconds_rejected(self):
+        # A phase of 1e300 ms overflowed round() when it was drawn.
+        for overrides in (dict(burst_on_ms=1e300), dict(burst_off_ms=5e12)):
+            with pytest.raises(ValidationError, match="below 2\\*\\*62 ns"):
+                ArrivalSpec("bursty", 1000.0, **overrides)
 
     def test_nan_rtt_rejected(self):
         with pytest.raises(ValidationError, match="network_rtt_us must be finite"):
@@ -668,17 +703,56 @@ class TestSweep:
         saved = 1.0 - agile.report.avg_power_w / ref.report.avg_power_w
         assert agile.savings_vs_first == pytest.approx(saved, rel=1e-9)
 
-    def test_each_point_gets_its_own_reproducible_seed(self):
-        # Sweep points are independent draws, not paired: the sub-seed
-        # hashes (load index, variant name), so the two variants at one
-        # load see different arrival streams, and repeating the sweep
-        # reproduces every point exactly.
-        once = sweep(self.base(), [2000.0, 5000.0], self.VARIANTS)
-        again = sweep(self.base(), [2000.0, 5000.0], self.VARIANTS)
-        ref, agile = once[0], once[1]
-        assert ref.report.seed != agile.report.seed
-        assert [p.report.seed for p in once] == [p.report.seed for p in again]
-        assert [p.report.energy_j for p in once] == [p.report.energy_j for p in again]
+    def test_identical_variants_give_exact_zeros(self):
+        # Paired on shared streams, a variant compared with itself shows
+        # no difference at all; unpaired seeds made these deltas a few
+        # percent of seed noise.
+        base = SimConfig(
+            cores=4, duration_s=0.02, seed=2024, arrival=ArrivalSpec(rate_qps=10_000.0),
+            service=ServiceSpec("lognormal", 20.0, sigma=1.0), dispatch="random",
+            governor=GovernorPolicy("ewma"), snoop=SnoopSpec(50_000.0),
+        )
+        for menu in ({"C0", "C1", "C1E", "C6"}, {"C0", "C6A", "C6AE", "C6"}):
+            twins = [VariantSpec("a", frozenset(menu)), VariantSpec("b", frozenset(menu))]
+            points = sweep(base, [10_000.0, 40_000.0], twins)
+            for p in points:
+                assert (p.savings_vs_first, p.mean_delta_vs_first,
+                        p.p99_delta_vs_first) == (0.0, 0.0, 0.0)
+
+    def test_each_point_equals_a_standalone_run_at_its_load_seed(self):
+        variants = self.VARIANTS + [
+            VariantSpec("agile_turbo", frozenset({"C0", "C6A"}), turbo_c0_power_w=9.0)]
+        base = self.base()
+        qps_list = [2000.0, 5000.0]
+        points = sweep(base, qps_list, variants)
+        for k, p in enumerate(points):
+            i, variant = divmod(k, len(variants))
+            alone = run(dataclasses.replace(
+                base, seed=derive_subseed(base.seed, i),
+                arrival=dataclasses.replace(base.arrival, rate_qps=qps_list[i]),
+                cstates_enabled=variants[variant].cstates,
+                turbo_c0_power_w=variants[variant].turbo_c0_power_w))
+            assert (p.qps, p.variant) == (qps_list[i], variants[variant].name)
+            assert canonical_hash(sim_report_document(p.report)) == \
+                canonical_hash(sim_report_document(alone))
+
+    def test_streams_drawn_for_another_config_rejected(self):
+        cfg = self.base()
+        streams = _draw_streams(cfg)
+        assert run(cfg, streams=streams) == run(cfg)
+        for other in (dataclasses.replace(cfg, seed=10),
+                      dataclasses.replace(cfg, arrival=ArrivalSpec(rate_qps=2000.0)),
+                      dataclasses.replace(cfg, service=ServiceSpec("fixed", 11.0)),
+                      dataclasses.replace(cfg, duration_s=0.02)):
+            with pytest.raises(ValidationError, match="streams were drawn"):
+                run(other, streams=streams)
+
+    def test_demo_plot_table_unchanged(self):
+        # Recorded before the demo drew its streams once per load: both
+        # variants already shared each load's seed.
+        table = emit_plot_table(demo_sweep(seed=7, duration_s=0.05).sweep_points())
+        assert hashlib.sha256(table.encode()).hexdigest() == \
+            "c935af16f203dfd78a1c0b6390c47598f86a1fb79ebdddbf8a1d46fd8109df06"
 
     def test_rejects_empty_grid(self):
         with pytest.raises(ValidationError, match="qps_list"):
@@ -756,6 +830,17 @@ GOLDEN = [
           governor=GovernorPolicy("last_idle"), cstates_enabled=frozenset({"C0", "C1E", "C6AE"}),
           snoop=SnoopSpec(100_000.0, service_ns=0)),
      "d0089d6210d6b6a15ceb533eccc0456ace16b920e7ba7107894bfca29d37d92d"),
+    # One idle state on the menu: the run takes it without a prediction.
+    (dict(cores=3, duration_s=0.02, seed=22, arrival=ArrivalSpec("poisson", 30_000.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant"), cstates_enabled=frozenset({"C0", "C1"})),
+     "c76595a8603f8d16f070eb67d15682e47c468dbd44f0b30d1fb653985455d27c"),
+    (dict(cores=2, duration_s=0.02, seed=23,
+          arrival=ArrivalSpec("bursty", 20_000.0, burst_on_ms=0.5, burst_off_ms=1.0),
+          service=ServiceSpec("lognormal", 15.0, sigma=0.8), dispatch="pack_lowest_index",
+          governor=GovernorPolicy("ewma", 0.5), cstates_enabled=frozenset({"C0", "C6A"}),
+          snoop=SnoopSpec(50_000.0)),
+     "19d80e675e0a1cd32689102b922dd644330b7bf96f51e5d101b2dcef48d16b67"),
 ]
 
 
