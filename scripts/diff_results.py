@@ -1,0 +1,178 @@
+#!/usr/bin/env python3
+"""Compare the simulator of two checkouts on random configs.
+
+Draws N random single-run configs from --seed and runs each of them in
+one subprocess per checkout, with cstatesim imported from that
+checkout's src/ directory.  The configs cover every arrival process,
+dispatch policy, predictor and idle-state menu (all 31), snoops on and
+off, a network RTT, turbo, pack_queue_cap 1-5, horizons down to 1 ns,
+and trace=True on about a third.  For each config it compares the
+report's results document and the SimTrace lists (decisions and
+idle_intervals, in order), and prints the first config where they
+differ.  A config one side rejects is compared by its error message.
+
+Usage:
+    python3 scripts/diff_results.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
+
+Exit code 0 when every config matched, 1 at the first difference, 2
+when a checkout could not be run.
+"""
+
+import argparse
+import hashlib
+import json
+import random
+import subprocess
+import sys
+
+IDLE_STATES = ("C1", "C1E", "C6", "C6A", "C6AE")
+# Every nonempty idle-state menu, C0 added to each.
+MENUS = [
+    ["C0"] + [s for k, s in enumerate(IDLE_STATES) if mask >> k & 1]
+    for mask in range(1, 2 ** len(IDLE_STATES))
+]
+# Expected requests per run stay below this, so a config runs in
+# milliseconds.
+MAX_REQUESTS = 3000
+
+
+def random_config(rng: random.Random) -> dict:
+    """One config as plain data, drawn only from rng."""
+    cores = rng.randint(1, 4)
+    mean_us = rng.choice([1.0, 5.0, 10.0, 20.0, 50.0]) * rng.uniform(0.5, 1.5)
+    util = 0.0 if rng.random() < 0.1 else rng.choice([rng.uniform(0.01, 0.3),
+                                                      rng.uniform(0.3, 0.95)])
+    rate_qps = util * cores * 1e6 / mean_us
+    if rng.random() < 0.1:  # a horizon shorter than most gaps
+        duration_s = rng.choice([1e-9, 1e-6, 1e-5])
+    else:
+        duration_s = 10 ** rng.uniform(-4.0, -2.0)
+    if rate_qps * duration_s > MAX_REQUESTS:
+        duration_s = MAX_REQUESTS / rate_qps
+    snoops_on = rng.random() < 0.5
+    return {
+        "cores": cores,
+        "duration_s": duration_s,
+        "seed": rng.randrange(2 ** 64),
+        "arrival": {
+            "process": rng.choice(["poisson", "periodic", "bursty"]),
+            "rate_qps": rate_qps,
+            "burst_on_ms": rng.uniform(0.05, 2.0),
+            "burst_off_ms": rng.uniform(0.05, 2.0),
+        },
+        "service": {
+            "dist": rng.choice(["fixed", "exponential", "lognormal"]),
+            "mean_us": mean_us,
+            "sigma": rng.uniform(0.2, 1.5),
+        },
+        "dispatch": rng.choice(["random", "round_robin", "pack_lowest_index"]),
+        "governor": {
+            "predictor": rng.choice(["clairvoyant", "ewma", "last_idle"]),
+            "ewma_alpha": rng.uniform(0.05, 1.0),
+        },
+        "cstates_enabled": rng.choice(MENUS),
+        "turbo_c0_power_w": rng.choice([None, None, rng.uniform(5.0, 12.0)]),
+        "snoop": {
+            "rate_per_core_hz": 10 ** rng.uniform(3.0, 6.5) if snoops_on else 0.0,
+            "service_ns": rng.randint(0, 200),
+        },
+        "network_rtt_us": rng.choice([0.0, rng.uniform(0.0, 50.0)]),
+        "pack_queue_cap": rng.randint(1, 5),
+        "trace": rng.random() < 1 / 3,
+    }
+
+
+def run_one(description: dict) -> dict:
+    """Run one config with the cstatesim on sys.path; plain-data outcome."""
+    from cstatesim.errors import ParseError, ValidationError
+    from cstatesim.reporting import sim_report_document
+    from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
+                               SnoopSpec, run)
+
+    kwargs = dict(description)
+    trace = kwargs.pop("trace")
+    try:
+        config = SimConfig(
+            **{**kwargs,
+               "arrival": ArrivalSpec(**kwargs["arrival"]),
+               "service": ServiceSpec(**kwargs["service"]),
+               "governor": GovernorPolicy(**kwargs["governor"]),
+               "snoop": SnoopSpec(**kwargs["snoop"]),
+               "cstates_enabled": frozenset(kwargs["cstates_enabled"])})
+        report = run(config, trace=trace)
+    except (ValidationError, ParseError) as e:
+        return {"error": f"{type(e).__name__}: {e}"}
+    out = {"results": sim_report_document(report)["results"]}
+    if trace:
+        lists = json.dumps([report.trace.decisions, report.trace.idle_intervals])
+        out["trace_sha256"] = hashlib.sha256(lists.encode()).hexdigest()
+        out["trace_entries"] = [len(report.trace.decisions), len(report.trace.idle_intervals)]
+    return out
+
+
+def worker(src: str, n: int, seed: int) -> int:
+    """Print one JSON line per config, run with the cstatesim under src."""
+    sys.path.insert(0, src)
+    rng = random.Random(seed)
+    for _ in range(n):
+        print(json.dumps(run_one(random_config(rng)), sort_keys=True))
+    return 0
+
+
+def outcomes(src: str, n: int, seed: int) -> list:
+    """Every config's outcome under one checkout, from one subprocess."""
+    proc = subprocess.run(
+        [sys.executable, __file__, "--worker", src, "--configs", str(n), "--seed", str(seed)],
+        capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"{src}: exit {proc.returncode}\n{proc.stderr}")
+    return [json.loads(line) for line in proc.stdout.splitlines()]
+
+
+def first_difference(a, b, path="") -> str:
+    """Where two JSON values first differ, as a key path."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(set(a) | set(b)):
+            if a.get(key) != b.get(key):
+                return first_difference(a.get(key), b.get(key), f"{path}.{key}")
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for k, (x, y) in enumerate(zip(a, b)):
+            if x != y:
+                return first_difference(x, y, f"{path}[{k}]")
+    return f"{path or '.'}: {a!r} != {b!r}"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("parent_src", nargs="?", help="src/ directory of the parent checkout")
+    parser.add_argument("change_src", nargs="?", help="src/ directory of the changed checkout")
+    parser.add_argument("--configs", type=int, default=1000, help="random configs (default 1000)")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the config draw (default 0)")
+    parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
+    args = parser.parse_args()
+    if args.worker:
+        return worker(args.worker, args.configs, args.seed)
+    if not (args.parent_src and args.change_src):
+        parser.error("give PARENT_SRC and CHANGE_SRC")
+
+    try:
+        parent = outcomes(args.parent_src, args.configs, args.seed)
+        change = outcomes(args.change_src, args.configs, args.seed)
+    except RuntimeError as e:
+        print(e, file=sys.stderr)
+        return 2
+    rng = random.Random(args.seed)
+    for k, (p, c) in enumerate(zip(parent, change)):
+        description = random_config(rng)
+        if p != c:
+            print(f"config {k} differs: {json.dumps(description, sort_keys=True)}")
+            print(first_difference(p, c))
+            return 1
+    errors = sum("error" in p for p in parent)
+    traced = sum("trace_sha256" in p for p in parent)
+    print(f"{len(parent)} configs matched ({traced} traced, {errors} rejected by both)")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

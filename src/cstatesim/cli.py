@@ -240,6 +240,8 @@ def cmd_sim_sweep(args, parser) -> int:
     if not names:
         parser.error("--variants needs a comma-separated list of names")
     variants = _resolve_variants(names, parsed.variants, parser)
+    if args.jobs < 1:
+        parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
     points = sweep(parsed.config, qps_list, variants, catalog=catalog,
                    perf=parsed.perf, jobs=args.jobs)

@@ -21,6 +21,19 @@ they are drawn lazily: when a resident agile interval ends, the core's
 own Poisson snoop stream is drawn across it, which is exact by
 memorylessness.
 
+The recursion is one loop over (index, owner, arrival time, service
+time).  Owners come from an iterator chosen once per run by the
+dispatch policy: a cycle over the cores for round_robin; a lazy map of
+the dispatch stream's randrange for random, one draw per arrival in
+arrival order, as a per-arrival call would make; and for
+pack_lowest_index a generator over the live completion queues, which
+zip resumes after the previous arrival has been applied.  Idle states
+are indices into the sorted menu (C0 is 0): entry and exit latencies,
+the snoop flags and windows, and each core's residency and entry counts
+are lists indexed by state, and the governor reads its threshold table
+(_state_picker) in place.  The per-name tables of the report are built
+once, after the loop.
+
 Same-nanosecond ties: a completion at an arrival's time leaves the
 queue before the arrival joins it; an arrival exactly when the queue
 drains finds the core still awake (the governor's decision is dropped
@@ -58,6 +71,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from itertools import count, cycle, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
@@ -217,6 +231,16 @@ class SimConfig:
         # The run's horizon is duration_s in whole nanoseconds.
         if not (round(self.duration_s * 1e9) >= 1):
             raise ValidationError("duration_s must be at least 1 ns")
+        # A bursty stream is drawn one on/off cycle at a time, at about
+        # 1.4 us per cycle whatever the rate, so the cycles expected over
+        # the horizon bound the cost of the draw (about 1.4 s at most).
+        arrival = self.arrival
+        if arrival.process == "bursty" and arrival.rate_qps > 0:
+            cycles = self.duration_s * 1e3 / (arrival.burst_on_ms + arrival.burst_off_ms)
+            if not cycles <= 1e6:
+                raise ValidationError(
+                    f"bursty arrivals expect {cycles:.3g} on/off cycles over duration_s; "
+                    f"at most 1e6 are allowed")
         if not (0 <= self.seed < 2 ** 64):
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         if self.dispatch not in _DISPATCH_POLICIES:
@@ -307,34 +331,29 @@ def _depth(spec) -> Tuple[float, int]:
     return (spec.target_residency_us, -spec.power_mw)
 
 
-def _state_picker(enabled: frozenset, catalog: Catalog):
+def _state_picker(enabled: frozenset, catalog: Catalog) -> Tuple[List[float], List[int]]:
     """Governor state selection as a threshold table, built once per menu.
 
     Sorted by depth (stably over names), the states that fit a prediction
-    form a prefix, so one bisect counts them; picks[k] is the choice when
-    k states fit, picks[0] the shallowest state as the fallback.  Equal
-    depths resolve to the first name, as max() and min() over names do.
-    Returns pick(predicted_us) -> state name, and the state every pick
-    gives when the table holds only one (else None): then no prediction
-    can change the choice.
+    form a prefix, so one bisect counts them.  Returns (thresholds,
+    picks): picks[bisect_right(thresholds, predicted_us)] is the choice,
+    as an index into sorted(enabled); picks[0], the shallowest state, is
+    the fallback when nothing fits.  Equal depths resolve to the first
+    name, as max() and min() over names do.
     """
     # Sorted names for cross-process determinism: set iteration order
     # depends on hash randomization.
-    states = sorted((catalog[name] for name in sorted(enabled) if name != "C0"), key=_depth)
+    names = sorted(enabled)
+    states = sorted((catalog[name] for name in names if name != "C0"), key=_depth)
     if not states:
         raise ValidationError("no idle states enabled")
     first: Dict[Tuple[float, int], str] = {}
     for s in states:
         first.setdefault(_depth(s), s.name)
     thresholds = [s.target_residency_us for s in states]
-    picks = [states[0].name] + [first[_depth(s)] for s in states]
-
-    def pick(predicted_us: float) -> str:
-        # A NaN prediction fits nothing, like one below every target.
-        if not predicted_us >= thresholds[0]:
-            return picks[0]
-        return picks[bisect_right(thresholds, predicted_us)]
-    return pick, (picks[0] if len(set(picks)) == 1 else None)
+    picks = [names.index(name) for name in
+             [states[0].name] + [first[_depth(s)] for s in states]]
+    return thresholds, picks
 
 
 def select_state(
@@ -349,8 +368,10 @@ def select_state(
     (so C6A is deeper than C1 even though they share a latency class).
     Falls back to the shallowest enabled idle state when nothing fits.
     """
-    pick, _ = _state_picker(enabled, catalog)
-    return catalog[pick(predicted_idle_us)]
+    thresholds, picks = _state_picker(enabled, catalog)
+    # A NaN prediction fits nothing, like one below every target.
+    k = bisect_right(thresholds, predicted_idle_us) if predicted_idle_us >= thresholds[0] else 0
+    return catalog[sorted(enabled)[picks[k]]]
 
 
 # ---------------------------------------------------------------------------
@@ -518,7 +539,10 @@ def run(
         perf = PerfModel()
     config.validate_against(catalog)
 
-    enabled = sorted(config.cstates_enabled)
+    # Idle states are indices into the sorted menu; "C0" sorts first, so
+    # it is index 0 and the idle states are 1 and up.
+    names = sorted(config.cstates_enabled)
+    n_states = len(names)
     agile_on = bool(config.cstates_enabled & AGILE_STATES)
     inflation = perf.service_inflation if agile_on else 1.0
 
@@ -528,30 +552,31 @@ def run(
         active_mw = round(config.turbo_c0_power_w * 1000)
     else:
         active_mw = catalog["C0"].power_mw
-    state_mw = {name: catalog[name].power_mw for name in enabled}
-    pick_state, only_state = _state_picker(config.cstates_enabled, catalog)
+    state_mw = [catalog[name].power_mw for name in names]
+    thresholds, picks = _state_picker(config.cstates_enabled, catalog)
 
     # Entry/exit latencies: controller flow totals for the agile states,
     # catalog hardware figures for everything else.
-    entry_ns: Dict[str, int] = {}
-    exit_ns: Dict[str, int] = {}
-    for name in enabled:
-        if name == "C0":
-            continue
+    entry_ns = [0] * n_states
+    exit_ns = [0] * n_states
+    for j, name in enumerate(names):
         if name in AGILE_STATES:
-            entry_ns[name], exit_ns[name] = _agile_latencies_ns(name)
-        else:
-            entry_ns[name] = catalog[name].hw_entry_ns
-            exit_ns[name] = catalog[name].hw_exit_ns
+            entry_ns[j], exit_ns[j] = _agile_latencies_ns(name)
+        elif name != "C0":
+            entry_ns[j] = catalog[name].hw_entry_ns
+            exit_ns[j] = catalog[name].hw_exit_ns
 
     # Snoop window: cache wake + service + re-entry, charged at the
     # power of the state's shallow twin (its cache subsystem is awake
     # exactly as in that state) instead of the resident state's power.
-    # Only states in these tables are snooped.
+    # Only the states flagged in snooped are snooped.
     snoop_rate = config.snoop.rate_per_core_hz
-    snoop_window_ns: Dict[str, int] = {}
-    snoop_delta_mw: Dict[str, int] = {}
-    for name in AGILE_STATES & config.cstates_enabled if snoop_rate > 0 else ():
+    snooped = [False] * n_states
+    snoop_window_ns = [0] * n_states
+    snoop_delta_mw = [0] * n_states
+    for j, name in enumerate(names):
+        if name not in AGILE_STATES or not snoop_rate > 0:
+            continue
         window = _snoop_window_ns(name, config.snoop.service_ns)
         # Like the request utilization check: at one window per snoop
         # or more, the snoops alone would keep the core busy.
@@ -560,9 +585,10 @@ def run(
                 f"snoop rate {snoop_rate:g} Hz times the {window} ns {name} "
                 f"snoop window is not below 1"
             )
-        snoop_window_ns[name] = window
+        snooped[j] = True
+        snoop_window_ns[j] = window
         twin = catalog[_SNOOP_POWER_TWIN[name]].power_mw
-        snoop_delta_mw[name] = max(0, twin - catalog[name].power_mw)
+        snoop_delta_mw[j] = max(0, twin - catalog[name].power_mw)
 
     def stream(*name) -> random.Random:
         return random.Random(derive_subseed(config.seed, *name))
@@ -577,8 +603,7 @@ def run(
     offered = len(arrivals)
     services = streams.service_ns(inflation)
     del streams  # keep only what the loop reads: a run's own service_s is freed
-    rng_dispatch = stream("dispatch")
-    snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if snoop_window_ns else []
+    snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if any(snooped) else []
 
     # Per-core state.  A core's queued work completes at free[c]; what
     # happened before that is settled, except for an idle period that
@@ -591,43 +616,46 @@ def run(
     last_arrival = [0] * n_cores      # index of its latest arrival
     pred_us = [0.0] * n_cores
     transition_ns = [0] * n_cores
-    resident_ns = [{name: 0 for name in enabled if name != "C0"} for _ in range(n_cores)]
-    entries = [{name: 0 for name in enabled} for _ in range(n_cores)]
+    resident_ns = [[0] * n_states for _ in range(n_cores)]
+    entries = [[0] * n_states for _ in range(n_cores)]
     snoop_clear_ns = [0] * n_cores
 
     latencies_ns = array("q")
     rtt_ns = round(config.network_rtt_us * 1000)
     wakeups_aborted = snoops_served = snoop_pj = popped = peak_queue = 0
-    dispatch = config.dispatch
-    pack_cap = config.pack_queue_cap
     # With one idle state on the menu no prediction can change the
     # choice, so none is made.
+    only_state = picks[0] if len(set(picks)) == 1 else None
     predictor = config.governor.predictor if only_state is None else None
     clairvoyant = predictor == "clairvoyant"
+    ewma = predictor == "ewma"
+    last_idle = predictor == "last_idle"
     alpha = config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
 
-    def decide(c: int, t: int, hi: int) -> str:
+    def decide(c: int, t: int, hi: int) -> int:
         """The governor's state for core c's idle period starting at t.
 
         Arrival hi (offered at the horizon) is the one that ends the
-        period, so the first arrival after t is no later than it.
+        period, so the first arrival after t is no later than it.  No
+        prediction here is NaN, so the table is read without a guard.
         """
         if clairvoyant:
             # The oracle reads the first arrival after t, on any core.
             k = bisect_right(arrivals, t, last_arrival[c], hi)
-            state = pick_state(((arrivals[k] if k < offered else lookahead) - t) / 1000.0)
+            state = picks[bisect_right(
+                thresholds, ((arrivals[k] if k < offered else lookahead) - t) / 1000.0)]
         elif only_state is None:
-            state = pick_state(pred_us[c])
+            state = picks[bisect_right(thresholds, pred_us[c])]
         else:
             state = only_state
         if trace:
-            decisions.append((c, state))
+            decisions.append((c, names[state]))
         entries[c][state] += 1
         return state
 
-    def serve_snoops(c: int, state: str, ts: int, t_stop: int) -> None:
+    def serve_snoops(c: int, state: int, ts: int, t_stop: int) -> None:
         """Draw and charge core c's snoops while resident over [ts, t_stop).
 
         Windows clip at the horizon and do not double-charge when they
@@ -661,25 +689,40 @@ def run(
         snoop_pj += pj
         snoop_clear_ns[c] = clear
 
-    record = latencies_ns.append
-    for i, (t, service_ns) in enumerate(zip(arrivals, services)):
-        if dispatch == "round_robin":
-            c = i % n_cores
-        elif dispatch == "random":
-            c = rng_dispatch.randrange(n_cores)
-        else:
-            # pack_lowest_index: fill the lowest-indexed core up to the
-            # cap, then spill; when everything is at the cap, least
-            # loaded wins (lowest index among ties).
-            for c in range(n_cores):
-                queue = queues[c]
+    def pack_lowest_index():
+        """Owners under pack_lowest_index, one per arrival.
+
+        Fill the lowest-indexed core up to the cap, then spill; when
+        everything is at the cap, least loaded wins (lowest index among
+        ties).  zip pulls each owner after the previous arrival has
+        been applied, so the queues are live.
+        """
+        nonlocal popped
+        for t in arrivals:
+            c = 0
+            for queue in queues:
                 while queue and queue[0] <= t:
                     queue.popleft()
                     popped += 1
                 if len(queue) < pack_cap:
                     break
+                c += 1
             else:
                 c = min(range(n_cores), key=lambda k: len(queues[k]))
+            yield c
+
+    # Each arrival's core, produced as zip pulls it: random dispatch
+    # takes one draw per arrival, in arrival order.
+    if config.dispatch == "round_robin":
+        owners = cycle(range(n_cores))
+    elif config.dispatch == "random":
+        owners = map(stream("dispatch").randrange, repeat(n_cores))
+    else:
+        pack_cap = config.pack_queue_cap
+        owners = pack_lowest_index()
+
+    record = latencies_ns.append
+    for i, c, t, service_ns in zip(count(), owners, arrivals, services):
         queue = queues[c]
         f = free[c]
         if t < f:
@@ -707,20 +750,20 @@ def run(
                     transition_ns[c] += wake - f
                 else:
                     resident_ns[c][state] += t - e
-                    if state in snoop_window_ns:
+                    if snooped[state]:
                         serve_snoops(c, state, e, t)
                     wake = t + exit_ns[state]
                     transition_ns[c] += e - f + wake - t
                 if wake < t_end:
-                    entries[c]["C0"] += 1
+                    entries[c][0] += 1
                 else:  # the horizon cuts the exit short
                     transition_ns[c] -= wake - t_end
                 idle_ns = t - f
                 if trace:
-                    idle_intervals.append((state, idle_ns))
-                if predictor == "ewma":
+                    idle_intervals.append((names[state], idle_ns))
+                if ewma:
                     pred_us[c] = alpha * (idle_ns / 1000.0) + (1.0 - alpha) * pred_us[c]
-                elif predictor == "last_idle":
+                elif last_idle:
                     pred_us[c] = idle_ns / 1000.0
                 f = wake
             # else t == f: the queue drained just now, so the governor's
@@ -751,17 +794,19 @@ def run(
             transition_ns[c] += min(e, t_end) - f
             if e < t_end:
                 resident_ns[c][state] += t_end - e
-                if state in snoop_window_ns:
+                if snooped[state]:
                     serve_snoops(c, state, e, t_end)
 
-    # Integer picojoules: C0 and transitions draw active power.
+    # Integer picojoules: C0 and transitions draw active power.  The
+    # per-name tables of the report are built from the index tables here.
     energy_pj = snoop_pj
     buckets = []
     for c, resident in enumerate(resident_ns):
-        idle = sum(resident.values())
+        idle = sum(resident)
         energy_pj += (t_end - idle) * active_mw
-        energy_pj += sum(ns * state_mw[name] for name, ns in resident.items())
-        buckets.append({"C0": t_end - idle - transition_ns[c], **resident,
+        energy_pj += sum(ns * mw for ns, mw in zip(resident, state_mw))
+        buckets.append({"C0": t_end - idle - transition_ns[c],
+                        **{names[j]: resident[j] for j in range(1, n_states)},
                         TRANSITION_BUCKET: transition_ns[c]})
     energy_j = energy_pj * 1e-12
     # Average over the realized horizon (t_end is duration_s rounded to
@@ -774,7 +819,7 @@ def run(
         ResidencyProfile(
             duration_s=horizon_s,
             residency={name: ns / t_end for name, ns in bucket.items()},
-            transitions=core_entries,
+            transitions=dict(zip(names, core_entries)),
         )
         for bucket, core_entries in zip(buckets, entries)
     ]
@@ -782,7 +827,7 @@ def run(
         name: sum(bucket[name] for bucket in buckets) / (t_end * config.cores)
         for name in buckets[0]
     }
-    agg_transitions = {name: sum(e[name] for e in entries) for name in enabled}
+    agg_transitions = dict(zip(names, map(sum, zip(*entries))))
     aggregated = ResidencyProfile(
         duration_s=horizon_s,
         residency=agg_residency,
@@ -875,13 +920,18 @@ def sweep(
     first variant is the comparison baseline: every point carries its
     average-power savings and mean/p99 latency deltas against the first
     variant at the same load.  Points are load-major, variants in the
-    order given; with jobs > 1, loads run in parallel processes.
+    order given; with jobs > 1, loads run in parallel processes, at most
+    one per load.
     """
     if not qps_list:
         raise ValidationError("qps_list must not be empty")
     if not variants:
         raise ValidationError("variants must not be empty")
-    jobs = max(1, jobs)
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    # The pool starts all its workers at the first submit, so a worker
+    # beyond the number of loads would be started for nothing.
+    jobs = min(jobs, len(qps_list))
 
     tasks = [
         (replace(base, seed=derive_subseed(base.seed, i),

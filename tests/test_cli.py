@@ -239,6 +239,14 @@ class TestSimCli:
         for name in BUILTIN_VARIANTS:
             assert name in err
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_sweep_jobs_below_one_is_usage_error(self, capsys, sim_config, jobs):
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "sweep", "--config", sim_config, "--qps", "1000",
+                  "--variants", "baseline", "--jobs", jobs])
+        assert exc.value.code == 2
+        assert f"--jobs must be at least 1, got {jobs}" in capsys.readouterr().err
+
     def test_sweep_bad_qps_is_parse_error(self, capsys, sim_config):
         code, out, err = run_cli(
             capsys,

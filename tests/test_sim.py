@@ -30,6 +30,7 @@ import time
 import pytest
 
 from cstatesim import fsm
+from cstatesim import sim as sim_module
 from cstatesim.catalog import Catalog, default_catalog
 from cstatesim.errors import ValidationError
 from cstatesim.model import PerfModel
@@ -317,6 +318,22 @@ class TestConfigValidation:
         for overrides in (dict(burst_on_ms=1e300), dict(burst_off_ms=5e12)):
             with pytest.raises(ValidationError, match="below 2\\*\\*62 ns"):
                 ArrivalSpec("bursty", 1000.0, **overrides)
+
+    def test_bursty_cycles_over_the_horizon_bounded(self):
+        # 1e-6 ms phases make 5e8 on/off cycles in 1 s; drawn one cycle
+        # at a time, that stream took about 12 minutes.
+        def tiny_phases(duration_s):
+            return SimConfig(
+                cores=4, duration_s=duration_s, seed=1,
+                service=ServiceSpec("exponential", 20.0),
+                arrival=ArrivalSpec("bursty", 100_000.0, burst_on_ms=1e-6, burst_off_ms=1e-6))
+        started = time.monotonic()
+        with pytest.raises(ValidationError, match="on/off cycles"):
+            run(tiny_phases(1.0))
+        assert time.monotonic() - started < 1.0
+        # 5e4 cycles in 0.1 ms are within the bound.
+        report = run(tiny_phases(1e-4))
+        assert report.requests_offered > 0
 
     def test_nan_rtt_rejected(self):
         with pytest.raises(ValidationError, match="network_rtt_us must be finite"):
@@ -760,6 +777,37 @@ class TestSweep:
         with pytest.raises(ValidationError, match="variants"):
             sweep(self.base(), [1000.0], [])
 
+    def test_pool_sized_at_most_one_worker_per_load(self, monkeypatch):
+        # The pool starts all its workers at the first submit, so it is
+        # sized by the loads.  The recorder runs the loads in this
+        # process: no worker is started.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+        serial = sweep(self.base(), [1000.0, 3000.0], self.VARIANTS)
+        assert sweep(self.base(), [1000.0, 3000.0], self.VARIANTS, jobs=64) == serial
+        assert sizes == [2]
+        sweep(self.base(), [1000.0], self.VARIANTS, jobs=64)  # one load runs serially
+        assert sizes == [2]
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_rejected(self, jobs):
+        with pytest.raises(ValidationError, match="jobs must be >= 1"):
+            sweep(self.base(), [1000.0], self.VARIANTS, jobs=jobs)
+
     def test_parallel_jobs_match_serial(self):
         serial = sweep(self.base(), [1000.0, 3000.0], self.VARIANTS, jobs=1)
         parallel = sweep(self.base(), [1000.0, 3000.0], self.VARIANTS, jobs=2)
@@ -841,6 +889,17 @@ GOLDEN = [
           governor=GovernorPolicy("ewma", 0.5), cstates_enabled=frozenset({"C0", "C6A"}),
           snoop=SnoopSpec(50_000.0)),
      "19d80e675e0a1cd32689102b922dd644330b7bf96f51e5d101b2dcef48d16b67"),
+    (dict(cores=4, duration_s=0.02, seed=24, arrival=ArrivalSpec("poisson", 40_000.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="random",
+          governor=GovernorPolicy("clairvoyant"),
+          cstates_enabled=frozenset({"C0", "C1", "C1E", "C6"})),
+     "0aa86e48298df99f4d1455823bfac11bf7a07f12fbc33cb0ecff370f5966bf7d"),
+    # Every core is at the cap at times, so the least-loaded fallback runs
+    # (test_pack_golden_reaches_the_least_loaded_fallback).
+    (dict(cores=2, duration_s=0.02, seed=25, arrival=ArrivalSpec("poisson", 90_000.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="pack_lowest_index",
+          pack_queue_cap=1, governor=GovernorPolicy("ewma", 0.5)),
+     "17d3c85b499f59da8829b9acc15d8bfdeb0651a68009ccc9c78b40c08ad2164a"),
 ]
 
 
@@ -849,3 +908,32 @@ GOLDEN = [
 def test_golden_results_hash(kwargs, digest):
     results = sim_report_document(run(SimConfig(**kwargs)))["results"]
     assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_pack_golden_reaches_the_least_loaded_fallback():
+    kwargs = next(kwargs for kwargs, _ in GOLDEN if kwargs["seed"] == 25)
+    report = run(SimConfig(**kwargs))
+    assert report.peak_queue > kwargs["cores"] * kwargs["pack_queue_cap"]
+
+
+# The trace lists of one config under each dispatch policy, pinned in
+# order: entries are recorded when the arrival that ends an idle period
+# (or the horizon) is reached.
+TRACE_GOLDEN = {
+    "round_robin": "ca4fbae03571ae838b18e287bbc37d66f8b0255cebcde66982a3ff8ebadf8d5a",
+    "random": "d9e4c0a6733eb4898f15a6aa20d97fac32397889f988ef4b5295ec9770083f6a",
+    "pack_lowest_index": "8826df5634c55f8df76daca95ad4ca21ce52c0966fab729c61b5fd3ceef373da",
+}
+
+
+@pytest.mark.parametrize("dispatch", sorted(TRACE_GOLDEN))
+def test_golden_trace_hash(dispatch):
+    config = SimConfig(
+        cores=3, duration_s=0.02, seed=26,
+        arrival=ArrivalSpec("bursty", 30_000.0, burst_on_ms=0.5, burst_off_ms=0.5),
+        service=ServiceSpec("lognormal", 20.0, sigma=0.8), dispatch=dispatch,
+        pack_queue_cap=2, governor=GovernorPolicy("ewma", 0.5),
+        cstates_enabled=frozenset({"C0", "C1", "C1E", "C6A", "C6"}), snoop=SnoopSpec(50_000.0))
+    trace = run(config, trace=True).trace
+    text = json.dumps([trace.decisions, trace.idle_intervals])
+    assert hashlib.sha256(text.encode()).hexdigest() == TRACE_GOLDEN[dispatch]
