@@ -29,7 +29,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_input
 
 __all__ = [
     "CSTATE_NAMES",
@@ -447,5 +447,4 @@ def loads_catalog(text: str) -> Catalog:
 
 
 def load_catalog(path: str) -> Catalog:
-    with open(path) as f:
-        return loads_catalog(f.read())
+    return loads_catalog(read_input(path))

@@ -10,10 +10,11 @@ Subcommands:
   fsm trace           controller flow timelines as text or CSV
   validate            built-in golden and invariant checks
 
-Exit codes: 0 success, 1 validation or check failure, 2 usage errors
-(including missing input files).  Nothing reads stdin; all randomness
-comes from the seed in the config; machine-readable output goes only to
-the paths given via --out/--plot/--csv.
+Exit codes: 0 success, 1 validation or check failure (an input file
+that is not UTF-8 text included), 2 usage errors (including input or
+output files that cannot be opened).  Nothing reads stdin; all
+randomness comes from the seed in the config; machine-readable output
+goes only to the paths given via --out/--plot/--csv.
 """
 
 from __future__ import annotations
@@ -513,6 +514,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         return args.func(args)
     except FileNotFoundError as e:
         print(f"error: no such file: {e.filename}", file=sys.stderr)
+        return 2
+    except OSError as e:
+        reason = f"{e.filename}: {e.strerror}" if e.filename is not None else str(e)
+        print(f"error: {reason}", file=sys.stderr)
         return 2
     except (ValidationError, ParseError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types and the reader for input files.
 
 Everything user-facing raises one of these two, so the CLI can map
 domain errors to exit code 1 and malformed input files to helpful
@@ -7,7 +7,7 @@ messages with line numbers.
 
 from __future__ import annotations
 
-__all__ = ["ValidationError", "ParseError"]
+__all__ = ["ValidationError", "ParseError", "read_input"]
 
 
 class ValidationError(ValueError):
@@ -26,3 +26,16 @@ class ParseError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+def read_input(path: str) -> str:
+    """The text of an input file, decoded as UTF-8.
+
+    Undecodable bytes raise ParseError; the file's own failures (a
+    missing file, a directory) stay OSError.
+    """
+    with open(path, encoding="utf-8") as f:
+        try:
+            return f.read()
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{path}: not UTF-8 text (byte {e.start}: {e.reason})") from None

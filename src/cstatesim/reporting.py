@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .catalog import CSTATE_NAMES
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, read_input
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
 from .sim import (
     ArrivalSpec,
@@ -130,8 +130,7 @@ def loads_residency_csv(text: str, duration_s: Optional[float] = None) -> Reside
 
 
 def load_residency_csv(path: str, duration_s: Optional[float] = None) -> ResidencyProfile:
-    with open(path) as f:
-        return loads_residency_csv(f.read(), duration_s=duration_s)
+    return loads_residency_csv(read_input(path), duration_s=duration_s)
 
 
 def dumps_residency_csv(profile: ResidencyProfile) -> str:
@@ -533,5 +532,4 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
 
 
 def load_sim_config(path: str) -> ParsedSimConfig:
-    with open(path) as f:
-        return loads_sim_config(f.read())
+    return loads_sim_config(read_input(path))

@@ -68,7 +68,6 @@ import random
 from array import array
 from bisect import bisect_right
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from itertools import count, cycle, repeat
@@ -94,7 +93,12 @@ __all__ = [
     "select_state",
     "derive_subseed",
     "percentile_us",
+    "MAX_CORES",
 ]
+
+# Per-core state is allocated up front, several lists of cores entries
+# each, so the core count is bounded before anything is allocated.
+MAX_CORES = 4096
 
 _ARRIVAL_PROCESSES = ("poisson", "periodic", "bursty")
 _SERVICE_DISTS = ("fixed", "exponential", "lognormal")
@@ -221,8 +225,8 @@ class SimConfig:
 
     def __post_init__(self):
         _require_finite(self)
-        if self.cores < 1:
-            raise ValidationError("cores must be >= 1")
+        if not 1 <= self.cores <= MAX_CORES:
+            raise ValidationError(f"cores must be in [1, {MAX_CORES}], got {self.cores}")
         # Arrival times and latencies (at most the horizon plus the RTT)
         # are stored as 64-bit integer nanoseconds.
         if not (self.duration_s * 1e9 + self.network_rtt_us * 1e3 < 2 ** 62):
@@ -891,6 +895,17 @@ class SweepPoint:
     p99_delta_vs_first: float = 0.0
 
 
+def __getattr__(name):
+    # PEP 562: concurrent.futures pulls in multiprocessing, logging,
+    # socket and pickle, which only a sweep with jobs > 1 uses, so
+    # sim.ProcessPoolExecutor is imported on first access and cached.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _sweep_load(args) -> List[SimReport]:
     """Every variant at one load, run against the load's shared streams."""
     config, variants, catalog, perf = args
@@ -921,7 +936,8 @@ def sweep(
     average-power savings and mean/p99 latency deltas against the first
     variant at the same load.  Points are load-major, variants in the
     order given; with jobs > 1, loads run in parallel processes, at most
-    one per load.
+    one per load, and the process pool is imported on first use (a
+    serial sweep never loads multiprocessing).
     """
     if not qps_list:
         raise ValidationError("qps_list must not be empty")
@@ -942,7 +958,8 @@ def sweep(
     if jobs == 1:
         per_load = [_sweep_load(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=jobs) as pool:
             per_load = list(pool.map(_sweep_load, tasks))
 
     points: List[SweepPoint] = []

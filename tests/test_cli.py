@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -361,6 +365,94 @@ class TestValidateCli:
         assert len(fails) == 1
         assert "power strictly decreasing" in fails[0]
         assert "1 failure(s)" in out
+
+
+# ---------------------------------------------------------------------------
+# unreadable files
+
+
+@pytest.fixture
+def not_utf8(tmp_path):
+    path = tmp_path / "bin.ini"
+    path.write_bytes(b"\xff\xfe[sim]\ncores = 1\n")
+    return str(path)
+
+
+class TestFileErrors:
+    """A file that cannot be opened is exit 2, one that is not text is exit 1."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "run", "--config", "{dir}"],
+            ["validate", "--catalog", "{dir}"],
+            ["model", "estimate", "--trace", "{dir}"],
+            ["sim", "run", "--config", "{config}", "--out", "{dir}"],
+            ["sim", "sweep", "--config", "{config}", "--qps", "1000",
+             "--variants", "baseline", "--plot", "{dir}"],
+        ],
+        ids=["run-config", "validate-catalog", "estimate-trace", "run-out", "sweep-plot"],
+    )
+    def test_directory_is_exit_2(self, capsys, tmp_path, sim_config, argv):
+        argv = [a.format(dir=tmp_path, config=sim_config) for a in argv]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: {tmp_path}: Is a directory\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sim", "run", "--config"],
+            ["validate", "--catalog"],
+            ["model", "estimate", "--trace"],
+        ],
+        ids=["run-config", "validate-catalog", "estimate-trace"],
+    )
+    def test_undecodable_bytes_are_parse_error(self, capsys, not_utf8, argv):
+        code, out, err = run_cli(capsys, *argv, not_utf8)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {not_utf8}: not UTF-8 text (byte 0: invalid start byte)\n"
+
+    def test_huge_core_count_is_validation_error(self, capsys, tmp_path):
+        path = tmp_path / "big.ini"
+        path.write_text(SIM_INI.replace("cores = 1", f"cores = {10 ** 11}"))
+        code, _, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert "cores must be in [1, 4096]" in err
+
+
+# ---------------------------------------------------------------------------
+# start-up
+
+# Run in a fresh interpreter: the test process itself has imported the
+# process pool through other tests.
+STARTUP_PROBE = """
+import sys
+import cstatesim, cstatesim.reporting, cstatesim.cli, cstatesim.demo
+
+def pool_modules():
+    return sorted(m for m in sys.modules
+                  if m == "logging" or m.startswith(("concurrent", "multiprocessing")))
+
+print(pool_modules())
+code = cstatesim.cli.main(["sim", "sweep", "--config", sys.argv[1], "--qps", "1000,3000",
+                           "--variants", "baseline,agile", "--jobs", "1"])
+print(code, pool_modules())
+"""
+
+
+class TestStartup:
+    def test_imports_and_serial_sweep_load_no_process_pool(self, sim_config):
+        src = str(Path(__import__("cstatesim").__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", STARTUP_PROBE, sim_config],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "[]"
+        assert lines[-1] == "0 []"
 
 
 # ---------------------------------------------------------------------------

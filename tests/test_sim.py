@@ -37,6 +37,7 @@ from cstatesim.model import PerfModel
 from cstatesim.demo import demo_sweep
 from cstatesim.reporting import canonical_hash, emit_plot_table, sim_report_document
 from cstatesim.sim import (
+    MAX_CORES,
     ArrivalSpec,
     GovernorPolicy,
     ServiceSpec,
@@ -221,6 +222,15 @@ class TestConfigValidation:
     def test_some_idle_state_required(self):
         with pytest.raises(ValidationError, match="idle state"):
             quiet_config(cstates_enabled=frozenset({"C0"}))
+
+    @pytest.mark.parametrize("cores", [0, MAX_CORES + 1, 10**11])
+    def test_core_count_out_of_bounds_rejected(self, cores):
+        # Rejected at construction, before any per-core list exists.
+        with pytest.raises(ValidationError, match=r"cores must be in \[1, 4096\]"):
+            quiet_config(cores=cores)
+
+    def test_core_count_at_the_bound_accepted(self):
+        assert quiet_config(cores=MAX_CORES).cores == 4096
 
     def test_seed_must_fit_64_bits(self):
         with pytest.raises(ValidationError, match="64-bit"):
