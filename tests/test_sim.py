@@ -45,6 +45,7 @@ from cstatesim.sim import (
     SnoopSpec,
     VariantSpec,
     _draw_streams,
+    _service_seconds,
     derive_subseed,
     run,
     select_state,
@@ -198,6 +199,19 @@ class TestDeterminism:
         s = derive_subseed(42, "snoop", 3)
         assert s == derive_subseed(42, "snoop", 3)
         assert 0 <= s < 2**63
+
+    @pytest.mark.parametrize("sigma", [0.2, 1.0, 2.5])
+    @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
+    def test_lognormal_service_draws_are_the_stdlib_draws(self, seed, sigma):
+        # The inlined sampler gives random.lognormvariate's numbers from
+        # the same draws, across a chunk boundary, and makes no extra draw.
+        spec = ServiceSpec("lognormal", 20.0, sigma=sigma)
+        mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
+        for n in (1, sim_module._CHUNK + 1, 2 * sim_module._CHUNK + 3):
+            ours, ref = random.Random(seed), random.Random(seed)
+            assert list(_service_seconds(spec, ours, n)) == [
+                ref.lognormvariate(mu, sigma) for _ in range(n)]
+            assert ours.getstate() == ref.getstate()
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +491,16 @@ class TestSnoops:
     def test_no_snoop_rate_no_snoops(self):
         report = run(loaded_config())
         assert report.snoops_served == 0
+
+    @pytest.mark.parametrize("rate_hz", [1e-300, 1e-3])
+    def test_vanishing_snoop_rate_serves_none(self, rate_hz):
+        # At 1e-300 Hz a snoop gap in ns overflows a float, which
+        # round() cannot take; such a gap ends the interval like any
+        # other gap past it.
+        cfg = loaded_config(snoop=SnoopSpec(rate_per_core_hz=rate_hz))
+        on, off = run(cfg), run(dataclasses.replace(cfg, snoop=SnoopSpec()))
+        assert on.snoops_served == 0
+        assert on.energy_j == off.energy_j
 
     def test_lazy_snoops_over_a_horizon_long_residency(self):
         # One core, no arrivals: it enters C6A at t = 0 and stays
@@ -834,7 +858,7 @@ AGILE_MENU = frozenset({"C0", "C6A", "C6AE", "C6"})
 # Configs whose results are pinned by hash.  Together they cover every
 # arrival process, dispatch policy (pack_queue_cap 1 included) and
 # predictor, agile menus, a network RTT, turbo, a zero-rate run, and
-# snoops at 20-200 kHz per core (a zero snoop service window included).
+# snoops at 20 kHz-5 MHz per core (a zero snoop service window included).
 GOLDEN = [
     (dict(cores=2, duration_s=0.02, seed=11, arrival=ArrivalSpec("poisson", 20_000.0),
           service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
@@ -910,6 +934,14 @@ GOLDEN = [
           service=ServiceSpec("exponential", 20.0), dispatch="pack_lowest_index",
           pack_queue_cap=1, governor=GovernorPolicy("ewma", 0.5)),
      "17d3c85b499f59da8829b9acc15d8bfdeb0651a68009ccc9c78b40c08ad2164a"),
+    # 5 MHz snoops with a 60 ns window: about a quarter of the windows
+    # overlap the one before, and some clip at the horizon, so both
+    # charging paths of serve_snoops run (18,618 snoops served).
+    (dict(cores=2, duration_s=0.002, seed=27, arrival=ArrivalSpec("poisson", 5_000.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant"),
+          cstates_enabled=frozenset({"C0", "C6A", "C6AE"}), snoop=SnoopSpec(5_000_000.0, 50)),
+     "7a3a6cb76c3ad68f477d753c2fee7670d7a3be65f4867a67258a6fef817b0fb1"),
 ]
 
 
