@@ -323,10 +323,16 @@ class SimReport:
 
 
 def percentile_us(sorted_ns: Sequence[int], pct: float) -> float:
-    """Nearest-rank percentile of a sorted latency list, in microseconds."""
+    """Nearest-rank percentile of a sorted latency list, in microseconds.
+
+    The rank, ceil(pct / 100 * n), is computed in integers with pct in
+    thousandths of a percent.  In floats, 99.9 / 100.0 rounds up to
+    0.9990000000000001, which is one rank too high at most n that are
+    multiples of 1000.
+    """
     if not sorted_ns:
         return 0.0
-    rank = math.ceil(pct / 100.0 * len(sorted_ns))
+    rank = -(-round(pct * 1000) * len(sorted_ns) // 100_000)
     return sorted_ns[max(0, rank - 1)] / 1000.0
 
 
@@ -459,9 +465,9 @@ def _service_seconds(spec: ServiceSpec, rng: random.Random, n: int) -> array:
     """
     if spec.dist == "fixed":
         return array("d", [spec.mean_us * 1e-6]) * n
-    uniform, log = rng.random, math.log
     if spec.dist == "exponential":
-        rate = 1.0 / (spec.mean_us * 1e-6)
+        # rng.expovariate(rate), inlined as in _arrival_times.
+        uniform, log, rate = rng.random, math.log, 1.0 / (spec.mean_us * 1e-6)
         seconds = array("d")
         for lo in range(0, n, _CHUNK):
             seconds.fromlist([-log(1.0 - uniform()) / rate for _ in range(min(_CHUNK, n - lo))])
@@ -469,7 +475,7 @@ def _service_seconds(spec: ServiceSpec, rng: random.Random, n: int) -> array:
     # Choose mu so the distribution mean equals mean_us.
     mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
     # islice stops at the n-th sample, so no draw is made and dropped.
-    return array("d", islice(_lognormal(uniform, mu, spec.sigma), n))
+    return array("d", islice(_lognormal(rng.random, mu, spec.sigma), n))
 
 
 def _lognormal(uniform, mu: float, sigma: float):

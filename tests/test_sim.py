@@ -26,6 +26,7 @@ import json
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -47,6 +48,7 @@ from cstatesim.sim import (
     _draw_streams,
     _service_seconds,
     derive_subseed,
+    percentile_us,
     run,
     select_state,
     sweep,
@@ -403,6 +405,14 @@ class TestLoadBehaviour:
     def test_percentiles_ordered(self):
         stats = run(loaded_config(service=ServiceSpec(dist="exponential", mean_us=10.0))).latency_us
         assert stats.p50 <= stats.p95 <= stats.p99 <= stats.p999
+
+    @pytest.mark.parametrize("pct", ["50", "95", "99", "99.9"])
+    def test_percentile_rank_is_exact(self, pct):
+        # Nearest rank, ceil(pct / 100 * n) in exact arithmetic: with
+        # float division p99.9 read one rank high at n = 1000.
+        for n in range(1, 5001):
+            rank = math.ceil(Fraction(pct) / 100 * n)
+            assert percentile_us(range(1000, 1000 * n + 1, 1000), float(pct)) == rank, n
 
     def test_completes_offered_load_when_unsaturated(self):
         report = run(loaded_config())
