@@ -7,7 +7,8 @@ checkout's src/ directory.  The configs cover every arrival process,
 dispatch policy, predictor and idle-state menu (all 31), snoops on and
 off, a network RTT, turbo, pack_queue_cap 1-5, horizons down to 1 ns,
 and trace=True on about a third.  For each config it compares the
-report's results document and the SimTrace lists (decisions and
+whole sim_report document (config, results and provenance, with only
+the provenance timestamp dropped) and the SimTrace lists (decisions and
 idle_intervals, in order), and prints the first config where they
 differ.  A config one side rejects is compared by its error message.
 
@@ -102,7 +103,9 @@ def run_one(description: dict) -> dict:
         report = run(config, trace=trace)
     except (ValidationError, ParseError) as e:
         return {"error": f"{type(e).__name__}: {e}"}
-    out = {"results": sim_report_document(report)["results"]}
+    document = sim_report_document(report)
+    del document["provenance"]["timestamp"]
+    out = {"document": document}
     if trace:
         lists = json.dumps([report.trace.decisions, report.trace.idle_intervals])
         out["trace_sha256"] = hashlib.sha256(lists.encode()).hexdigest()

@@ -52,7 +52,6 @@ from .model import (  # noqa: E402
     SavingsVs,
     avg_power,
     avg_power_aw,
-    model_accuracy,
     rescale_residency,
     upper_bound_savings,
 )
@@ -97,7 +96,6 @@ __all__ = [
     "upper_bound_savings",
     "rescale_residency",
     "avg_power_aw",
-    "model_accuracy",
     "CoreDomainState",
     "FsmStep",
     "FsmTimeline",

@@ -19,6 +19,8 @@ Six states are modeled:
 C6A deliberately shares C1's latency class (same transition time and
 target residency) and C6AE shares C1E's, while drawing close-to-C6
 power; that pairing is what the analytic model and simulator exploit.
+The built-in C6A/C6AE hardware entry/exit latencies are the totals of
+their controller flows (fsm), so the flows stay their one definition.
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Dict, List, Tuple
 
+from . import fsm
 from .errors import ParseError, ValidationError, read_input
 
 __all__ = [
@@ -172,7 +176,6 @@ class Catalog:
 
     cstates: Dict[str, CStateSpec]
     pstates: Dict[str, PState]
-    turbo_c0_power_mw: Optional[int] = None
 
     def __getitem__(self, name: str) -> CStateSpec:
         try:
@@ -185,12 +188,6 @@ class Catalog:
             return self.pstates[name]
         except KeyError:
             raise ValidationError(f"unknown P-state {name!r}") from None
-
-    @property
-    def turbo_c0_power_w(self) -> Optional[float]:
-        if self.turbo_c0_power_mw is None:
-            return None
-        return self.turbo_c0_power_mw / 1000.0
 
     def validate(self) -> None:
         """Structural checks: all states present, latency classes paired."""
@@ -207,8 +204,6 @@ class Catalog:
                     f"{agile} must share {shallow}'s transition time "
                     f"({b.transition_time_us} != {a.transition_time_us})"
                 )
-        if self.turbo_c0_power_mw is not None and self.turbo_c0_power_mw <= 0:
-            raise ValidationError("turbo C0 power must be positive")
 
     def power_order_violations(self) -> List[str]:
         """Power must strictly decrease from C0 down to C6.
@@ -231,6 +226,14 @@ class Catalog:
         return violations
 
 
+# The controller flows depend only on their arguments, so each is built
+# once per process rather than once per catalog.
+@lru_cache(maxsize=None)
+def _flow_totals_ns(variant: str) -> Tuple[int, int]:
+    """Entry and exit totals of an agile state's controller flows."""
+    return fsm.entry_timeline(variant).total_ns, fsm.exit_timeline(variant).total_ns
+
+
 def default_catalog() -> Catalog:
     """Built-in catalog for a 14 nm server core (base 2.2 GHz, min 0.8 GHz)."""
     pstates = {
@@ -249,7 +252,7 @@ def default_catalog() -> Catalog:
             voltage="active", context="maintained",
         ),
         CStateSpec(
-            "C6A", 2.0, 2.0, 300, 20, 80, "P1",
+            "C6A", 2.0, 2.0, 300, *_flow_totals_ns("C6A"), "P1",
             clocks="stopped", adpll="on", caches="coherent",
             voltage="gated domain in retention, rest active",
             context="retained in place",
@@ -260,7 +263,7 @@ def default_catalog() -> Catalog:
             voltage="min v/f", context="maintained",
         ),
         CStateSpec(
-            "C6AE", 10.0, 20.0, 230, 20, 80, "Pn",
+            "C6AE", 10.0, 20.0, 230, *_flow_totals_ns("C6AE"), "Pn",
             clocks="stopped", adpll="on", caches="coherent",
             voltage="gated domain in retention, rest min v/f",
             context="retained in place",
@@ -327,10 +330,6 @@ def dumps_catalog(catalog: Catalog) -> str:
         out.write(f"frequency_ghz = {_fmt(p.frequency_ghz)}\n")
         out.write(f"c0_power_w = {_fmt(p.c0_power_mw / 1000.0)}\n")
         out.write("\n")
-    if catalog.turbo_c0_power_mw is not None:
-        out.write("[turbo]\n")
-        out.write(f"c0_power_w = {_fmt(catalog.turbo_c0_power_mw / 1000.0)}\n")
-        out.write("\n")
     for name in CSTATE_NAMES:
         s = catalog.cstates[name]
         out.write(f"[{name}]\n")
@@ -378,7 +377,6 @@ def loads_catalog(text: str) -> Catalog:
     base = default_catalog()
     pstates: Dict[str, PState] = {}
     cstates: Dict[str, CStateSpec] = {}
-    turbo_mw: Optional[int] = None
 
     numeric_keys = {
         "transition_time_us", "target_residency_us", "power_w",
@@ -402,11 +400,6 @@ def loads_catalog(text: str) -> Catalog:
                 raise ParseError(f"[{section}] missing key {e}") from None
             except ValueError as e:
                 raise ParseError(f"[{section}]: {e}") from None
-        elif section == "turbo":
-            try:
-                turbo_mw = _watts_to_mw(float(sec["c0_power_w"]), section)
-            except (KeyError, ValueError) as e:
-                raise ParseError(f"[turbo]: {e}") from None
         elif section in CSTATE_NAMES:
             unknown = set(sec.keys()) - numeric_keys - desc_keys
             if unknown:
@@ -441,7 +434,7 @@ def loads_catalog(text: str) -> Catalog:
     for name in CSTATE_NAMES:
         cstates.setdefault(name, base.cstates[name])
 
-    cat = Catalog(cstates, pstates, turbo_c0_power_mw=turbo_mw)
+    cat = Catalog(cstates, pstates)
     cat.validate()
     return cat
 

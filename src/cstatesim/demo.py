@@ -108,7 +108,7 @@ def demo_sweep(
     if perf is None:
         # A moderate scalability keeps the demo representative of cache-
         # and memory-bound services rather than worst-case compute.
-        perf = PerfModel(freq_penalty=0.01, scalability=0.5, delta_transition_ns=100)
+        perf = PerfModel(freq_penalty=0.01, scalability=0.5)
 
     base = SimConfig(
         cores=cores,

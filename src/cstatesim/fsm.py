@@ -29,7 +29,6 @@ __all__ = [
     "CoreDomainState",
     "FsmStep",
     "FsmTimeline",
-    "TimelineRow",
     "StaggerPlan",
     "ACTIVE_STATE",
     "DEFAULT_CONTROLLER_MHZ",

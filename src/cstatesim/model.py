@@ -35,7 +35,6 @@ __all__ = [
     "upper_bound_savings",
     "rescale_residency",
     "avg_power_aw",
-    "model_accuracy",
 ]
 
 # Pseudo-state collecting time spent entering/exiting idle states; it is
@@ -293,10 +292,3 @@ def avg_power_aw(
         per_state_w=est.per_state_w,
         savings_vs=SavingsVs(baseline_w=baseline, savings_fraction=savings),
     )
-
-
-def model_accuracy(estimated_w: float, measured_w: float) -> float:
-    """1 - |estimated - measured| / measured."""
-    if measured_w <= 0:
-        raise ValidationError("measured power must be positive")
-    return 1.0 - abs(estimated_w - measured_w) / measured_w

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
@@ -167,35 +167,8 @@ def _q(value):
 
 
 def config_to_dict(config: SimConfig) -> dict:
-    return {
-        "cores": config.cores,
-        "duration_s": config.duration_s,
-        "seed": config.seed,
-        "arrival": {
-            "process": config.arrival.process,
-            "rate_qps": config.arrival.rate_qps,
-            "burst_on_ms": config.arrival.burst_on_ms,
-            "burst_off_ms": config.arrival.burst_off_ms,
-        },
-        "service": {
-            "dist": config.service.dist,
-            "mean_us": config.service.mean_us,
-            "sigma": config.service.sigma,
-        },
-        "dispatch": config.dispatch,
-        "governor": {
-            "predictor": config.governor.predictor,
-            "ewma_alpha": config.governor.ewma_alpha,
-        },
-        "cstates_enabled": sorted(config.cstates_enabled),
-        "turbo_c0_power_w": config.turbo_c0_power_w,
-        "snoop": {
-            "rate_per_core_hz": config.snoop.rate_per_core_hz,
-            "service_ns": config.snoop.service_ns,
-        },
-        "network_rtt_us": config.network_rtt_us,
-        "pack_queue_cap": config.pack_queue_cap,
-    }
+    """Every SimConfig field, nested specs as dicts, the menu as a sorted list."""
+    return {**asdict(config), "cstates_enabled": sorted(config.cstates_enabled)}
 
 
 def _profile_dict(profile: ResidencyProfile) -> dict:
@@ -233,13 +206,7 @@ def sim_report_document(report: SimReport) -> dict:
     results = {
         "energy_j": report.energy_j,
         "avg_power_w": report.avg_power_w,
-        "latency_us": {
-            "mean": report.latency_us.mean,
-            "p50": report.latency_us.p50,
-            "p95": report.latency_us.p95,
-            "p99": report.latency_us.p99,
-            "p999": report.latency_us.p999,
-        },
+        "latency_us": asdict(report.latency_us),
         "residency": _profile_dict(report.residency),
         "per_core": [_profile_dict(p) for p in report.per_core],
         "transitions": {k: report.transitions[k] for k in sorted(report.transitions)},
@@ -267,13 +234,7 @@ def sweep_document(points: Sequence[SweepPoint], base: SimConfig) -> dict:
                 "savings_vs_first": p.savings_vs_first,
                 "mean_delta_vs_first": p.mean_delta_vs_first,
                 "p99_delta_vs_first": p.p99_delta_vs_first,
-                "latency_us": {
-                    "mean": p.report.latency_us.mean,
-                    "p50": p.report.latency_us.p50,
-                    "p95": p.report.latency_us.p95,
-                    "p99": p.report.latency_us.p99,
-                    "p999": p.report.latency_us.p999,
-                },
+                "latency_us": asdict(p.report.latency_us),
                 "saturated": p.report.saturated,
             }
             for p in points
@@ -438,8 +399,11 @@ def _check_keys(sec, allowed) -> None:
         raise ParseError(f"[{sec.name}] unknown key {unknown[0]!r}")
 
 
-# Sections that map one to one onto the fields of a spec dataclass; each
-# key's type is its field default's type.
+# Sections that map onto the fields of a spec dataclass; each key's type
+# is its field default's type.  [perf] takes only the fields run reads,
+# through PerfModel.service_inflation: delta_transition_ns is the
+# analytic model's knob (model estimate-aw --delta-ns), not the
+# simulator's.
 _SPEC_SECTIONS = {
     "arrival": ArrivalSpec,
     "service": ServiceSpec,
@@ -451,6 +415,7 @@ _SIM_KEYS = (
     "cores", "duration_s", "seed", "cstates_enabled", "dispatch",
     "network_rtt_us", "pack_queue_cap", "turbo_c0_power_w",
 )
+_PERF_KEYS = ("freq_penalty", "scalability")
 _VARIANT_KEYS = ("cstates", "turbo_c0_power_w")
 _GETTERS = {float: _getfloat, int: _getint}
 
@@ -461,9 +426,10 @@ def _spec_from_section(cp, name):
     if name not in cp:
         return cls()
     sec = cp[name]
-    _check_keys(sec, [f.name for f in fields(cls)])
+    specs = [f for f in fields(cls) if name != "perf" or f.name in _PERF_KEYS]
+    _check_keys(sec, [f.name for f in specs])
     kwargs = {}
-    for f in fields(cls):
+    for f in specs:
         getter = _GETTERS.get(type(f.default))
         if getter is not None:
             kwargs[f.name] = getter(sec, f.name, f.default)

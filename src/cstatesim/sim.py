@@ -544,14 +544,8 @@ def _draw_streams(config: SimConfig) -> _Streams:
 # Engine
 # ---------------------------------------------------------------------------
 
-# The controller flows depend only on their arguments, so each is built
+# The snoop flow depends only on its arguments, so each window is built
 # once per process rather than once per run.
-@lru_cache(maxsize=None)
-def _agile_latencies_ns(name: str) -> Tuple[int, int]:
-    """Entry and exit totals of an agile state's controller flows."""
-    return fsm.entry_timeline(name).total_ns, fsm.exit_timeline(name).total_ns
-
-
 @lru_cache(maxsize=64)
 def _snoop_window_ns(name: str, service_ns: int) -> int:
     """A snoop's window in an agile state: cache wake, service, re-entry."""
@@ -597,16 +591,10 @@ def run(
     state_mw = [catalog[name].power_mw for name in names]
     thresholds, picks = _state_picker(config.cstates_enabled, catalog)
 
-    # Entry/exit latencies: controller flow totals for the agile states,
-    # catalog hardware figures for everything else.
-    entry_ns = [0] * n_states
-    exit_ns = [0] * n_states
-    for j, name in enumerate(names):
-        if name in AGILE_STATES:
-            entry_ns[j], exit_ns[j] = _agile_latencies_ns(name)
-        elif name != "C0":
-            entry_ns[j] = catalog[name].hw_entry_ns
-            exit_ns[j] = catalog[name].hw_exit_ns
+    # Entry/exit latencies: the catalog's hardware figures for every
+    # state (the governor never picks C0, index 0).
+    entry_ns = [catalog[name].hw_entry_ns for name in names]
+    exit_ns = [catalog[name].hw_exit_ns for name in names]
 
     # Snoop window: cache wake + service + re-entry, charged at the
     # power of the state's shallow twin (its cache subsystem is awake

@@ -23,6 +23,7 @@ from cstatesim.catalog import (
     save_catalog,
 )
 from cstatesim.errors import ParseError, ValidationError
+from cstatesim.fsm import entry_timeline, exit_timeline
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +88,14 @@ def test_agile_states_share_their_donors_latency_class():
     assert cat["C6AE"].transition_time_us == cat["C1E"].transition_time_us
     assert AGILE_STATES == {"C6A", "C6AE"}
     assert set(IDLE_STATES) == set(CSTATE_NAMES) - {"C0"}
+
+
+@pytest.mark.parametrize("name", ["C6A", "C6AE"])
+def test_default_agile_hw_latencies_are_the_controller_flow_totals(name):
+    spec = default_catalog()[name]
+    assert (spec.hw_entry_ns, spec.hw_exit_ns) == (
+        entry_timeline(name).total_ns, exit_timeline(name).total_ns)
+    assert (spec.hw_entry_ns, spec.hw_exit_ns) == (18, 83)
 
 
 def test_unknown_state_lookup_raises():
@@ -244,14 +253,6 @@ def test_power_quantized_to_milliwatts():
     assert loads_catalog(text)["C6A"].power_mw == 300
 
 
-def test_turbo_section_round_trips():
-    cat = default_catalog()
-    with_turbo = Catalog(cat.cstates, cat.pstates, turbo_c0_power_mw=11000)
-    text = dumps_catalog(with_turbo)
-    assert "[turbo]" in text
-    assert loads_catalog(text).turbo_c0_power_mw == 11000
-
-
 def test_unknown_section_rejected():
     with pytest.raises(ParseError, match="C9"):
         loads_catalog("[C9]\npower_w = 1\n")
@@ -306,10 +307,11 @@ def test_infinite_power_in_file_rejected():
         loads_catalog(text)
 
 
-@pytest.mark.parametrize("value", ["inf", "1e306"])
-def test_infinite_turbo_power_in_file_rejected(value):
-    # 1e306 W is finite but overflows to infinity in milliwatts.
-    with pytest.raises(ParseError, match="finite"):
+@pytest.mark.parametrize("value", ["11", "inf", "1e306"])
+def test_turbo_section_rejected(value):
+    # The catalog has no turbo knob: the simulator reads C0 power from
+    # [C0] or from the sim config's turbo_c0_power_w.
+    with pytest.raises(ParseError, match="unknown section 'turbo'"):
         loads_catalog(f"[turbo]\nc0_power_w = {value}\n")
 
 

@@ -267,6 +267,7 @@ class TestSimCli:
         ("[arrival]\nrate_qp = 1000\n", "[arrival] unknown key 'rate_qp'"),
         ("[servce]\nmean_us = 20\n", "unknown section [servce]"),
         ("[arrival]\nrate_qps = abc\n", "[arrival] bad number for 'rate_qps': 'abc'"),
+        ("[perf]\ndelta_transition_ns = 100\n", "[perf] unknown key 'delta_transition_ns'"),
     ])
     def test_run_config_typo_is_parse_error(self, capsys, tmp_path, typo, message):
         path = tmp_path / "typo.ini"
@@ -275,6 +276,15 @@ class TestSimCli:
         assert code == 1
         assert out == ""
         assert err == f"error: {message}\n"
+
+    def test_run_catalog_turbo_section_is_parse_error(self, capsys, tmp_path, sim_config):
+        path = tmp_path / "turbo.ini"
+        path.write_text("[turbo]\nc0_power_w = 11\n")
+        code, out, err = run_cli(capsys, "sim", "run", "--config", sim_config,
+                                 "--catalog", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown section 'turbo'\n"
 
     def test_run_unbounded_snoop_rate_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "snoop.ini"

@@ -30,7 +30,6 @@ from cstatesim.model import (
     ResidencyProfile,
     avg_power,
     avg_power_aw,
-    model_accuracy,
     rescale_residency,
     upper_bound_savings,
 )
@@ -275,18 +274,3 @@ def test_aw_dominates_baseline_at_zero_penalty():
         p = profile(residency)
         assert (avg_power_aw(p, CAT, ZERO_PERF).avg_power_w
                 <= avg_power(p, CAT).avg_power_w + 1e-12)
-
-
-# ---------------------------------------------------------------------------
-# model_accuracy
-# ---------------------------------------------------------------------------
-
-def test_model_accuracy():
-    assert model_accuracy(2.0, 2.0) == pytest.approx(1.0)
-    assert model_accuracy(1.9, 2.0) == pytest.approx(0.95)
-    assert model_accuracy(2.653, 2.653) == pytest.approx(1.0)
-
-
-def test_model_accuracy_requires_positive_measurement():
-    with pytest.raises(ValidationError):
-        model_accuracy(1.0, 0.0)

@@ -357,7 +357,6 @@ service_ns = 60
 [perf]
 freq_penalty = 0.02
 scalability = 0.9
-delta_transition_ns = 150
 
 [variant:all_idle]
 cstates = C0, C1, C1E, C6
@@ -408,7 +407,6 @@ class TestSimConfigFile:
         assert cfg.snoop.service_ns == 60
         assert parsed.perf.freq_penalty == 0.02
         assert parsed.perf.scalability == 0.9
-        assert parsed.perf.delta_transition_ns == 150
         assert set(parsed.variants) == {"all_idle", "hot"}
         assert parsed.variants["all_idle"].cstates == frozenset(
             {"C0", "C1", "C1E", "C6"}
@@ -439,6 +437,8 @@ class TestSimConfigFile:
         ("arrival", "rate_qp = 1000", "rate_qp"),
         ("sim", "core = 4", "core"),
         ("perf", "freq_penalti = 0.1", "freq_penalti"),
+        # The analytic model's knob: the simulator never reads it.
+        ("perf", "delta_transition_ns = 100", "delta_transition_ns"),
         ("variant:x", "cstates = C0,C1\nturbo = 12", "turbo"),
     ])
     def test_unknown_key_rejected(self, section, line, key):

@@ -424,6 +424,18 @@ class TestLoadBehaviour:
         cool = run(loaded_config())
         assert hot.avg_power_w > cool.avg_power_w
 
+    def test_catalog_agile_exit_latency_reaches_the_run(self):
+        # A slower C6A exit delays every request that wakes a core and
+        # adds transition time charged at C0 power.
+        cfg = loaded_config(cores=4, arrival=ArrivalSpec(rate_qps=20000.0),
+                            cstates_enabled=frozenset({"C0", "C6A"}))
+        slow_exit = dataclasses.replace(CATALOG["C6A"], hw_exit_ns=1500)
+        slow = run(cfg, catalog=Catalog({**CATALOG.cstates, "C6A": slow_exit},
+                                        CATALOG.pstates))
+        fast = run(cfg)
+        assert slow.latency_us.mean > fast.latency_us.mean
+        assert slow.energy_j > fast.energy_j
+
     def test_frequency_penalty_saturates_marginal_load(self):
         # 0.9 utilization at nominal speed doubles past 1.0 when every
         # request takes 2x as long, so the queue grows without bound.
