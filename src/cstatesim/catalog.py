@@ -230,7 +230,10 @@ class Catalog:
 # once per process rather than once per catalog.
 @lru_cache(maxsize=None)
 def _flow_totals_ns(variant: str) -> Tuple[int, int]:
-    """Entry and exit totals of an agile state's controller flows."""
+    """Entry and exit totals of a state's flows (reference flows for C1 and C6)."""
+    if variant in ("C1", "C6"):
+        return (fsm.reference_flow(variant, "entry").total_ns,
+                fsm.reference_flow(variant, "exit").total_ns)
     return fsm.entry_timeline(variant).total_ns, fsm.exit_timeline(variant).total_ns
 
 
@@ -247,7 +250,7 @@ def default_catalog() -> Catalog:
             voltage="active", context="maintained",
         ),
         CStateSpec(
-            "C1", 2.0, 2.0, 1440, 4, 4, "P1",
+            "C1", 2.0, 2.0, 1440, *_flow_totals_ns("C1"), "P1",
             clocks="stopped", adpll="on", caches="coherent",
             voltage="active", context="maintained",
         ),
@@ -269,7 +272,7 @@ def default_catalog() -> Catalog:
             context="retained in place",
         ),
         CStateSpec(
-            "C6", 133.0, 600.0, 100, 87000, 30000, "Pn",
+            "C6", 133.0, 600.0, 100, *_flow_totals_ns("C6"), "Pn",
             clocks="stopped", adpll="off", caches="flushed",
             voltage="shut off", context="saved to external sram",
         ),

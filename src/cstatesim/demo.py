@@ -13,19 +13,15 @@ family promises:
     from the baseline run's own residency profile at every point;
   * p99 latency degradation bounded by a couple of percent.
 
-Both variants at a given load run with the same seed and against the
-same arrival and service streams, drawn once per load, so the
-comparison is paired: identical arrival and service-time draws, with
-only the idle-state menu (and the service-time inflation that comes
-with the agile states) differing.  Each load has its own sub-seed,
-derive_subseed(seed, "demo", i), and every point equals a stand-alone
-run at it.
+Each load runs at its own sub-seed, derive_subseed(seed, "demo", i),
+through the paired runner behind sim.sweep, so every point equals a
+stand-alone run at that seed and both variants serve the same draws.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Sequence
 
 from .catalog import Catalog, default_catalog
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile, upper_bound_savings
@@ -37,9 +33,9 @@ from .sim import (
     SimReport,
     SweepPoint,
     VariantSpec,
-    _draw_streams,
+    _paired_sweep,
     derive_subseed,
-    run,
+    run,  # not called here: perfbench/tracer.py wraps demo.run
 )
 
 __all__ = ["DemoPoint", "DemoResult", "demo_sweep", "DEMO_LOADS_QPS"]
@@ -64,20 +60,11 @@ class DemoPoint:
 @dataclass(frozen=True)
 class DemoResult:
     points: List[DemoPoint]
+    pairs: List[SweepPoint]   # baseline then agile at each load
 
     def sweep_points(self) -> List[SweepPoint]:
-        """Adapt to the plot-table shape (baseline first per load)."""
-        out: List[SweepPoint] = []
-        for p in self.points:
-            out.append(SweepPoint("baseline", p.qps, p.baseline))
-            mean_d = (
-                p.agile.latency_us.mean / p.baseline.latency_us.mean - 1.0
-                if p.baseline.latency_us.mean > 0 else 0.0
-            )
-            out.append(
-                SweepPoint("agile", p.qps, p.agile, p.savings, mean_d, p.p99_delta)
-            )
-        return out
+        """The plot-table shape (baseline first per load)."""
+        return list(self.pairs)
 
 
 def _bound_profile(profile: ResidencyProfile) -> ResidencyProfile:
@@ -110,32 +97,23 @@ def demo_sweep(
         # and memory-bound services rather than worst-case compute.
         perf = PerfModel(freq_penalty=0.01, scalability=0.5)
 
-    base = SimConfig(
-        cores=cores,
-        duration_s=duration_s,
-        seed=seed,
-        arrival=ArrivalSpec(process="poisson", rate_qps=loads_qps[0]),
-        service=ServiceSpec(dist="exponential", mean_us=mean_us),
-        dispatch="round_robin",
-        governor=GovernorPolicy(predictor="clairvoyant"),
-    )
-
-    points: List[DemoPoint] = []
-    for i, qps in enumerate(loads_qps):
-        # One sub-seed and one draw of the streams per load, shared by
-        # both variants: the comparison at each load is paired.
-        point_seed = derive_subseed(seed, "demo", i)
-        cfg = replace(base, seed=point_seed, arrival=replace(base.arrival, rate_qps=qps))
-        streams = _draw_streams(cfg)
-        rep_base = run(replace(cfg, cstates_enabled=BASELINE.cstates),
-                       catalog=catalog, perf=perf, streams=streams)
-        rep_agile = run(replace(cfg, cstates_enabled=AGILE.cstates),
-                        catalog=catalog, perf=perf, streams=streams)
-        savings = 1.0 - rep_agile.avg_power_w / rep_base.avg_power_w
-        bound = upper_bound_savings(_bound_profile(rep_base.residency), catalog)
-        p99_delta = (
-            rep_agile.latency_us.p99 / rep_base.latency_us.p99 - 1.0
-            if rep_base.latency_us.p99 > 0 else 0.0
+    configs = [
+        SimConfig(
+            cores=cores,
+            duration_s=duration_s,
+            seed=derive_subseed(seed, "demo", i),
+            arrival=ArrivalSpec(process="poisson", rate_qps=qps),
+            service=ServiceSpec(dist="exponential", mean_us=mean_us),
+            dispatch="round_robin",
+            governor=GovernorPolicy(predictor="clairvoyant"),
         )
-        points.append(DemoPoint(qps, rep_base, rep_agile, savings, bound, p99_delta))
-    return DemoResult(points)
+        for i, qps in enumerate(loads_qps)
+    ]
+    pairs = _paired_sweep(configs, (BASELINE, AGILE), catalog, perf, jobs=1)
+    points = [
+        DemoPoint(base.qps, base.report, agile.report, agile.savings_vs_first,
+                  upper_bound_savings(_bound_profile(base.report.residency), catalog),
+                  agile.p99_delta_vs_first)
+        for base, agile in zip(pairs[::2], pairs[1::2])
+    ]
+    return DemoResult(points, pairs)

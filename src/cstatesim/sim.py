@@ -564,6 +564,7 @@ def run(
 
     perf only matters when an agile deep idle state is enabled: then
     every service time is divided by (1 - freq_penalty * scalability).
+    Only perf.service_inflation is read, never perf.delta_transition_ns.
     streams, when given, are the arrival and service draws of config's
     seed, arrival, service and horizon (from _draw_streams), shared by
     every variant at one load; without them the run draws its own, with
@@ -952,6 +953,59 @@ def _sweep_load(args) -> List[SimReport]:
     ]
 
 
+def _paired_sweep(
+    configs: Sequence[SimConfig],
+    variants: Sequence[VariantSpec],
+    catalog: Optional[Catalog],
+    perf: Optional[PerfModel],
+    jobs: int,
+) -> List[SweepPoint]:
+    """Every variant at each config (one load), paired with the first variant.
+
+    A load's arrival and service streams are drawn once and every variant
+    replays them, so each point equals a stand-alone run.  Points are
+    load-major, variants in the order given, and carry the average-power
+    savings, (first - variant) / first, and the mean/p99 latency deltas
+    against the first variant at the same load.  With jobs > 1, loads run
+    in parallel processes, at most one per load, and the process pool is
+    imported on first use (a serial sweep never loads multiprocessing).
+    """
+    if not configs:
+        raise ValidationError("qps_list must not be empty")
+    if not variants:
+        raise ValidationError("variants must not be empty")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    # The pool starts all its workers at the first submit, so a worker
+    # beyond the number of loads would be started for nothing.
+    jobs = min(jobs, len(configs))
+
+    tasks = [(config, variants, catalog, perf) for config in configs]
+    if jobs == 1:
+        per_load = [_sweep_load(task) for task in tasks]
+    else:
+        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+        with pool_class(max_workers=jobs) as pool:
+            per_load = list(pool.map(_sweep_load, tasks))
+
+    points: List[SweepPoint] = []
+    for config, (first, *others) in zip(configs, per_load):
+        qps = config.arrival.rate_qps
+        base_p, base_lat = first.avg_power_w, first.latency_us
+        points.append(SweepPoint(variants[0].name, qps, first))
+        for variant, rep in zip(variants[1:], others):
+            savings = (base_p - rep.avg_power_w) / base_p if base_p > 0 else 0.0
+            points.append(SweepPoint(variant.name, qps, rep, savings,
+                                     _delta(rep.latency_us.mean, base_lat.mean),
+                                     _delta(rep.latency_us.p99, base_lat.p99)))
+    return points
+
+
+def _delta(value: float, first: float) -> float:
+    """Fractional change of value over first (0 when first is 0)."""
+    return value / first - 1.0 if first > 0 else 0.0
+
+
 def sweep(
     base: SimConfig,
     qps_list: Sequence[float],
@@ -964,52 +1018,13 @@ def sweep(
 
     Load i runs at the sub-seed derive_subseed(base.seed, i), and every
     variant at it serves the same arrival and service draws (common
-    random numbers), so each point equals a stand-alone run at that
-    seed and the comparisons measure the menus, not seed noise.  The
-    first variant is the comparison baseline: every point carries its
-    average-power savings and mean/p99 latency deltas against the first
-    variant at the same load.  Points are load-major, variants in the
-    order given; with jobs > 1, loads run in parallel processes, at most
-    one per load, and the process pool is imported on first use (a
-    serial sweep never loads multiprocessing).
+    random numbers), so the comparisons with the first variant measure
+    the menus, not seed noise (see _paired_sweep).  As in run, only
+    perf.service_inflation is read, never perf.delta_transition_ns.
     """
-    if not qps_list:
-        raise ValidationError("qps_list must not be empty")
-    if not variants:
-        raise ValidationError("variants must not be empty")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    # The pool starts all its workers at the first submit, so a worker
-    # beyond the number of loads would be started for nothing.
-    jobs = min(jobs, len(qps_list))
-
-    tasks = [
-        (replace(base, seed=derive_subseed(base.seed, i),
-                 arrival=replace(base.arrival, rate_qps=qps)),
-         variants, catalog, perf)
+    configs = [
+        replace(base, seed=derive_subseed(base.seed, i),
+                arrival=replace(base.arrival, rate_qps=qps))
         for i, qps in enumerate(qps_list)
     ]
-    if jobs == 1:
-        per_load = [_sweep_load(task) for task in tasks]
-    else:
-        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=jobs) as pool:
-            per_load = list(pool.map(_sweep_load, tasks))
-
-    points: List[SweepPoint] = []
-    for qps, reports in zip(qps_list, per_load):
-        first = reports[0]
-        points.append(SweepPoint(variants[0].name, qps, first))
-        for variant, rep in zip(variants[1:], reports[1:]):
-            base_p = first.avg_power_w
-            savings = (base_p - rep.avg_power_w) / base_p if base_p > 0 else 0.0
-            mean_d = (
-                rep.latency_us.mean / first.latency_us.mean - 1.0
-                if first.latency_us.mean > 0 else 0.0
-            )
-            p99_d = (
-                rep.latency_us.p99 / first.latency_us.p99 - 1.0
-                if first.latency_us.p99 > 0 else 0.0
-            )
-            points.append(SweepPoint(variant.name, qps, rep, savings, mean_d, p99_d))
-    return points
+    return _paired_sweep(configs, variants, catalog, perf, jobs)

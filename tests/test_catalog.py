@@ -23,7 +23,7 @@ from cstatesim.catalog import (
     save_catalog,
 )
 from cstatesim.errors import ParseError, ValidationError
-from cstatesim.fsm import entry_timeline, exit_timeline
+from cstatesim.fsm import entry_timeline, exit_timeline, reference_flow
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +96,14 @@ def test_default_agile_hw_latencies_are_the_controller_flow_totals(name):
     assert (spec.hw_entry_ns, spec.hw_exit_ns) == (
         entry_timeline(name).total_ns, exit_timeline(name).total_ns)
     assert (spec.hw_entry_ns, spec.hw_exit_ns) == (18, 83)
+
+
+@pytest.mark.parametrize("name, totals", [("C1", (4, 4)), ("C6", (87_000, 30_000))])
+def test_default_conventional_hw_latencies_are_the_reference_flow_totals(name, totals):
+    spec = default_catalog()[name]
+    assert (spec.hw_entry_ns, spec.hw_exit_ns) == (
+        reference_flow(name, "entry").total_ns, reference_flow(name, "exit").total_ns)
+    assert (spec.hw_entry_ns, spec.hw_exit_ns) == totals
 
 
 def test_unknown_state_lookup_raises():

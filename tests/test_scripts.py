@@ -2,7 +2,8 @@
 
 diff_results.py and bench_file.py back every claim that a change keeps
 reports byte-identical or makes a workload faster, so each is run here
-as a command, the way it is used on two checkouts.
+as a command, the way it is used on two checkouts.  The benchmark's
+tracer is checked against the names it wraps.
 """
 
 import json
@@ -74,3 +75,17 @@ def test_bench_file_needs_a_pair_for_every_workload(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("no paired runs for")
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_perfbench_tracer_resolves_every_wrapped_name(monkeypatch):
+    # The traced benchmark run wraps each (module, attribute) pair in
+    # tracer.TARGETS by name, so a name dropped from cstatesim fails here
+    # rather than in every benchmark run.  The block restores them all.
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracer
+
+    with tracer.Tracer().installed():
+        pass
+    for attrs in tracer.TARGETS.values():
+        for module, attr in attrs:
+            assert getattr(module, attr).__name__ != "traced"

@@ -447,7 +447,7 @@ class TestLoadBehaviour:
             service=ServiceSpec(dist="fixed", mean_us=10.0),
             cstates_enabled=frozenset({"C0", "C6A"}),
         )
-        report = run(cfg, perf=PerfModel(freq_penalty=0.5, scalability=1.0, delta_transition_ns=0))
+        report = run(cfg, perf=PerfModel(freq_penalty=0.5, scalability=1.0))
         assert report.saturated
         assert report.peak_queue >= 32
         assert report.requests_completed < report.requests_offered
@@ -827,11 +827,35 @@ class TestSweep:
         assert hashlib.sha256(table.encode()).hexdigest() == \
             "c935af16f203dfd78a1c0b6390c47598f86a1fb79ebdddbf8a1d46fd8109df06"
 
+    def test_each_demo_point_equals_a_standalone_run_at_its_demo_seed(self):
+        seed, loads = 11, [10_000.0, 40_000.0]
+        result = demo_sweep(seed=seed, loads_qps=loads, duration_s=0.02)
+        perf = PerfModel(freq_penalty=0.01, scalability=0.5)
+        pairs = result.sweep_points()
+        assert [(p.variant, p.qps) for p in pairs] == [
+            (v, q) for q in loads for v in ("baseline", "agile")]
+        for i, (point, qps) in enumerate(zip(result.points, loads)):
+            base, agile = pairs[2 * i], pairs[2 * i + 1]
+            for menu, report, sp in (({"C0", "C1"}, point.baseline, base),
+                                     ({"C0", "C6A"}, point.agile, agile)):
+                alone = run(SimConfig(
+                    cores=4, duration_s=0.02, seed=derive_subseed(seed, "demo", i),
+                    arrival=ArrivalSpec(rate_qps=qps), service=ServiceSpec("exponential", 20.0),
+                    dispatch="round_robin", governor=GovernorPolicy("clairvoyant"),
+                    cstates_enabled=frozenset(menu)), perf=perf)
+                assert sp.report is report
+                assert canonical_hash(sim_report_document(report)) == \
+                    canonical_hash(sim_report_document(alone))
+            assert (agile.savings_vs_first, agile.p99_delta_vs_first) == \
+                (point.savings, point.p99_delta)
+
     def test_rejects_empty_grid(self):
         with pytest.raises(ValidationError, match="qps_list"):
             sweep(self.base(), [], self.VARIANTS)
         with pytest.raises(ValidationError, match="variants"):
             sweep(self.base(), [1000.0], [])
+        with pytest.raises(ValidationError, match="qps_list"):
+            demo_sweep(loads_qps=[])
 
     def test_pool_sized_at_most_one_worker_per_load(self, monkeypatch):
         # The pool starts all its workers at the first submit, so it is
