@@ -6,25 +6,34 @@ one subprocess per checkout, with cstatesim imported from that
 checkout's src/ directory.  The configs cover every arrival process,
 dispatch policy, predictor and idle-state menu (all 31), snoops on and
 off, a network RTT, turbo, pack_queue_cap 1-5, horizons down to 1 ns,
-and trace=True on about a third.  For each config it compares the
-whole sim_report document (config, results and provenance, with only
-the provenance timestamp dropped) and the SimTrace lists (decisions and
-idle_intervals, in order), and prints the first config where they
-differ.  A config one side rejects is compared by its error message.
+and trace=True on about a third.  Each config expects at most
+--max-requests requests (default 3000); above the default, horizons are
+drawn longer in proportion, so that at 20000 about one config in seven
+crosses a chunk of 4096 drawn arrivals or service times.  For each
+config it compares the whole sim_report document (config, results and
+provenance, with only the provenance timestamp dropped) and the
+SimTrace lists (decisions and idle_intervals, in order), and prints the
+first config where they differ.  A config one side rejects is compared
+by its error message.  With --all it compares every config and prints
+each key path that differs (list indices as [*]) with the number of
+configs where it does.
 
 Usage:
     python3 scripts/diff_results.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
+                                    [--max-requests N] [--all]
 
-Exit code 0 when every config matched, 1 at the first difference, 2
-when a checkout could not be run.
+Exit code 0 when every config matched, 1 when one differed, 2 when a
+checkout could not be run.
 """
 
 import argparse
 import hashlib
 import json
 import random
+import re
 import subprocess
 import sys
+from collections import Counter
 
 IDLE_STATES = ("C1", "C1E", "C6", "C6A", "C6AE")
 # Every nonempty idle-state menu, C0 added to each.
@@ -32,12 +41,12 @@ MENUS = [
     ["C0"] + [s for k, s in enumerate(IDLE_STATES) if mask >> k & 1]
     for mask in range(1, 2 ** len(IDLE_STATES))
 ]
-# Expected requests per run stay below this, so a config runs in
-# milliseconds.
+# Expected requests per run stay below this by default, so a config runs
+# in milliseconds.
 MAX_REQUESTS = 3000
 
 
-def random_config(rng: random.Random) -> dict:
+def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
     """One config as plain data, drawn only from rng."""
     cores = rng.randint(1, 4)
     mean_us = rng.choice([1.0, 5.0, 10.0, 20.0, 50.0]) * rng.uniform(0.5, 1.5)
@@ -46,10 +55,10 @@ def random_config(rng: random.Random) -> dict:
     rate_qps = util * cores * 1e6 / mean_us
     if rng.random() < 0.1:  # a horizon shorter than most gaps
         duration_s = rng.choice([1e-9, 1e-6, 1e-5])
-    else:
-        duration_s = 10 ** rng.uniform(-4.0, -2.0)
-    if rate_qps * duration_s > MAX_REQUESTS:
-        duration_s = MAX_REQUESTS / rate_qps
+    else:  # longer as max_requests grows, so more configs reach it
+        duration_s = 10 ** rng.uniform(-4.0, -2.0) * max(1.0, max_requests / MAX_REQUESTS)
+    if rate_qps * duration_s > max_requests:
+        duration_s = max_requests / rate_qps
     snoops_on = rng.random() < 0.5
     return {
         "cores": cores,
@@ -113,36 +122,38 @@ def run_one(description: dict) -> dict:
     return out
 
 
-def worker(src: str, n: int, seed: int) -> int:
+def worker(src: str, n: int, seed: int, max_requests: int) -> int:
     """Print one JSON line per config, run with the cstatesim under src."""
     sys.path.insert(0, src)
     rng = random.Random(seed)
     for _ in range(n):
-        print(json.dumps(run_one(random_config(rng)), sort_keys=True))
+        print(json.dumps(run_one(random_config(rng, max_requests)), sort_keys=True))
     return 0
 
 
-def outcomes(src: str, n: int, seed: int) -> list:
+def outcomes(src: str, n: int, seed: int, max_requests: int) -> list:
     """Every config's outcome under one checkout, from one subprocess."""
     proc = subprocess.run(
-        [sys.executable, __file__, "--worker", src, "--configs", str(n), "--seed", str(seed)],
+        [sys.executable, __file__, "--worker", src, "--configs", str(n), "--seed", str(seed),
+         "--max-requests", str(max_requests)],
         capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"{src}: exit {proc.returncode}\n{proc.stderr}")
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
-def first_difference(a, b, path="") -> str:
-    """Where two JSON values first differ, as a key path."""
+def differences(a, b, path=""):
+    """(key path, a's value, b's value) wherever two JSON values differ, in order."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
             if a.get(key) != b.get(key):
-                return first_difference(a.get(key), b.get(key), f"{path}.{key}")
+                yield from differences(a.get(key), b.get(key), f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for k, (x, y) in enumerate(zip(a, b)):
             if x != y:
-                return first_difference(x, y, f"{path}[{k}]")
-    return f"{path or '.'}: {a!r} != {b!r}"
+                yield from differences(x, y, f"{path}[{k}]")
+    else:
+        yield path or ".", a, b
 
 
 def main() -> int:
@@ -151,28 +162,45 @@ def main() -> int:
     parser.add_argument("change_src", nargs="?", help="src/ directory of the changed checkout")
     parser.add_argument("--configs", type=int, default=1000, help="random configs (default 1000)")
     parser.add_argument("--seed", type=int, default=0, help="seed of the config draw (default 0)")
+    parser.add_argument("--max-requests", type=int, default=MAX_REQUESTS,
+                        help=f"most requests a config expects (default {MAX_REQUESTS})")
+    parser.add_argument("--all", action="store_true",
+                        help="compare every config and count each differing key path")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args()
+    if args.max_requests < 1:
+        parser.error("--max-requests must be at least 1")
     if args.worker:
-        return worker(args.worker, args.configs, args.seed)
+        return worker(args.worker, args.configs, args.seed, args.max_requests)
     if not (args.parent_src and args.change_src):
         parser.error("give PARENT_SRC and CHANGE_SRC")
 
     try:
-        parent = outcomes(args.parent_src, args.configs, args.seed)
-        change = outcomes(args.change_src, args.configs, args.seed)
+        parent = outcomes(args.parent_src, args.configs, args.seed, args.max_requests)
+        change = outcomes(args.change_src, args.configs, args.seed, args.max_requests)
     except RuntimeError as e:
         print(e, file=sys.stderr)
         return 2
     rng = random.Random(args.seed)
+    paths, differing = Counter(), 0
     for k, (p, c) in enumerate(zip(parent, change)):
-        description = random_config(rng)
-        if p != c:
+        description = random_config(rng, args.max_requests)
+        if p == c:
+            continue
+        if not args.all:
             print(f"config {k} differs: {json.dumps(description, sort_keys=True)}")
-            print(first_difference(p, c))
+            path, a, b = next(differences(p, c))
+            print(f"{path}: {a!r} != {b!r}")
             return 1
+        differing += 1
+        paths.update({re.sub(r"\[\d+\]", "[*]", path) for path, _, _ in differences(p, c)})
     errors = sum("error" in p for p in parent)
     traced = sum("trace_sha256" in p for p in parent)
+    if differing:
+        print(f"{differing} of {len(parent)} configs differ; configs per key path:")
+        for path, n in sorted(paths.items(), key=lambda item: (-item[1], item[0])):
+            print(f"{n:8d}  {path}")
+        return 1
     print(f"{len(parent)} configs matched ({traced} traced, {errors} rejected by both)")
     return 0
 

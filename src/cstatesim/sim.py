@@ -17,26 +17,27 @@ closed form by the core's next arrival (or by the horizon): the
 governor's decision, then either an entry the arrival aborts (the exit
 follows the entry's end) or a residency the arrival ends (the exit
 follows the arrival).  Snoops never move a core out of its state, so
-they are drawn lazily: when a resident agile interval ends, the core's
-own Poisson snoop stream is drawn across it, which is exact by
-memorylessness.  A snoop window that starts at or after the end of the
-core's previous one, in an interval that ends at least one window
-before the horizon, is only added to a nanosecond total charged once
-per interval; windows that overlap or clip at the horizon are charged
-one by one, for their uncovered part.
+when a resident agile interval ends, the core's own Poisson snoop
+stream is drawn across it (exact by memorylessness).  A window that
+starts at or after the end of the core's previous one, in an interval
+ending at least one window before the horizon, is only counted and
+charged once per interval; windows that overlap or clip at the horizon
+are charged one by one, for their uncovered part.
 
 The recursion is one loop over (index, owner, arrival time, service
 time).  Owners come from an iterator chosen once per run by the
 dispatch policy: a cycle over the cores for round_robin; a lazy map of
-the dispatch stream's randrange for random, one draw per arrival in
-arrival order, as a per-arrival call would make; and for
-pack_lowest_index a generator over the live completion queues, which
-zip resumes after the previous arrival has been applied.  Idle states
-are indices into the sorted menu (C0 is 0): entry and exit latencies,
-the snoop flags and windows, and each core's residency and entry counts
-are lists indexed by state, and the governor reads its threshold table
-(_state_picker) in place.  The per-name tables of the report are built
-once, after the loop.
+the dispatch stream's randrange for random, one draw per arrival, as a
+per-arrival call would make; and for pack_lowest_index a generator over
+the live completion queues, which zip resumes after the previous
+arrival has been applied.  The loop's last items are the horizon's
+decisions: (offered, core, t_end, 0), in core order, for each core whose
+queue drains before t_end.  They pass the arrivals' one decision site
+and stop at the entry and residency.  The clairvoyant oracle reads the
+arrival after the core's latest one, and bisects only when that one is
+not after the idle period's start.  Idle states are indices into the
+sorted menu (C0 is 0), per-state tables are lists, and the governor
+reads its threshold table (_state_picker) in place.
 
 Same-nanosecond ties: a completion at an arrival's time leaves the
 queue before the arrival joins it; an arrival exactly when the queue
@@ -55,7 +56,8 @@ arrival and service streams do not depend on the idle-state menu, so a
 sweep draws them once per load and every variant replays them.  The
 exponential and lognormal samplers are inlined copies of
 random.expovariate and random.lognormvariate: the same uniform draws,
-in the same order, give the same numbers.
+in the same order, give the same numbers.  Poisson gaps are drawn a
+chunk at a time, with expovariate's draws and arithmetic.
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -73,11 +75,11 @@ import hashlib
 import math
 import random
 from array import array
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from itertools import count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
@@ -425,18 +427,29 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
             return array("q"), inf
         times = array("q", range(interval, t_end, interval))
         return times, (len(times) + 1) * interval
-    if spec.process == "poisson":
-        on_rate, on_end = spec.rate_qps, inf
-    else:
+    times, t = array("q"), 0
+    uniform, log = rng.random, math.log
+    on_rate, on_end = spec.rate_qps, inf
+    if spec.process == "poisson" and 40.0 / on_rate * 1e9 < 1e300:
+        # The loop below, a chunk at a time: no gap can overflow
+        # (-log(1 - u) < 37), and a chunk is no larger than the arrivals
+        # expected before t_end, plus a few.
+        while True:
+            n = min(_CHUNK, int((t_end - t) * on_rate * 1e-9) + 16)
+            block = list(accumulate([round(-log(1.0 - uniform()) / on_rate * 1e9) or 1
+                                     for _ in range(n)], initial=t))
+            k = bisect_left(block, t_end, 1)
+            times.fromlist(block[1:k])
+            if k <= n:
+                return times, block[k]
+            t = block[n]
+    if spec.process == "bursty":
         on_s = spec.burst_on_ms * 1e-3
         off_s = spec.burst_off_ms * 1e-3
         on_rate = spec.rate_qps * (on_s + off_s) / on_s
         on_end = max(1, round(rng.expovariate(1.0 / on_s) * 1e9))
-    times = array("q")
     append = times.append
     expo = rng.expovariate
-    uniform, log = rng.random, math.log
-    t = 0
     while True:
         # max(1, round(expo(on_rate) * 1e9)), inlined: one uniform draw
         # each, and a nonnegative gap rounds to 0 only when below 1.
@@ -511,11 +524,9 @@ class _Streams:
     def service_ns(self, inflation: float) -> array:
         """Service times inflated and rounded to whole ns (at least 1).
 
-        round(x * inflation * 1e9) is the arithmetic a run always used,
-        so results do not depend on whether the streams are shared.
-        Built for each run and not kept: it costs far less than the draw,
-        and a run drops it before its latency sort, the peak of its
-        memory.
+        Built for each run with the arithmetic a run always used, and
+        not kept: it costs far less than the draw, and a run drops it
+        before its latency sort, the peak of its memory.
         """
         ns = array("q")
         seconds = self.service_s
@@ -636,15 +647,14 @@ def run(
     del streams  # keep only what the loop reads: a run's own service_s is freed
     snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if any(snooped) else []
 
-    # Per-core state.  A core's queued work completes at free[c]; what
-    # happened before that is settled, except for an idle period that
-    # starts at free[c] and is resolved by the core's next arrival (or
-    # the horizon).
+    # Per-core state.  A core's queued work completes at free[c]; all
+    # before that is settled, except an idle period that starts at
+    # free[c], resolved by the core's next arrival (or the horizon).
     n_cores = config.cores
     free = [0] * n_cores              # every core decides at t = 0
     abort_until = [0] * n_cores       # when its latest aborted entry completes
     queues = [deque() for _ in range(n_cores)]  # completion times of queued work
-    last_arrival = [0] * n_cores      # index of its latest arrival
+    last_arrival = [-1] * n_cores     # index of its latest arrival
     pred_us = [0.0] * n_cores
     transition_ns = [0] * n_cores
     resident_ns = [[0] * n_states for _ in range(n_cores)]
@@ -664,27 +674,6 @@ def run(
     alpha = config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
-
-    def decide(c: int, t: int, hi: int) -> int:
-        """The governor's state for core c's idle period starting at t.
-
-        Arrival hi (offered at the horizon) is the one that ends the
-        period, so the first arrival after t is no later than it.  No
-        prediction here is NaN, so the table is read without a guard.
-        """
-        if clairvoyant:
-            # The oracle reads the first arrival after t, on any core.
-            k = bisect_right(arrivals, t, last_arrival[c], hi)
-            state = picks[bisect_right(
-                thresholds, ((arrivals[k] if k < offered else lookahead) - t) / 1000.0)]
-        elif only_state is None:
-            state = picks[bisect_right(thresholds, pred_us[c])]
-        else:
-            state = only_state
-        if trace:
-            decisions.append((c, names[state]))
-        entries[c][state] += 1
-        return state
 
     def serve_snoops(c: int, state: int, ts: int, t_stop: int) -> None:
         """Draw and charge core c's snoops while resident over [ts, t_stop).
@@ -760,8 +749,11 @@ def run(
         pack_cap = config.pack_queue_cap
         owners = pack_lowest_index()
 
+    # Last, each core whose queue drains before the horizon decides once
+    # more, at an item (offered, c, t_end, 0), read after every arrival.
+    horizon = ((offered, c, t_end, 0) for c in range(n_cores) if free[c] < t_end)
     record = latencies_ns.append
-    for i, c, t, service_ns in zip(count(), owners, arrivals, services):
+    for i, c, t, service_ns in chain(zip(count(), owners, arrivals, services), horizon):
         queue = queues[c]
         f = free[c]
         if t < f:
@@ -778,10 +770,32 @@ def run(
             queue.clear()
             if t > f:
                 # Resolve the idle period that began when the queue
-                # drained at f: the entry completes at e unless this
-                # arrival aborts it, and the wake-up exit follows.
-                state = decide(c, f, i)
+                # drained at f; item i ends it.  The governor's state:
+                # no prediction is NaN, so the table is read unguarded.
+                if clairvoyant:
+                    # The first arrival after f, on any core, is at most
+                    # i and most often the one after c's latest.
+                    k = last_arrival[c] + 1
+                    if k < i and arrivals[k] <= f:
+                        k = bisect_right(arrivals, f, k, i)
+                    state = picks[bisect_right(
+                        thresholds, ((arrivals[k] if k < offered else lookahead) - f) / 1000.0)]
+                elif only_state is None:
+                    state = picks[bisect_right(thresholds, pred_us[c])]
+                else:
+                    state = only_state
+                if trace:
+                    decisions.append((c, names[state]))
+                entries[c][state] += 1
                 e = f + entry_ns[state]
+                if t == t_end:  # the horizon: no arrival, no exit
+                    transition_ns[c] += min(e, t_end) - f
+                    if e < t_end:
+                        resident_ns[c][state] += t_end - e
+                        if snooped[state]:
+                            serve_snoops(c, state, e, t_end)
+                    continue
+                # The arrival aborts the entry or ends the residency.
                 if t < e:
                     wakeups_aborted += 1
                     abort_until[c] = e
@@ -805,8 +819,7 @@ def run(
                 elif last_idle:
                     pred_us[c] = idle_ns / 1000.0
                 f = wake
-            # else t == f: the queue drained just now, so the governor's
-            # decision is dropped and service starts at once.
+            # else t == f: the queue just drained; no decision is made.
         f += service_ns
         free[c] = f
         last_arrival[c] = i
@@ -822,19 +835,6 @@ def run(
                     queue.popleft()
                     popped += 1
             peak_queue = max(peak_queue, i + 1 - popped)
-
-    # The horizon: a core whose queue drains before it takes one last
-    # decision, and is still entering or resident at t_end.
-    for c in range(n_cores):
-        f = free[c]
-        if f < t_end:
-            state = decide(c, f, offered)
-            e = f + entry_ns[state]
-            transition_ns[c] += min(e, t_end) - f
-            if e < t_end:
-                resident_ns[c][state] += t_end - e
-                if snooped[state]:
-                    serve_snoops(c, state, e, t_end)
 
     # Integer picojoules: C0 and transitions draw active power.  The
     # per-name tables of the report are built from the index tables here.

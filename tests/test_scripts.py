@@ -6,7 +6,10 @@ as a command, the way it is used on two checkouts.  The benchmark's
 tracer is checked against the names it wraps.
 """
 
+import importlib.util
 import json
+import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -26,6 +29,48 @@ def test_diff_results_matches_a_checkout_with_itself():
     proc = script("diff_results.py", src, src, "--configs", 10, "--seed", 3)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert proc.stdout.startswith("10 configs matched")
+
+
+def test_diff_results_all_counts_every_differing_key_path(tmp_path):
+    # A copy whose network RTT is 1 ns longer moves every latency figure
+    # of every config that completes a request, and nothing else.
+    mutant = tmp_path / "src"
+    shutil.copytree(ROOT / "src", mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    sim_py = mutant / "cstatesim" / "sim.py"
+    text = sim_py.read_text()
+    line = "    rtt_ns = round(config.network_rtt_us * 1000)\n"
+    assert line in text
+    sim_py.write_text(text.replace(line, line.replace(")\n", ") + 1\n")))
+    proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 20, "--seed", 3, "--all")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    differing = int(header.split()[0])
+    assert 0 < differing <= 20 and header.endswith("configs differ; configs per key path:")
+    counts = {row.split()[1]: int(row.split()[0]) for row in rows}
+    assert counts == {f".document.results.latency_us.{key}": differing
+                      for key in ("mean", "p50", "p95", "p99", "p999")}
+
+
+def test_diff_results_max_requests_sizes_the_configs():
+    # The default keeps every config under 3,000 expected requests; the
+    # knob lets them reach past 10k, across chunks of 4096 draws.
+    spec = importlib.util.spec_from_file_location("diff_results", SCRIPTS / "diff_results.py")
+    diff_results = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff_results)
+
+    def expected_requests(max_requests):
+        rng = random.Random(5)
+        configs = [diff_results.random_config(rng, max_requests) for _ in range(300)]
+        return [c["arrival"]["rate_qps"] * c["duration_s"] for c in configs]
+
+    assert max(expected_requests(diff_results.MAX_REQUESTS)) <= 3000 * (1 + 1e-9)
+    assert max(expected_requests(20_000)) > 10_000
+    src = ROOT / "src"
+    proc = script("diff_results.py", src, src, "--configs", 3, "--max-requests", 20_000)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.startswith("3 configs matched")
+    proc = script("diff_results.py", src, src, "--max-requests", 0)
+    assert proc.returncode == 2 and "--max-requests" in proc.stderr
 
 
 def write_runs(out_dir: Path, values: dict) -> None:

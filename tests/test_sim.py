@@ -45,6 +45,7 @@ from cstatesim.sim import (
     SimConfig,
     SnoopSpec,
     VariantSpec,
+    _arrival_times,
     _draw_streams,
     _service_seconds,
     derive_subseed,
@@ -214,6 +215,48 @@ class TestDeterminism:
             assert list(_service_seconds(spec, ours, n)) == [
                 ref.lognormvariate(mu, sigma) for _ in range(n)]
             assert ours.getstate() == ref.getstate()
+
+    @staticmethod
+    def reference_poisson_times(seed, rate, n):
+        """The first n Poisson arrival times, one expovariate draw each."""
+        ref, t, times = random.Random(seed), 0, []
+        for _ in range(n):
+            t += round(ref.expovariate(rate) * 1e9) or 1
+            times.append(t)
+        return times
+
+    @pytest.mark.parametrize("arrivals", [1, sim_module._CHUNK - 1, sim_module._CHUNK,
+                                          sim_module._CHUNK + 1, 3 * sim_module._CHUNK + 5])
+    def test_poisson_arrival_draws_are_the_stdlib_draws(self, arrivals):
+        # Gaps are drawn a chunk at a time, perhaps past the horizon, but
+        # the arrivals and the lookahead are those of one expovariate
+        # draw per arrival.  Only the outputs are compared: a chunk may
+        # draw ahead.  The horizon is just after the last arrival, then
+        # exactly at the lookahead.
+        rate = 40_000.0
+        times = self.reference_poisson_times(9, rate, arrivals + 1)
+        for t_end in (times[-2] + 1, times[-1]):
+            got, lookahead = _arrival_times(ArrivalSpec("poisson", rate), random.Random(9), t_end)
+            assert list(got) == times[:-1]
+            assert lookahead == times[-1]
+
+    def test_poisson_horizon_on_a_chunk_boundary(self):
+        # At seed 5 the horizons at the 1st, 2nd and 3rd _CHUNK-th draw
+        # each end a chunk exactly: the lookahead is a chunk's last draw.
+        class Counting(random.Random):
+            draws = 0
+
+            def random(self):
+                self.draws += 1
+                return super().random()
+
+        rate, chunk = 40_000.0, sim_module._CHUNK
+        times = self.reference_poisson_times(5, rate, 3 * chunk)
+        for j in (chunk, 2 * chunk, 3 * chunk):
+            rng = Counting(5)
+            got, lookahead = _arrival_times(ArrivalSpec("poisson", rate), rng, times[j - 1])
+            assert (list(got), lookahead) == (times[:j - 1], times[j - 1])
+            assert rng.draws == j
 
 
 # ---------------------------------------------------------------------------
@@ -637,6 +680,25 @@ class TestTieRules:
         # 20000 joins, so the backlog never exceeds 1.
         assert run(drop_config()).peak_queue == 1
 
+    def test_oracle_skips_an_arrival_at_the_idle_start(self):
+        # Menu {C0, C1, C6A} (C6A: 18 ns entry, 83 ns exit), 2 cores in
+        # round robin, arrivals every 10000 ns, 9917 ns of work, no
+        # frequency penalty.  Each core wakes 83 ns after its arrival and
+        # drains exactly when the other core's next request arrives: core
+        # 0 at 20000, core 1 at 30000, core 0 again at 40000 (the horizon
+        # is 50000).  The first arrival after each idle start is 10000 ns
+        # away, so the oracle picks C6A every time; counting the arrival
+        # at the idle start itself would predict 0 and fall back to C1.
+        config = SimConfig(cores=2, duration_s=50e-6, seed=1,
+                           arrival=ArrivalSpec("periodic", 100_000.0),
+                           service=ServiceSpec("fixed", 9.917),
+                           cstates_enabled=frozenset({"C0", "C1", "C6A"}))
+        report = run(config, perf=PerfModel(freq_penalty=0.0), trace=True)
+        assert report.trace.decisions == [(0, "C6A"), (1, "C6A"), (0, "C6A"), (1, "C6A"),
+                                          (0, "C6A")]
+        assert report.trace.idle_intervals == [("C6A", 10_000), ("C6A", 20_000),
+                                               ("C6A", 10_000), ("C6A", 10_000)]
+
     def test_each_arrival_inside_an_aborted_entry_counts(self):
         # Menu {C0, C6}: 87000 ns entry, 30000 ns exit; 1000 ns of work
         # every 30000 ns, horizon 125000.  The entry begun at 0 is
@@ -988,6 +1050,13 @@ GOLDEN = [
           governor=GovernorPolicy("clairvoyant"),
           cstates_enabled=frozenset({"C0", "C6A", "C6AE"}), snoop=SnoopSpec(5_000_000.0, 50)),
      "7a3a6cb76c3ad68f477d753c2fee7670d7a3be65f4867a67258a6fef817b0fb1"),
+    # More cores than arrivals: five arrivals on eight cores, so three
+    # cores decide only at the horizon
+    # (test_golden_trace_hash_with_horizon_only_cores).
+    (dict(cores=8, duration_s=0.002, seed=28, arrival=ArrivalSpec("poisson", 2_500.0),
+          service=ServiceSpec("exponential", 20.0), dispatch="random",
+          governor=GovernorPolicy("clairvoyant")),
+     "72b8c69bad8214f9bc4ef42b730261493ec5e8a75e19ac0ef3c5a22f840cc954"),
 ]
 
 
@@ -1025,3 +1094,17 @@ def test_golden_trace_hash(dispatch):
     trace = run(config, trace=True).trace
     text = json.dumps([trace.decisions, trace.idle_intervals])
     assert hashlib.sha256(text.encode()).hexdigest() == TRACE_GOLDEN[dispatch]
+
+
+def test_golden_trace_hash_with_horizon_only_cores():
+    # Cores 0, 1 and 6 get no arrival: their one decision is the
+    # horizon's, and the oracle reads the first arrival of the whole run
+    # (a C1E choice here; the second arrival would give C6).  The
+    # horizon's decisions follow every arrival's, in core order.
+    kwargs = next(kwargs for kwargs, _ in GOLDEN if kwargs["seed"] == 28)
+    report = run(SimConfig(**kwargs), trace=True)
+    assert report.requests_offered == 5
+    assert {c for c, _ in report.trace.decisions[:5]} == {2, 3, 4, 5, 7}
+    text = json.dumps([report.trace.decisions, report.trace.idle_intervals])
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "b9a31b255a6a77ec4c62abec94a6774a9bac723955602bdd4e9c8de676d776fa"
