@@ -12,15 +12,15 @@ drawn longer in proportion, so that at 20000 about one config in seven
 crosses a chunk of 4096 drawn arrivals or service times.  For each
 config it compares the whole sim_report document (config, results and
 provenance, with only the provenance timestamp dropped) and the
-SimTrace lists (decisions and idle_intervals, in order), and prints the
-first config where they differ.  A config one side rejects is compared
-by its error message.  With --all it compares every config and prints
-each key path that differs (list indices as [*]) with the number of
-configs where it does.
+SimTrace lists (decisions and idle_intervals, in order).  A config one
+side rejects is compared by its error message.  Every config is
+compared; when some differ, it prints the first one's description with
+its first differing key path and values, then each key path that
+differs (list indices as [*]) with the number of configs where it does.
 
 Usage:
     python3 scripts/diff_results.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
-                                    [--max-requests N] [--all]
+                                    [--max-requests N]
 
 Exit code 0 when every config matched, 1 when one differed, 2 when a
 checkout could not be run.
@@ -164,8 +164,6 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=0, help="seed of the config draw (default 0)")
     parser.add_argument("--max-requests", type=int, default=MAX_REQUESTS,
                         help=f"most requests a config expects (default {MAX_REQUESTS})")
-    parser.add_argument("--all", action="store_true",
-                        help="compare every config and count each differing key path")
     parser.add_argument("--worker", metavar="SRC", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.max_requests < 1:
@@ -187,11 +185,10 @@ def main() -> int:
         description = random_config(rng, args.max_requests)
         if p == c:
             continue
-        if not args.all:
-            print(f"config {k} differs: {json.dumps(description, sort_keys=True)}")
+        if not differing:
             path, a, b = next(differences(p, c))
+            print(f"config {k} differs: {json.dumps(description, sort_keys=True)}")
             print(f"{path}: {a!r} != {b!r}")
-            return 1
         differing += 1
         paths.update({re.sub(r"\[\d+\]", "[*]", path) for path, _, _ in differences(p, c)})
     errors = sum("error" in p for p in parent)

@@ -17,27 +17,31 @@ closed form by the core's next arrival (or by the horizon): the
 governor's decision, then either an entry the arrival aborts (the exit
 follows the entry's end) or a residency the arrival ends (the exit
 follows the arrival).  Snoops never move a core out of its state, so
-when a resident agile interval ends, the core's own Poisson snoop
-stream is drawn across it (exact by memorylessness).  A window that
-starts at or after the end of the core's previous one, in an interval
-ending at least one window before the horizon, is only counted and
-charged once per interval; windows that overlap or clip at the horizon
-are charged one by one, for their uncovered part.
+they are drawn lazily: when a resident agile interval ends, the core's
+own Poisson snoop stream is drawn across it, which is exact by
+memorylessness.  A snoop window that starts at or after the end of the
+core's previous one, in an interval that ends at least one window
+before the horizon, is only added to a nanosecond total charged once
+per interval; windows that overlap or clip at the horizon are charged
+one by one, for their uncovered part.
 
 The recursion is one loop over (index, owner, arrival time, service
 time).  Owners come from an iterator chosen once per run by the
 dispatch policy: a cycle over the cores for round_robin; a lazy map of
-the dispatch stream's randrange for random, one draw per arrival, as a
-per-arrival call would make; and for pack_lowest_index a generator over
-the live completion queues, which zip resumes after the previous
-arrival has been applied.  The loop's last items are the horizon's
-decisions: (offered, core, t_end, 0), in core order, for each core whose
-queue drains before t_end.  They pass the arrivals' one decision site
-and stop at the entry and residency.  The clairvoyant oracle reads the
-arrival after the core's latest one, and bisects only when that one is
-not after the idle period's start.  Idle states are indices into the
-sorted menu (C0 is 0), per-state tables are lists, and the governor
-reads its threshold table (_state_picker) in place.
+the dispatch stream's randrange for random, one draw per arrival in
+arrival order, as a per-arrival call would make; and for
+pack_lowest_index a generator over the live completion queues, which
+zip resumes after the previous arrival has been applied.  The loop's
+last items are the horizon's decisions: (offered, core, t_end, 0), in
+core order, for each core whose queue drains before t_end.  They pass
+the arrivals' one decision site and stop at the entry and residency.
+The clairvoyant oracle reads the arrival after the core's latest one,
+and bisects only when that one is not after the idle period's start.
+Idle states are indices into the sorted menu (C0 is 0): entry and exit
+latencies, the snoop flags and windows, and each core's residency and
+entry counts are lists indexed by state, and the governor reads its
+threshold table (_state_picker) in place.  The per-name tables of the
+report are built once, after the loop.
 
 Same-nanosecond ties: a completion at an arrival's time leaves the
 queue before the arrival joins it; an arrival exactly when the queue
@@ -524,9 +528,11 @@ class _Streams:
     def service_ns(self, inflation: float) -> array:
         """Service times inflated and rounded to whole ns (at least 1).
 
-        Built for each run with the arithmetic a run always used, and
-        not kept: it costs far less than the draw, and a run drops it
-        before its latency sort, the peak of its memory.
+        round(x * inflation * 1e9) is the arithmetic a run always used,
+        so results do not depend on whether the streams are shared.
+        Built for each run and not kept: it costs far less than the draw,
+        and a run drops it before its latency sort, the peak of its
+        memory.
         """
         ns = array("q")
         seconds = self.service_s
@@ -647,9 +653,10 @@ def run(
     del streams  # keep only what the loop reads: a run's own service_s is freed
     snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if any(snooped) else []
 
-    # Per-core state.  A core's queued work completes at free[c]; all
-    # before that is settled, except an idle period that starts at
-    # free[c], resolved by the core's next arrival (or the horizon).
+    # Per-core state.  A core's queued work completes at free[c]; what
+    # happened before that is settled, except for an idle period that
+    # starts at free[c] and is resolved by the core's next arrival (or
+    # the horizon).
     n_cores = config.cores
     free = [0] * n_cores              # every core decides at t = 0
     abort_until = [0] * n_cores       # when its latest aborted entry completes
@@ -819,7 +826,8 @@ def run(
                 elif last_idle:
                     pred_us[c] = idle_ns / 1000.0
                 f = wake
-            # else t == f: the queue just drained; no decision is made.
+            # else t == f: the queue drained just now, so the governor's
+            # decision is dropped and service starts at once.
         f += service_ns
         free[c] = f
         last_arrival[c] = i

@@ -31,9 +31,10 @@ def test_diff_results_matches_a_checkout_with_itself():
     assert proc.stdout.startswith("10 configs matched")
 
 
-def test_diff_results_all_counts_every_differing_key_path(tmp_path):
+def test_diff_results_counts_every_differing_key_path(tmp_path):
     # A copy whose network RTT is 1 ns longer moves every latency figure
-    # of every config that completes a request, and nothing else.
+    # of every config that completes a request, and nothing else.  The
+    # first differing config is printed whole, so it can be rerun.
     mutant = tmp_path / "src"
     shutil.copytree(ROOT / "src", mutant, ignore=shutil.ignore_patterns("__pycache__"))
     sim_py = mutant / "cstatesim" / "sim.py"
@@ -41,9 +42,13 @@ def test_diff_results_all_counts_every_differing_key_path(tmp_path):
     line = "    rtt_ns = round(config.network_rtt_us * 1000)\n"
     assert line in text
     sim_py.write_text(text.replace(line, line.replace(")\n", ") + 1\n")))
-    proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 20, "--seed", 3, "--all")
+    proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 20, "--seed", 3)
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    header, *rows = proc.stdout.splitlines()
+    first, value, header, *rows = proc.stdout.splitlines()
+    prefix, description = first.split(": ", 1)
+    assert prefix.startswith("config ") and prefix.endswith(" differs")
+    assert set(json.loads(description)) >= {"cores", "seed", "network_rtt_us"}
+    assert value.startswith(".document.results.latency_us.") and " != " in value
     differing = int(header.split()[0])
     assert 0 < differing <= 20 and header.endswith("configs differ; configs per key path:")
     counts = {row.split()[1]: int(row.split()[0]) for row in rows}
