@@ -39,6 +39,7 @@ __all__ = [
     "CSTATE_NAMES",
     "IDLE_STATES",
     "AGILE_STATES",
+    "REPLACEMENTS",
     "POWER_DEPTH_ORDER",
     "PState",
     "CStateSpec",
@@ -58,7 +59,10 @@ __all__ = [
 # latency class it shares.
 CSTATE_NAMES: Tuple[str, ...] = ("C0", "C1", "C6A", "C1E", "C6AE", "C6")
 IDLE_STATES: Tuple[str, ...] = ("C1", "C6A", "C1E", "C6AE", "C6")
-AGILE_STATES = frozenset({"C6A", "C6AE"})
+# Each agile deep idle state replaces the shallow state whose latency
+# class it shares.
+REPLACEMENTS = {"C1": "C6A", "C1E": "C6AE"}
+AGILE_STATES = frozenset(REPLACEMENTS.values())
 # Shallow-to-deep by power draw; strictly decreasing in the default
 # catalog (note C6A undercuts C1E despite its shallower latency class).
 POWER_DEPTH_ORDER: Tuple[str, ...] = ("C0", "C1", "C1E", "C6A", "C6AE", "C6")
@@ -197,7 +201,7 @@ class Catalog:
         missing_p = [n for n in PSTATE_NAMES if n not in self.pstates]
         if missing_p:
             raise ValidationError(f"catalog missing P-states: {missing_p}")
-        for shallow, agile in (("C1", "C6A"), ("C1E", "C6AE")):
+        for shallow, agile in REPLACEMENTS.items():
             a, b = self.cstates[shallow], self.cstates[agile]
             if a.transition_time_us != b.transition_time_us:
                 raise ValidationError(

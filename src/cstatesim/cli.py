@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 from . import __version__, fsm
 from .catalog import (
+    AGILE_STATES,
     Catalog,
     default_budget,
     default_catalog,
@@ -282,7 +283,7 @@ def cmd_demo(args) -> int:
 def cmd_fsm_trace(args) -> int:
     variant = args.variant
     flow = args.flow
-    if variant in ("C6A", "C6AE"):
+    if variant in AGILE_STATES:
         if flow == "entry":
             timeline = fsm.entry_timeline(variant, args.mhz)
         elif flow == "exit":

@@ -21,9 +21,9 @@ stand-alone run at that seed and both variants serve the same draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
-from .catalog import Catalog, default_catalog
+from .catalog import default_catalog
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile, upper_bound_savings
 from .sim import (
     ArrivalSpec,
@@ -42,6 +42,11 @@ __all__ = ["DemoPoint", "DemoResult", "demo_sweep", "DEMO_LOADS_QPS"]
 
 # Utilizations around 5..60 percent for 4 cores at 20 us mean service.
 DEMO_LOADS_QPS = (10_000.0, 20_000.0, 40_000.0, 80_000.0, 120_000.0)
+_CORES = 4
+_MEAN_US = 20.0
+# A moderate scalability keeps the demo representative of cache- and
+# memory-bound services rather than worst-case compute.
+_PERF = PerfModel(freq_penalty=0.01, scalability=0.5)
 
 BASELINE = VariantSpec("baseline", frozenset({"C0", "C1"}))
 AGILE = VariantSpec("agile", frozenset({"C0", "C6A"}))
@@ -84,32 +89,22 @@ def demo_sweep(
     seed: int = 2024,
     loads_qps: Sequence[float] = DEMO_LOADS_QPS,
     duration_s: float = 0.2,
-    cores: int = 4,
-    mean_us: float = 20.0,
-    catalog: Optional[Catalog] = None,
-    perf: Optional[PerfModel] = None,
 ) -> DemoResult:
     """Run the paired baseline/agile sweep and collect per-load comparisons."""
-    if catalog is None:
-        catalog = default_catalog()
-    if perf is None:
-        # A moderate scalability keeps the demo representative of cache-
-        # and memory-bound services rather than worst-case compute.
-        perf = PerfModel(freq_penalty=0.01, scalability=0.5)
-
+    catalog = default_catalog()
     configs = [
         SimConfig(
-            cores=cores,
+            cores=_CORES,
             duration_s=duration_s,
             seed=derive_subseed(seed, "demo", i),
             arrival=ArrivalSpec(process="poisson", rate_qps=qps),
-            service=ServiceSpec(dist="exponential", mean_us=mean_us),
+            service=ServiceSpec(dist="exponential", mean_us=_MEAN_US),
             dispatch="round_robin",
             governor=GovernorPolicy(predictor="clairvoyant"),
         )
         for i, qps in enumerate(loads_qps)
     ]
-    pairs = _paired_sweep(configs, (BASELINE, AGILE), catalog, perf, jobs=1)
+    pairs = _paired_sweep(configs, (BASELINE, AGILE), catalog, _PERF, jobs=1)
     points = [
         DemoPoint(base.qps, base.report, agile.report, agile.savings_vs_first,
                   upper_bound_savings(_bound_profile(base.report.residency), catalog),

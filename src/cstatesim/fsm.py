@@ -8,6 +8,11 @@ concurrent, non-blocking action (like the voltage/frequency drop that
 rides along with C6AE entry).  Cycle costs round up to whole
 nanoseconds per step: ceil(cycles * 1000 / controller_mhz).
 
+Each step's cost is a constant of this module: the cycle counts sit in
+the step definitions, the nanosecond figures are named below.  Only the
+controller clock, the exit's stagger plan and the snoop service window
+are arguments.
+
 The agile deep idle flows (C6A/C6AE) are the interesting ones: they
 keep the PLL locked and the context in place, which is why entry fits
 in single-digit cycles and exit is dominated by the 75 ns staggered
@@ -49,6 +54,17 @@ _VOLTAGE = ("nominal_p1", "min_pn", "retention")
 
 _AGILE = ("C6A", "C6AE")
 _FLOWS = ("entry", "exit", "snoop")
+
+# C6AE's background switch to and from the minimum voltage/frequency
+# point (an annotation: it never blocks entry or exit).
+_PN_TRANSITION_NS = 10_000
+
+# The C6 reference flow's step costs (see reference_flow).
+_C6_FLUSH_NS = 75_000
+_C6_SAVE_NS = 9_000
+_C6_CONTROL_NS = 3_000
+_C6_WAKE_NS = 10_000
+_C6_RESTORE_NS = 20_000
 
 
 @dataclass(frozen=True)
@@ -194,11 +210,8 @@ def _require_agile(variant: str, what: str) -> None:
 def entry_timeline(
     variant: str,
     controller_mhz: int = DEFAULT_CONTROLLER_MHZ,
-    *,
-    cycle_budget: Tuple[int, int, int] = (2, 4, 3),
-    pn_transition_ns: int = 10_000,
 ) -> FsmTimeline:
-    """Agile deep idle entry: three short controller steps.
+    """Agile deep idle entry: three short controller steps (2, 4 and 3 cycles).
 
     1. clock-gate the core logic (power gate still closed later);
     2. assert retention and drop the power gate, context stays in place;
@@ -206,30 +219,27 @@ def entry_timeline(
 
     C6AE additionally kicks off a non-blocking switch to the minimum
     voltage/frequency point; it completes in the background
-    (pn_transition_ns, annotation only) and never blocks entry.
+    (_PN_TRANSITION_NS, annotation only) and never blocks entry.
     """
     _require_agile(variant, "entry_timeline")
-    if controller_mhz <= 0:
-        raise ValidationError("controller clock must be positive")
-    c1, c2, c3 = cycle_budget
 
     s0 = ACTIVE_STATE
     s1 = replace(s0, ufpg="clock_gated")
-    steps = [FsmStep("clock-gate core logic", s1, cycles=c1)]
+    steps = [FsmStep("clock-gate core logic", s1, cycles=2)]
     if variant == "C6AE":
         s1 = replace(s1, voltage="min_pn")
         steps.append(
             FsmStep(
                 "drop to min voltage/frequency (non-blocking)",
                 s1,
-                fixed_ns=pn_transition_ns,
+                fixed_ns=_PN_TRANSITION_NS,
                 blocking=False,
             )
         )
     s2 = replace(s1, ufpg="power_gated", context="retained_in_place")
     s3 = replace(s2, caches="sleep_mode", cache_clock="gated")
-    steps.append(FsmStep("assert retention, open power gate", s2, cycles=c2))
-    steps.append(FsmStep("cache sleep mode, gate cache clock", s3, cycles=c3))
+    steps.append(FsmStep("assert retention, open power gate", s2, cycles=4))
+    steps.append(FsmStep("cache sleep mode, gate cache clock", s3, cycles=3))
     return FsmTimeline("entry", variant, s0, tuple(steps), controller_mhz)
 
 
@@ -243,11 +253,8 @@ def exit_timeline(
     variant: str,
     controller_mhz: int = DEFAULT_CONTROLLER_MHZ,
     stagger: Optional[StaggerPlan] = None,
-    *,
-    cycle_budget: Tuple[int, int, int] = (2, 1, 1),
-    pn_transition_ns: int = 10_000,
 ) -> FsmTimeline:
-    """Agile deep idle exit.
+    """Agile deep idle exit: three controller steps (2, 1 and 1 cycles).
 
     1. ungate the cache clock and leave sleep mode;
     2. close the power gate zone by zone (the stagger plan's fixed
@@ -255,28 +262,25 @@ def exit_timeline(
     3. ungate the core logic clock.
 
     For C6AE the return to the nominal operating point rides along
-    non-blocking, mirroring entry.
+    non-blocking (_PN_TRANSITION_NS), mirroring entry.
     """
     _require_agile(variant, "exit_timeline")
-    if controller_mhz <= 0:
-        raise ValidationError("controller clock must be positive")
     if stagger is None:
         stagger = StaggerPlan()
-    c1, c2, c3 = cycle_budget
 
     s0 = resident_state(variant)
     s1 = replace(s0, caches="active", cache_clock="running")
     s2 = replace(s1, ufpg="clock_gated", context="live")
     s3 = replace(s2, ufpg="powered")
     steps = [
-        FsmStep("cache clock ungate, sleep exit", s1, cycles=c1),
+        FsmStep("cache clock ungate, sleep exit", s1, cycles=2),
         FsmStep(
             "staggered power-gate close, deassert retention",
             s2,
-            cycles=c2,
+            cycles=1,
             fixed_ns=stagger.total_ns,
         ),
-        FsmStep("clock-ungate core logic", s3, cycles=c3),
+        FsmStep("clock-ungate core logic", s3, cycles=1),
     ]
     if variant == "C6AE":
         s4 = replace(s3, voltage="nominal_p1")
@@ -284,7 +288,7 @@ def exit_timeline(
             FsmStep(
                 "return to nominal voltage/frequency (non-blocking)",
                 s4,
-                fixed_ns=pn_transition_ns,
+                fixed_ns=_PN_TRANSITION_NS,
                 blocking=False,
             )
         )
@@ -295,32 +299,28 @@ def snoop_timeline(
     variant: str,
     controller_mhz: int = DEFAULT_CONTROLLER_MHZ,
     service_ns: int = 50,
-    *,
-    cycle_budget: Tuple[int, int] = (2, 3),
 ) -> FsmTimeline:
     """Snoop service while resident in an agile deep idle state.
 
-    The caches wake (clock ungated, sleep exited), the snoop is served
-    for service_ns (an annotation: the duration is the caller's, not the
-    controller's), and the caches drop back to sleep.  The core logic
-    power gate never moves; the core stays in its idle state throughout.
+    The caches wake (clock ungated, sleep exited; 2 cycles), the snoop
+    is served for service_ns (an annotation: the duration is the
+    caller's, not the controller's), and the caches drop back to sleep
+    (3 cycles).  The core logic power gate never moves; the core stays
+    in its idle state throughout.
 
     The default 50 ns service window is a placeholder knob, not a
     validated figure; pass a measured value when one exists.
     """
     _require_agile(variant, "snoop_timeline")
-    if controller_mhz <= 0:
-        raise ValidationError("controller clock must be positive")
     if service_ns < 0:
         raise ValidationError("service_ns must be nonnegative")
-    c_wake, c_reenter = cycle_budget
 
     s0 = resident_state(variant)
     s1 = replace(s0, caches="active", cache_clock="running")
     steps = (
-        FsmStep("wake caches for snoop", s1, cycles=c_wake),
+        FsmStep("wake caches for snoop", s1, cycles=2),
         FsmStep("serve snoop (caller-timed)", s1, fixed_ns=service_ns, blocking=False),
-        FsmStep("re-enter cache sleep, gate clock", s0, cycles=c_reenter),
+        FsmStep("re-enter cache sleep, gate clock", s0, cycles=3),
     )
     return FsmTimeline("snoop", variant, s0, steps, controller_mhz)
 
@@ -329,28 +329,20 @@ def reference_flow(
     variant: str,
     flow: str,
     controller_mhz: int = DEFAULT_CONTROLLER_MHZ,
-    *,
-    flush_ns: int = 75_000,
-    save_ns: int = 9_000,
-    control_ns: int = 3_000,
-    wake_ns: int = 10_000,
-    restore_ns: int = 20_000,
 ) -> FsmTimeline:
     """Comparison flows for the conventional states C1 and C6.
 
     C1 is a two-cycle clock gate/ungate.  C6 entry flushes the caches
-    (flush_ns covers a half-dirty cache at the minimum frequency), saves
-    the context off-core (save_ns), and power-gates the domain
-    (control_ns of controller overhead); exit pays for power-ungate,
-    PLL relock and fuse propagation (wake_ns) followed by context and
-    microcode restore (restore_ns).
+    (_C6_FLUSH_NS covers a half-dirty cache at the minimum frequency),
+    saves the context off-core (_C6_SAVE_NS), and power-gates the
+    domain (_C6_CONTROL_NS of controller overhead); exit pays for
+    power-ungate, PLL relock and fuse propagation (_C6_WAKE_NS) followed
+    by context and microcode restore (_C6_RESTORE_NS).
     """
     if variant not in ("C1", "C6"):
         raise ValidationError("reference flows exist for C1 and C6 only")
     if flow not in ("entry", "exit"):
         raise ValidationError("reference flows cover entry and exit only")
-    if controller_mhz <= 0:
-        raise ValidationError("controller clock must be positive")
 
     if variant == "C1":
         gated = replace(ACTIVE_STATE, ufpg="clock_gated")
@@ -369,15 +361,16 @@ def reference_flow(
     off = replace(saved, ufpg="power_gated", pll="off", voltage="retention")
     if flow == "entry":
         steps = (
-            FsmStep("flush L1/L2 caches", flushed, fixed_ns=flush_ns),
-            FsmStep("save context off-core", saved, fixed_ns=save_ns),
-            FsmStep("power-gate domain, stop PLL", off, fixed_ns=control_ns),
+            FsmStep("flush L1/L2 caches", flushed, fixed_ns=_C6_FLUSH_NS),
+            FsmStep("save context off-core", saved, fixed_ns=_C6_SAVE_NS),
+            FsmStep("power-gate domain, stop PLL", off, fixed_ns=_C6_CONTROL_NS),
         )
         return FsmTimeline("entry", "C6", ACTIVE_STATE, steps, controller_mhz)
     relocked = replace(off, ufpg="clock_gated", pll="on_locked",
                        voltage="nominal_p1", context="saved_external")
     steps = (
-        FsmStep("power-ungate, relock PLL, propagate fuses", relocked, fixed_ns=wake_ns),
-        FsmStep("restore context and microcode", ACTIVE_STATE, fixed_ns=restore_ns),
+        FsmStep("power-ungate, relock PLL, propagate fuses", relocked,
+                fixed_ns=_C6_WAKE_NS),
+        FsmStep("restore context and microcode", ACTIVE_STATE, fixed_ns=_C6_RESTORE_NS),
     )
     return FsmTimeline("exit", "C6", off, steps, controller_mhz)

@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from .catalog import Catalog
+from .catalog import REPLACEMENTS, Catalog
 from .errors import ValidationError
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
 # Pseudo-state collecting time spent entering/exiting idle states; it is
 # charged at C0 power because the core is stalled but fully powered.
 TRANSITION_BUCKET = "transition"
-
-# Agile deep idle states substitute for their latency-class twins.
-REPLACEMENTS = {"C1": "C6A", "C1E": "C6AE"}
 
 _SUM_TOL = 1e-9       # residency fractions must sum to 1 within this
 _RENORM_TOL = 1e-6    # ... but small drift is silently repaired with a warning
@@ -89,10 +86,6 @@ class ResidencyProfile:
                 )
             else:
                 raise ValidationError(f"residency sum {total:.4f} ≠ 1")
-
-    def time_s(self, state: str) -> float:
-        """Seconds spent in the given state over the interval."""
-        return self.residency.get(state, 0.0) * self.duration_s
 
 
 @dataclass(frozen=True)

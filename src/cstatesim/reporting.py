@@ -14,24 +14,16 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from datetime import datetime, timezone
-from typing import Dict, List, Optional, Sequence
+from functools import lru_cache
+from typing import Dict, List, Optional, Sequence, get_type_hints
 
 from . import __version__
 from .catalog import CSTATE_NAMES
 from .errors import ParseError, ValidationError, read_input
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
-from .sim import (
-    ArrivalSpec,
-    GovernorPolicy,
-    ServiceSpec,
-    SimConfig,
-    SimReport,
-    SnoopSpec,
-    SweepPoint,
-    VariantSpec,
-)
+from .sim import SimConfig, SimReport, SweepPoint, VariantSpec
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -362,91 +354,68 @@ class ParsedSimConfig:
     variants: Dict[str, VariantSpec] = field(default_factory=dict)
 
 
-def _getfloat(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None or raw.strip() == "":
-        if default is None:
-            raise ParseError(f"[{sec.name}] missing key {key!r}")
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        raise ParseError(f"[{sec.name}] bad number for {key!r}: {raw!r}") from None
-
-
-def _getint(sec, key, default=None):
-    raw = sec.get(key)
-    if raw is None or raw.strip() == "":
-        if default is None:
-            raise ParseError(f"[{sec.name}] missing key {key!r}")
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParseError(f"[{sec.name}] bad integer for {key!r}: {raw!r}") from None
-
-
-def _getoptfloat(sec, key):
-    """An optional number: None when the key is absent or empty."""
-    if not (sec.get(key) or "").strip():
-        return None
-    return _getfloat(sec, key)
-
-
-def _check_keys(sec, allowed) -> None:
-    unknown = sorted(set(sec) - set(allowed))
-    if unknown:
-        raise ParseError(f"[{sec.name}] unknown key {unknown[0]!r}")
-
-
-# Sections that map onto the fields of a spec dataclass; each key's type
-# is its field default's type.  [perf] takes only the fields run reads,
-# through PerfModel.service_inflation: delta_transition_ns is the
-# analytic model's knob (model estimate-aw --delta-ns), not the
-# simulator's.
-_SPEC_SECTIONS = {
-    "arrival": ArrivalSpec,
-    "service": ServiceSpec,
-    "governor": GovernorPolicy,
-    "snoop": SnoopSpec,
-    "perf": PerfModel,
-}
-_SIM_KEYS = (
-    "cores", "duration_s", "seed", "cstates_enabled", "dispatch",
-    "network_rtt_us", "pack_queue_cap", "turbo_c0_power_w",
-)
-_PERF_KEYS = ("freq_penalty", "scalability")
-_VARIANT_KEYS = ("cstates", "turbo_c0_power_w")
-_GETTERS = {float: _getfloat, int: _getint}
-
-
-def _spec_from_section(cp, name):
-    """The section's spec dataclass, with each absent key at its default."""
-    cls = _SPEC_SECTIONS[name]
-    if name not in cp:
-        return cls()
-    sec = cp[name]
-    specs = [f for f in fields(cls) if name != "perf" or f.name in _PERF_KEYS]
-    _check_keys(sec, [f.name for f in specs])
-    kwargs = {}
-    for f in specs:
-        getter = _GETTERS.get(type(f.default))
-        if getter is not None:
-            kwargs[f.name] = getter(sec, f.name, f.default)
-        else:
-            kwargs[f.name] = (sec.get(f.name) or "").strip() or f.default
-    return cls(**kwargs)
-
-
 def _state_list(raw: str) -> frozenset:
     return frozenset(s.strip() for s in raw.split(",") if s.strip())
+
+
+# How a key's text becomes its field's value, by the field's annotated type.
+_READERS = {
+    int: int,
+    float: float,
+    Optional[float]: float,
+    str: str.strip,
+    frozenset: _state_list,
+}
+
+
+@lru_cache(maxsize=None)
+def _schema(cls):
+    """(field, annotated type, whether that type is a spec) per field of cls."""
+    hints = get_type_hints(cls)
+    return tuple((f, hints[f.name], is_dataclass(hints[f.name])) for f in fields(cls))
+
+
+def _read_section(cp, section, cls, skip=(), **given):
+    """cls from one INI section, key by key from its dataclass fields.
+
+    Every field that is not given, skipped or itself a spec dataclass is
+    a key, parsed by the field's type.  A spec field is read from the
+    section named after it.  An absent or empty key leaves its field at
+    the dataclass default (a field with none needs a value), except that
+    an empty state list is read as empty: an empty menu is an error, not
+    the default menu.
+    """
+    todo = [t for t in _schema(cls) if t[0].name not in given and t[0].name not in skip]
+    sec = cp[section] if section in cp else {}
+    unknown = sorted(set(sec) - {f.name for f, _, spec in todo if not spec})
+    if unknown:
+        raise ParseError(f"[{section}] unknown key {unknown[0]!r}")
+    for f, hint, spec in todo:
+        if spec:
+            given[f.name] = _read_section(cp, f.name, hint)
+            continue
+        raw = sec.get(f.name)
+        if raw is not None and (raw.strip() or hint is frozenset):
+            try:
+                given[f.name] = _READERS[hint](raw)
+            except ValueError:
+                word = "integer" if hint is int else "number"
+                raise ParseError(f"[{section}] bad {word} for {f.name!r}: {raw!r}") from None
+        elif f.default is MISSING:
+            raise ParseError(f"[{section}] missing key {f.name!r}")
+    return cls(**given)
 
 
 def loads_sim_config(text: str) -> ParsedSimConfig:
     """Parse the INI-style simulation config (see docs/formats.md).
 
-    Unknown sections and keys and malformed numbers raise ParseError;
-    values that parse but break a contract raise ValidationError.
+    [sim] holds SimConfig's keys, and each of its spec fields has a
+    section of the same name.  [perf] takes only the PerfModel fields
+    run reads, through PerfModel.service_inflation: delta_transition_ns
+    is the analytic model's knob (model estimate-aw --delta-ns), not the
+    simulator's.  Unknown sections and keys and malformed numbers raise
+    ParseError; values that parse but break a contract raise
+    ValidationError.
     """
     cp = configparser.ConfigParser(interpolation=None)
     try:
@@ -457,28 +426,13 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         raise ParseError("sim config needs a [sim] section")
     if cp.defaults():
         raise ParseError(f"unknown section [{cp.default_section}]")
+    known = {"sim", "perf"} | {f.name for f, _, spec in _schema(SimConfig) if spec}
     for section in cp.sections():
-        if section != "sim" and section not in _SPEC_SECTIONS \
-                and not section.startswith("variant:"):
+        if section not in known and not section.startswith("variant:"):
             raise ParseError(f"unknown section [{section}]")
 
-    sim_sec = cp["sim"]
-    _check_keys(sim_sec, _SIM_KEYS)
-    config = SimConfig(
-        cores=_getint(sim_sec, "cores"),
-        duration_s=_getfloat(sim_sec, "duration_s"),
-        seed=_getint(sim_sec, "seed"),
-        arrival=_spec_from_section(cp, "arrival"),
-        service=_spec_from_section(cp, "service"),
-        dispatch=sim_sec.get("dispatch", "round_robin").strip() or "round_robin",
-        governor=_spec_from_section(cp, "governor"),
-        cstates_enabled=_state_list(sim_sec.get("cstates_enabled", "C0,C1,C1E,C6")),
-        turbo_c0_power_w=_getoptfloat(sim_sec, "turbo_c0_power_w"),
-        snoop=_spec_from_section(cp, "snoop"),
-        network_rtt_us=_getfloat(sim_sec, "network_rtt_us", 0.0),
-        pack_queue_cap=_getint(sim_sec, "pack_queue_cap", 4),
-    )
-    perf = _spec_from_section(cp, "perf")
+    config = _read_section(cp, "sim", SimConfig)
+    perf = _read_section(cp, "perf", PerfModel, skip=("delta_transition_ns",))
 
     variants: Dict[str, VariantSpec] = {}
     for section in cp.sections():
@@ -487,12 +441,9 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         name = section.split(":", 1)[1].strip()
         if not name:
             raise ParseError(f"variant section {section!r} needs a name")
-        sec = cp[section]
-        states = _state_list(sec.get("cstates", ""))
-        if not states:
+        if not _state_list(cp[section].get("cstates", "")):
             raise ParseError(f"[{section}] needs a cstates list")
-        _check_keys(sec, _VARIANT_KEYS)
-        variants[name] = VariantSpec(name, states, _getoptfloat(sec, "turbo_c0_power_w"))
+        variants[name] = _read_section(cp, section, VariantSpec, name=name)
 
     return ParsedSimConfig(config=config, perf=perf, variants=variants)
 

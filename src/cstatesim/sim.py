@@ -87,7 +87,7 @@ from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
-from .catalog import AGILE_STATES, Catalog, default_catalog
+from .catalog import AGILE_STATES, REPLACEMENTS, Catalog, default_catalog
 from .errors import ValidationError
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
 
@@ -121,7 +121,7 @@ _PREDICTORS = ("clairvoyant", "ewma", "last_idle")
 # Which shallow state's power the caches draw while serving a snoop from
 # an agile deep idle state (the cache subsystem is awake exactly as in
 # that state).
-_SNOOP_POWER_TWIN = {"C6A": "C1", "C6AE": "C1E"}
+_SNOOP_POWER_TWIN = {agile: shallow for shallow, agile in REPLACEMENTS.items()}
 
 
 def _require_finite(spec) -> None:

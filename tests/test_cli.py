@@ -348,6 +348,17 @@ class TestFsmCli:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize("flow, variant", [
+        ("entry", "C6A"), ("exit", "C6A"), ("snoop", "C6A"), ("entry", "C6"),
+    ])
+    def test_zero_controller_clock_rejected(self, capsys, flow, variant):
+        code, out, err = run_cli(
+            capsys, "fsm", "trace", "--flow", flow, "--variant", variant, "--mhz", "0"
+        )
+        assert code == 1
+        assert out == ""
+        assert err == "error: controller clock must be positive\n"
+
 
 # ---------------------------------------------------------------------------
 # validate

@@ -2,12 +2,13 @@
 timeline rendering, and the INI simulation config."""
 
 import json
+from dataclasses import MISSING, fields
 
 import pytest
 
 from cstatesim.errors import ParseError, ValidationError
 from cstatesim.fsm import entry_timeline, exit_timeline
-from cstatesim.model import ResidencyProfile
+from cstatesim.model import PerfModel, ResidencyProfile
 from cstatesim.reporting import (
     SCHEMA_VERSION,
     canonical_hash,
@@ -26,8 +27,10 @@ from cstatesim.reporting import (
 )
 from cstatesim.sim import (
     ArrivalSpec,
+    GovernorPolicy,
     ServiceSpec,
     SimConfig,
+    SnoopSpec,
     VariantSpec,
     run,
     sweep,
@@ -489,3 +492,93 @@ mean_us = 10
         path = tmp_path / "sim.ini"
         path.write_text(MINIMAL_INI)
         assert load_sim_config(str(path)).config.cores == 2
+
+
+# One non-default value per key: (section, key, INI text, parsed value).
+_KEY_VALUES = [
+    ("sim", "cores", "3", 3),
+    ("sim", "duration_s", "0.25", 0.25),
+    ("sim", "seed", "7", 7),
+    ("sim", "dispatch", "random", "random"),
+    ("sim", "cstates_enabled", "C0, C6A", frozenset({"C0", "C6A"})),
+    ("sim", "turbo_c0_power_w", "11.5", 11.5),
+    ("sim", "network_rtt_us", "50", 50.0),
+    ("sim", "pack_queue_cap", "8", 8),
+    ("arrival", "process", "bursty", "bursty"),
+    ("arrival", "rate_qps", "1000", 1000.0),
+    ("arrival", "burst_on_ms", "2", 2.0),
+    ("arrival", "burst_off_ms", "3", 3.0),
+    ("service", "dist", "lognormal", "lognormal"),
+    ("service", "mean_us", "25", 25.0),
+    ("service", "sigma", "0.8", 0.8),
+    ("governor", "predictor", "ewma", "ewma"),
+    ("governor", "ewma_alpha", "0.25", 0.25),
+    ("snoop", "rate_per_core_hz", "100", 100.0),
+    ("snoop", "service_ns", "60", 60),
+    ("perf", "freq_penalty", "0.02", 0.02),
+    ("perf", "scalability", "0.9", 0.9),
+    ("variant:v", "cstates", "C0, C1E", frozenset({"C0", "C1E"})),
+    ("variant:v", "turbo_c0_power_w", "12", 12.0),
+]
+_SECTION_CLASSES = {
+    "sim": SimConfig, "arrival": ArrivalSpec, "service": ServiceSpec,
+    "governor": GovernorPolicy, "snoop": SnoopSpec, "perf": PerfModel,
+    "variant:v": VariantSpec,
+}
+
+
+def _ini_with(section, key, raw):
+    """MINIMAL_INI's [sim] keys, plus (or with) one key set to raw."""
+    sim = {"cores": "2", "duration_s": "0.5", "seed": "42"}
+    extra = ""
+    if section == "sim":
+        sim[key] = raw
+    else:
+        extra = f"\n[{section}]\n{key} = {raw}\n"
+        if section.startswith("variant:") and key != "cstates":
+            extra += "cstates = C0, C1\n"
+    return "[sim]\n" + "".join(f"{k} = {v}\n" for k, v in sim.items()) + extra
+
+
+def _parsed_value(parsed, section, key):
+    if section == "sim":
+        owner = parsed.config
+    elif section == "perf":
+        owner = parsed.perf
+    elif section.startswith("variant:"):
+        owner = parsed.variants["v"]
+    else:
+        owner = getattr(parsed.config, section)
+    return getattr(owner, key)
+
+
+class TestSimConfigKeys:
+    def test_every_field_has_a_key_value(self):
+        sections = {"arrival", "service", "governor", "snoop"}
+        expected = {("sim", f.name) for f in fields(SimConfig) if f.name not in sections}
+        for section in sections:
+            expected |= {(section, f.name) for f in fields(_SECTION_CLASSES[section])}
+        expected |= {("perf", "freq_penalty"), ("perf", "scalability"),
+                     ("variant:v", "cstates"), ("variant:v", "turbo_c0_power_w")}
+        assert {(section, key) for section, key, _, _ in _KEY_VALUES} == expected
+
+    @pytest.mark.parametrize("section, key, raw, value", _KEY_VALUES)
+    def test_key_reaches_its_field(self, section, key, raw, value):
+        parsed = loads_sim_config(_ini_with(section, key, raw))
+        got = _parsed_value(parsed, section, key)
+        assert got == value
+        assert type(got) is type(value)
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, key, _, _ in _KEY_VALUES
+        if key not in ("cores", "duration_s", "seed", "cstates_enabled", "cstates")
+    ])
+    def test_empty_value_means_the_field_default(self, section, key):
+        parsed = loads_sim_config(_ini_with(section, key, ""))
+        default = {f.name: f.default for f in fields(_SECTION_CLASSES[section])}[key]
+        assert default is not MISSING
+        assert _parsed_value(parsed, section, key) == default
+
+    def test_empty_cstates_enabled_is_not_the_default_menu(self):
+        with pytest.raises(ValidationError, match="cstates_enabled must contain C0"):
+            loads_sim_config(_ini_with("sim", "cstates_enabled", ""))
