@@ -33,7 +33,7 @@ from .catalog import (
     load_catalog,
     power_ratio_vs_active,
 )
-from .demo import demo_sweep
+from .demo import DEMO_DURATION_S, DEMO_SEED, demo_sweep
 from .errors import ParseError, ValidationError
 from .model import (
     PerfModel,
@@ -446,9 +446,10 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-aw", help="agile-idle estimate (C1->C6A, C1E->C6AE) with savings"
     )
     add_profile_args(est_aw)
-    est_aw.add_argument("--freq-penalty", type=float, default=0.01)
-    est_aw.add_argument("--scalability", type=float, default=1.0)
-    est_aw.add_argument("--delta-ns", type=int, default=100,
+    perf = PerfModel()
+    est_aw.add_argument("--freq-penalty", type=float, default=perf.freq_penalty)
+    est_aw.add_argument("--scalability", type=float, default=perf.scalability)
+    est_aw.add_argument("--delta-ns", type=int, default=perf.delta_transition_ns,
                         help="extra per-transition latency of the agile states")
     est_aw.add_argument("--out", help="write a JSON report document")
     est_aw.set_defaults(func=cmd_model_estimate_aw)
@@ -479,8 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     demop = sim_sub.add_parser(
         "demo", help="paired low-load demo sweep with its self-checks"
     )
-    demop.add_argument("--seed", type=int, default=2024)
-    demop.add_argument("--duration", type=float, default=0.2,
+    demop.add_argument("--seed", type=int, default=DEMO_SEED)
+    demop.add_argument("--duration", type=float, default=DEMO_DURATION_S,
                        help="simulated seconds per point")
     demop.set_defaults(func=cmd_demo)
 
@@ -491,11 +492,12 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--flow", required=True, choices=["entry", "exit", "snoop"])
     trace.add_argument("--variant", required=True, choices=["C6A", "C6AE", "C1", "C6"])
     trace.add_argument("--mhz", type=int, default=fsm.DEFAULT_CONTROLLER_MHZ,
-                       help="controller clock (default 500)")
-    trace.add_argument("--zones", type=int, default=5, help="stagger zones (exit)")
-    trace.add_argument("--zone-ns", type=int, default=15,
+                       help="controller clock (default %(default)s)")
+    stagger = fsm.StaggerPlan()
+    trace.add_argument("--zones", type=int, default=stagger.zones, help="stagger zones (exit)")
+    trace.add_argument("--zone-ns", type=int, default=stagger.per_zone_ns,
                        help="per-zone settle ns (exit)")
-    trace.add_argument("--service-ns", type=int, default=50,
+    trace.add_argument("--service-ns", type=int, default=fsm.DEFAULT_SNOOP_SERVICE_NS,
                        help="snoop service window (snoop)")
     trace.add_argument("--csv", help="also write step,cycles,fixed_ns,cum_ns CSV")
     trace.set_defaults(func=cmd_fsm_trace)

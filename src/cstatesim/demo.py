@@ -38,10 +38,13 @@ from .sim import (
     run,  # not called here: perfbench/tracer.py wraps demo.run
 )
 
-__all__ = ["DemoPoint", "DemoResult", "demo_sweep", "DEMO_LOADS_QPS"]
+__all__ = ["DemoPoint", "DemoResult", "demo_sweep", "DEMO_LOADS_QPS", "DEMO_SEED",
+           "DEMO_DURATION_S"]
 
 # Utilizations around 5..60 percent for 4 cores at 20 us mean service.
 DEMO_LOADS_QPS = (10_000.0, 20_000.0, 40_000.0, 80_000.0, 120_000.0)
+DEMO_SEED = 2024
+DEMO_DURATION_S = 0.2  # simulated seconds per point
 _CORES = 4
 _MEAN_US = 20.0
 # A moderate scalability keeps the demo representative of cache- and
@@ -86,9 +89,9 @@ def _bound_profile(profile: ResidencyProfile) -> ResidencyProfile:
 
 
 def demo_sweep(
-    seed: int = 2024,
+    seed: int = DEMO_SEED,
     loads_qps: Sequence[float] = DEMO_LOADS_QPS,
-    duration_s: float = 0.2,
+    duration_s: float = DEMO_DURATION_S,
 ) -> DemoResult:
     """Run the paired baseline/agile sweep and collect per-load comparisons."""
     catalog = default_catalog()

@@ -37,6 +37,7 @@ __all__ = [
     "StaggerPlan",
     "ACTIVE_STATE",
     "DEFAULT_CONTROLLER_MHZ",
+    "DEFAULT_SNOOP_SERVICE_NS",
     "entry_timeline",
     "exit_timeline",
     "snoop_timeline",
@@ -44,6 +45,7 @@ __all__ = [
 ]
 
 DEFAULT_CONTROLLER_MHZ = 500
+DEFAULT_SNOOP_SERVICE_NS = 50  # see snoop_timeline
 
 _UFPG = ("powered", "clock_gated", "power_gated")
 _CACHES = ("active", "sleep_mode")
@@ -298,7 +300,7 @@ def exit_timeline(
 def snoop_timeline(
     variant: str,
     controller_mhz: int = DEFAULT_CONTROLLER_MHZ,
-    service_ns: int = 50,
+    service_ns: int = DEFAULT_SNOOP_SERVICE_NS,
 ) -> FsmTimeline:
     """Snoop service while resident in an agile deep idle state.
 
@@ -308,8 +310,9 @@ def snoop_timeline(
     (3 cycles).  The core logic power gate never moves; the core stays
     in its idle state throughout.
 
-    The default 50 ns service window is a placeholder knob, not a
-    validated figure; pass a measured value when one exists.
+    The default service window, DEFAULT_SNOOP_SERVICE_NS (50 ns), is a
+    placeholder knob, not a validated figure; pass a measured value when
+    one exists.
     """
     _require_agile(variant, "snoop_timeline")
     if service_ns < 0:

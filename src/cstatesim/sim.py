@@ -40,8 +40,11 @@ and bisects only when that one is not after the idle period's start.
 Idle states are indices into the sorted menu (C0 is 0): entry and exit
 latencies, the snoop flags and windows, and each core's residency and
 entry counts are lists indexed by state, and the governor reads its
-threshold table (_state_picker) in place.  The per-name tables of the
-report are built once, after the loop.
+threshold table (_state_picker) in place.  Per idle period the loop
+writes only those two per-core tables; every entry and exit adds
+entry_ns + exit_ns of transition time, so the transition bucket and the
+C0 entries are settled once after the loop, from the entry counts and
+the horizon's cuts, and so is the network RTT, with the per-name tables.
 
 Same-nanosecond ties: a completion at an arrival's time leaves the
 queue before the arrival joins it; an arrival exactly when the queue
@@ -192,7 +195,7 @@ class SnoopSpec:
     """Exogenous per-core snoop traffic and its service window."""
 
     rate_per_core_hz: float = 0.0
-    service_ns: int = 50
+    service_ns: int = fsm.DEFAULT_SNOOP_SERVICE_NS
 
     def __post_init__(self):
         _require_finite(self)
@@ -613,6 +616,7 @@ def run(
     # state (the governor never picks C0, index 0).
     entry_ns = [catalog[name].hw_entry_ns for name in names]
     exit_ns = [catalog[name].hw_exit_ns for name in names]
+    round_trip_ns = [0] + [a + b for a, b in zip(entry_ns[1:], exit_ns[1:])]
 
     # Snoop window: cache wake + service + re-entry, charged at the
     # power of the state's shallow twin (its cache subsystem is awake
@@ -663,7 +667,8 @@ def run(
     queues = [deque() for _ in range(n_cores)]  # completion times of queued work
     last_arrival = [-1] * n_cores     # index of its latest arrival
     pred_us = [0.0] * n_cores
-    transition_ns = [0] * n_cores
+    transition_ns = [0] * n_cores     # only where the horizon cuts an idle period
+    cut = [0] * n_cores               # idle periods the horizon ends with no C0 entry
     resident_ns = [[0] * n_states for _ in range(n_cores)]
     entries = [[0] * n_states for _ in range(n_cores)]
     snoop_clear_ns = [0] * n_cores
@@ -796,7 +801,8 @@ def run(
                 entries[c][state] += 1
                 e = f + entry_ns[state]
                 if t == t_end:  # the horizon: no arrival, no exit
-                    transition_ns[c] += min(e, t_end) - f
+                    transition_ns[c] += min(e, t_end) - e - exit_ns[state]
+                    cut[c] += 1
                     if e < t_end:
                         resident_ns[c][state] += t_end - e
                         if snooped[state]:
@@ -807,24 +813,20 @@ def run(
                     wakeups_aborted += 1
                     abort_until[c] = e
                     wake = e + exit_ns[state]
-                    transition_ns[c] += wake - f
                 else:
                     resident_ns[c][state] += t - e
                     if snooped[state]:
                         serve_snoops(c, state, e, t)
                     wake = t + exit_ns[state]
-                    transition_ns[c] += e - f + wake - t
-                if wake < t_end:
-                    entries[c][0] += 1
-                else:  # the horizon cuts the exit short
+                if wake >= t_end:  # the horizon cuts the exit short: no C0 entry
                     transition_ns[c] -= wake - t_end
-                idle_ns = t - f
+                    cut[c] += 1
                 if trace:
-                    idle_intervals.append((names[state], idle_ns))
+                    idle_intervals.append((names[state], t - f))
                 if ewma:
-                    pred_us[c] = alpha * (idle_ns / 1000.0) + (1.0 - alpha) * pred_us[c]
+                    pred_us[c] = alpha * ((t - f) / 1000.0) + (1.0 - alpha) * pred_us[c]
                 elif last_idle:
-                    pred_us[c] = idle_ns / 1000.0
+                    pred_us[c] = (t - f) / 1000.0
                 f = wake
             # else t == f: the queue drained just now, so the governor's
             # decision is dropped and service starts at once.
@@ -833,7 +835,7 @@ def run(
         last_arrival[c] = i
         queue.append(f)
         if f < t_end:
-            record(f - t + rtt_ns)
+            record(f - t)
         # i + 1 - popped bounds the backlog from above (other cores may
         # hold completions at or before t); pop them all only when the
         # bound could raise the peak.
@@ -845,16 +847,21 @@ def run(
             peak_queue = max(peak_queue, i + 1 - popped)
 
     # Integer picojoules: C0 and transitions draw active power.  The
-    # per-name tables of the report are built from the index tables here.
+    # per-name tables of the report are built from the index tables here,
+    # with what the loop left out: every idle period's entry and exit
+    # (the horizon's cuts are already in transition_ns), and the C0
+    # entry of every one the horizon did not cut.
     energy_pj = snoop_pj
     buckets = []
-    for c, resident in enumerate(resident_ns):
+    for c, (resident, core_entries) in enumerate(zip(resident_ns, entries)):
+        transition = transition_ns[c] + sum(n * ns for n, ns in zip(core_entries, round_trip_ns))
+        core_entries[0] = sum(core_entries) - cut[c]
         idle = sum(resident)
         energy_pj += (t_end - idle) * active_mw
         energy_pj += sum(ns * mw for ns, mw in zip(resident, state_mw))
-        buckets.append({"C0": t_end - idle - transition_ns[c],
+        buckets.append({"C0": t_end - idle - transition,
                         **{names[j]: resident[j] for j in range(1, n_states)},
-                        TRANSITION_BUCKET: transition_ns[c]})
+                        TRANSITION_BUCKET: transition})
     energy_j = energy_pj * 1e-12
     # Average over the realized horizon (t_end is duration_s rounded to
     # whole nanoseconds) so energy, power, and residency stay one
@@ -883,7 +890,8 @@ def run(
 
     completed = len(latencies_ns)
     del arrivals, services  # drop a run's own draws before the sort's copy
-    latencies = sorted(latencies_ns)
+    # Adding the RTT keeps the order, so it is added as the list is sorted.
+    latencies = sorted(map(rtt_ns.__add__, latencies_ns) if rtt_ns else latencies_ns)
     stats = LatencyStats()
     if latencies:
         stats = LatencyStats(sum(latencies) / completed / 1000.0, *(

@@ -1,6 +1,7 @@
 """End-to-end CLI tests driving main(argv) in-process."""
 
 import dataclasses
+import inspect
 import json
 import os
 import subprocess
@@ -10,7 +11,11 @@ from pathlib import Path
 import pytest
 
 from cstatesim.catalog import default_catalog, dumps_catalog, save_catalog
-from cstatesim.cli import BUILTIN_VARIANTS, main
+from cstatesim import fsm
+from cstatesim.cli import BUILTIN_VARIANTS, build_parser, main
+from cstatesim.demo import demo_sweep
+from cstatesim.model import PerfModel
+from cstatesim.sim import SnoopSpec
 from cstatesim.reporting import canonical_hash, parse_document
 
 SIM_INI = """
@@ -516,3 +521,31 @@ class TestParserPlumbing:
 
     def test_module_entry_point(self):
         import cstatesim.__main__  # noqa: F401 - import must succeed
+
+
+class TestParserDefaults:
+    """Each optional flag's default is the default of what it sets."""
+
+    def test_fsm_trace_defaults(self, capsys):
+        args = build_parser().parse_args(["fsm", "trace", "--flow", "exit", "--variant", "C6A"])
+        assert args.mhz == fsm.DEFAULT_CONTROLLER_MHZ
+        assert (args.zones, args.zone_ns) == (fsm.StaggerPlan().zones,
+                                              fsm.StaggerPlan().per_zone_ns)
+        snoop_service = inspect.signature(fsm.snoop_timeline).parameters["service_ns"]
+        assert args.service_ns == snoop_service.default == SnoopSpec().service_ns
+        with pytest.raises(SystemExit):
+            main(["fsm", "trace", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"controller clock (default {fsm.DEFAULT_CONTROLLER_MHZ})" in help_text
+
+    def test_model_estimate_aw_defaults(self):
+        args = build_parser().parse_args(["model", "estimate-aw"])
+        perf = PerfModel()
+        assert (args.freq_penalty, args.scalability, args.delta_ns) == (
+            perf.freq_penalty, perf.scalability, perf.delta_transition_ns)
+
+    def test_sim_demo_defaults(self):
+        args = build_parser().parse_args(["sim", "demo"])
+        params = inspect.signature(demo_sweep).parameters
+        assert (args.seed, args.duration) == (params["seed"].default,
+                                              params["duration_s"].default)

@@ -445,6 +445,26 @@ class TestLoadBehaviour:
         assert report.latency_us.p50 >= 127.0
         assert report.latency_us.mean >= 127.0
 
+    def test_rtt_shifts_every_latency_statistic_exactly(self):
+        # The RTT is a constant added to every latency: each statistic
+        # moves by exactly that much, and nothing else in the run moves.
+        cfg = loaded_config(cores=2, arrival=ArrivalSpec(rate_qps=20_000.0),
+                            service=ServiceSpec(dist="exponential", mean_us=30.0))
+        near = run(cfg)
+        far = run(dataclasses.replace(cfg, network_rtt_us=117.0))
+        assert near.requests_completed > 100
+        for stat in ("mean", "p50", "p95", "p99", "p999"):
+            assert getattr(far.latency_us, stat) - getattr(near.latency_us, stat) == \
+                pytest.approx(117.0, abs=1e-9), stat
+        assert far.energy_j == near.energy_j
+        assert far.avg_power_w == near.avg_power_w
+        assert far.residency == near.residency
+        assert far.per_core == near.per_core
+        assert far.transitions == near.transitions
+        assert far.wakeups_aborted == near.wakeups_aborted
+        assert (far.requests_offered, far.requests_completed) == (
+            near.requests_offered, near.requests_completed)
+
     def test_percentiles_ordered(self):
         stats = run(loaded_config(service=ServiceSpec(dist="exponential", mean_us=10.0))).latency_us
         assert stats.p50 <= stats.p95 <= stats.p99 <= stats.p999
@@ -719,6 +739,30 @@ class TestTieRules:
             "C0": 4000 / 125_000, "C6": 0.0, "transition": 121_000 / 125_000}
         assert report.latency_us.mean == (88.0 + 59.0 + 30.0 + 1.0) / 4
         assert report.peak_queue == 3
+
+    @pytest.mark.parametrize("t_end", [20_002, 20_004])
+    def test_exit_cut_by_the_horizon(self, t_end):
+        # Menu {C0, C1} (4 ns entry, 4 ns exit), 1000 ns of work every
+        # 10000 ns.  Decision at 0: C1, resident [4, 10000); t=10000
+        # wakes it (exit to 10004), done at 11004.  Decision at 11004:
+        # C1, resident [11008, 20000); t=20000 wakes it, but its exit
+        # would end at 20004, not before the horizon: no C0 entry, and
+        # the exit counts only up to t_end.
+        config = SimConfig(cores=1, duration_s=t_end * 1e-9, seed=1,
+                           arrival=ArrivalSpec("periodic", 100_000.0),
+                           service=ServiceSpec("fixed", 1.0),
+                           cstates_enabled=frozenset({"C0", "C1"}))
+        report = run(config, trace=True)
+        assert report.transitions == {"C0": 1, "C1": 2}
+        assert report.trace.decisions == [(0, "C1"), (0, "C1")]
+        assert report.trace.idle_intervals == [("C1", 10_000), ("C1", 8996)]
+        transition = 4 + 4 + 4 + (t_end - 20_000)
+        assert report.residency.residency == {
+            "C0": 1000 / t_end, "C1": 18_988 / t_end, "transition": transition / t_end}
+        assert report.requests_offered == 2
+        assert report.requests_completed == 1
+        assert report.latency_us.mean == 1.004
+        assert report.wakeups_aborted == 0
 
     def test_two_core_round_robin_peak_queue(self):
         # Two cores take alternate arrivals every 1000 ns, each 1998 ns
