@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from cstatesim.catalog import default_catalog, dumps_catalog, save_catalog
 from cstatesim import fsm
+from cstatesim.catalog import default_catalog, dumps_catalog, save_catalog
 from cstatesim.cli import BUILTIN_VARIANTS, build_parser, main
 from cstatesim.demo import demo_sweep
 from cstatesim.model import PerfModel
