@@ -28,9 +28,9 @@ from __future__ import annotations
 import configparser
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, Field, dataclass, fields
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, get_type_hints
 
 from . import fsm
 from .errors import ParseError, ValidationError, read_input
@@ -324,33 +324,34 @@ def power_ratio_vs_active(state: CStateSpec, active: PState) -> float:
 # Serialization: INI-style text, one section per state.  See docs/formats.md.
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return f"{x:g}"
+@lru_cache(maxsize=None)
+def _file_fields(cls) -> Tuple[Tuple[Field, str, type], ...]:
+    """(field, file key, type) for each field of a spec after its name.
+
+    The fields are the file's keys, in order; a *_mw field is the key
+    *_w, written and read in watts.
+    """
+    hints = get_type_hints(cls)
+    return tuple(
+        (f, f.name[:-3] + "_w" if f.name.endswith("_mw") else f.name, hints[f.name])
+        for f in fields(cls)[1:]
+    )
 
 
 def dumps_catalog(catalog: Catalog) -> str:
     """Render a catalog to its canonical text form (byte-stable)."""
     out = io.StringIO()
-    for name in PSTATE_NAMES:
-        p = catalog.pstates[name]
-        out.write(f"[pstate:{name}]\n")
-        out.write(f"frequency_ghz = {_fmt(p.frequency_ghz)}\n")
-        out.write(f"c0_power_w = {_fmt(p.c0_power_mw / 1000.0)}\n")
-        out.write("\n")
-    for name in CSTATE_NAMES:
-        s = catalog.cstates[name]
-        out.write(f"[{name}]\n")
-        out.write(f"transition_time_us = {_fmt(s.transition_time_us)}\n")
-        out.write(f"target_residency_us = {_fmt(s.target_residency_us)}\n")
-        out.write(f"power_w = {_fmt(s.power_mw / 1000.0)}\n")
-        out.write(f"hw_entry_ns = {s.hw_entry_ns}\n")
-        out.write(f"hw_exit_ns = {s.hw_exit_ns}\n")
-        out.write(f"implied_pstate = {s.implied_pstate}\n")
-        out.write(f"clocks = {s.clocks}\n")
-        out.write(f"adpll = {s.adpll}\n")
-        out.write(f"caches = {s.caches}\n")
-        out.write(f"voltage = {s.voltage}\n")
-        out.write(f"context = {s.context}\n")
+    sections = [(f"pstate:{n}", catalog.pstates[n]) for n in PSTATE_NAMES]
+    sections += [(n, catalog.cstates[n]) for n in CSTATE_NAMES]
+    for header, spec in sections:
+        out.write(f"[{header}]\n")
+        for f, key, kind in _file_fields(type(spec)):
+            value = getattr(spec, f.name)
+            if key != f.name:
+                value = f"{value / 1000.0:g}"
+            elif kind is float:
+                value = f"{value:g}"
+            out.write(f"{key} = {value}\n")
         out.write("\n")
     return out.getvalue()
 
@@ -368,9 +369,37 @@ def _watts_to_mw(value: float, where: str) -> int:
     return round(mw)
 
 
+def _read_spec(sec, section: str, base):
+    """A spec of base's type from one section, key by key from its fields.
+
+    A field with no dataclass default is a required key; an absent key
+    with a default keeps base's value.
+    """
+    spec_fields = _file_fields(type(base))
+    unknown = sorted(set(sec) - {key for _, key, _ in spec_fields})
+    if unknown:
+        raise ParseError(f"[{section}] unknown keys: {unknown}")
+    values = {}
+    try:
+        for f, key, kind in spec_fields:
+            raw = sec[key] if f.default is MISSING else sec.get(key)
+            if raw is None:
+                values[f.name] = getattr(base, f.name)
+            elif key != f.name:
+                values[f.name] = _watts_to_mw(float(raw), section)
+            else:
+                values[f.name] = kind(raw)
+        return type(base)(base.name, **values)
+    except KeyError as e:
+        raise ParseError(f"[{section}] missing key {e}") from None
+    except ValueError as e:
+        raise ParseError(f"[{section}]: {e}") from None
+
+
 def loads_catalog(text: str) -> Catalog:
     """Parse catalog text.  Unknown keys are rejected; unknown sections too.
 
+    Each section's keys are its spec's fields (see _file_fields).
     Descriptive keys (clocks, adpll, caches, voltage, context) are
     optional and default to the built-in catalog's wording for the same
     state, so a numeric-only override file stays short.
@@ -380,57 +409,20 @@ def loads_catalog(text: str) -> Catalog:
         cp.read_string(text)
     except configparser.Error as e:
         raise ParseError(f"bad catalog file: {e}") from None
+    if cp.defaults():
+        raise ParseError(f"unknown section {cp.default_section!r}")
 
     base = default_catalog()
     pstates: Dict[str, PState] = {}
     cstates: Dict[str, CStateSpec] = {}
-
-    numeric_keys = {
-        "transition_time_us", "target_residency_us", "power_w",
-        "hw_entry_ns", "hw_exit_ns", "implied_pstate",
-    }
-    desc_keys = {"clocks", "adpll", "caches", "voltage", "context"}
-
     for section in cp.sections():
-        sec = cp[section]
         if section.startswith("pstate:"):
             name = section.split(":", 1)[1]
             if name not in PSTATE_NAMES:
                 raise ParseError(f"unknown P-state section {section!r}")
-            try:
-                pstates[name] = PState(
-                    name,
-                    frequency_ghz=float(sec["frequency_ghz"]),
-                    c0_power_mw=_watts_to_mw(float(sec["c0_power_w"]), section),
-                )
-            except KeyError as e:
-                raise ParseError(f"[{section}] missing key {e}") from None
-            except ValueError as e:
-                raise ParseError(f"[{section}]: {e}") from None
+            pstates[name] = _read_spec(cp[section], section, base.pstates[name])
         elif section in CSTATE_NAMES:
-            unknown = set(sec.keys()) - numeric_keys - desc_keys
-            if unknown:
-                raise ParseError(f"[{section}] unknown keys: {sorted(unknown)}")
-            ref = base.cstates[section]
-            try:
-                cstates[section] = CStateSpec(
-                    section,
-                    transition_time_us=float(sec["transition_time_us"]),
-                    target_residency_us=float(sec["target_residency_us"]),
-                    power_mw=_watts_to_mw(float(sec["power_w"]), section),
-                    hw_entry_ns=int(sec["hw_entry_ns"]),
-                    hw_exit_ns=int(sec["hw_exit_ns"]),
-                    implied_pstate=sec["implied_pstate"].strip(),
-                    clocks=sec.get("clocks", ref.clocks),
-                    adpll=sec.get("adpll", ref.adpll),
-                    caches=sec.get("caches", ref.caches),
-                    voltage=sec.get("voltage", ref.voltage),
-                    context=sec.get("context", ref.context),
-                )
-            except KeyError as e:
-                raise ParseError(f"[{section}] missing key {e}") from None
-            except ValueError as e:
-                raise ParseError(f"[{section}]: {e}") from None
+            cstates[section] = _read_spec(cp[section], section, base.cstates[section])
         else:
             raise ParseError(f"unknown section {section!r}")
 

@@ -280,9 +280,16 @@ def cmd_demo(args) -> int:
 # fsm trace
 # ---------------------------------------------------------------------------
 
-def cmd_fsm_trace(args) -> int:
+def cmd_fsm_trace(args, parser) -> int:
     variant = args.variant
     flow = args.flow
+    # Only an agile exit reads the stagger plan, and only a snoop its window.
+    reads = {"exit": ("zones", "zone_ns") if variant in AGILE_STATES else (),
+             "snoop": ("service_ns",)}.get(flow, ())
+    for dest in ("zones", "zone_ns", "service_ns"):
+        if dest not in reads and getattr(args, dest) != parser.get_default(dest):
+            parser.error(f"--{dest.replace('_', '-')} does not apply to the "
+                         f"{variant} {flow} flow")
     if variant in AGILE_STATES:
         if flow == "entry":
             timeline = fsm.entry_timeline(variant, args.mhz)
@@ -379,30 +386,14 @@ def cmd_validate(args) -> int:
         f"agile hw {agile_hw} ns, ratio {ratio:.0f}x",
     )
 
-    # Catalog under test: structure, pairing, and power ordering.
-    try:
-        catalog.validate()
-        check("catalog structure", True)
-    except ValidationError as e:
-        check("catalog structure", False, str(e))
+    # Catalog under test: loading it already checked its structure, its
+    # latency pairing and each state's residency and latency budget.
     violations = catalog.power_order_violations()
     check(
         "catalog power strictly decreasing C0 > C1 > C1E > C6A > C6AE > C6",
         not violations,
         "; ".join(violations),
     )
-    for name in ("C1", "C6A", "C1E", "C6AE", "C6"):
-        spec = catalog[name]
-        check(
-            f"{name} target residency >= transition time",
-            spec.target_residency_us >= spec.transition_time_us,
-            f"{spec.target_residency_us} < {spec.transition_time_us}",
-        )
-        check(
-            f"{name} hw latency within transition budget",
-            spec.hw_total_ns <= spec.transition_time_us * 1000.0,
-            f"{spec.hw_total_ns} ns > {spec.transition_time_us} us",
-        )
 
     print(f"{failures} failure(s)" if failures else "all checks passed")
     return 1 if failures else 0
@@ -500,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace.add_argument("--service-ns", type=int, default=fsm.DEFAULT_SNOOP_SERVICE_NS,
                        help="snoop service window (snoop)")
     trace.add_argument("--csv", help="also write step,cycles,fixed_ns,cum_ns CSV")
-    trace.set_defaults(func=cmd_fsm_trace)
+    trace.set_defaults(func=lambda args: cmd_fsm_trace(args, trace))
 
     # validate
     val = sub.add_parser("validate", help="run the built-in golden checks")

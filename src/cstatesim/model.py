@@ -26,7 +26,6 @@ from .errors import ValidationError
 
 __all__ = [
     "TRANSITION_BUCKET",
-    "REPLACEMENTS",
     "ResidencyProfile",
     "PerfModel",
     "SavingsVs",

@@ -328,3 +328,60 @@ def test_non_finite_pstate_frequency_in_file_rejected(value):
     text = f"[pstate:P1]\nfrequency_ghz = {value}\nc0_power_w = 4.0\n"
     with pytest.raises(ParseError, match="frequency must be finite"):
         loads_catalog(text)
+
+
+@pytest.mark.parametrize("text", [
+    "[DEFAULT]\npower_w = 0.3\n",
+    "[DEFAULT]\nclocks = gated\n\n"
+    "[C1]\ntransition_time_us = 2\ntarget_residency_us = 2\npower_w = 1.44\n"
+    "hw_entry_ns = 4\nhw_exit_ns = 4\nimplied_pstate = P1\n",
+], ids=["alone", "beside_C1"])
+def test_default_section_rejected(text):
+    # configparser would otherwise hand [DEFAULT]'s keys to every section.
+    with pytest.raises(ParseError, match="unknown section 'DEFAULT'"):
+        loads_catalog(text)
+
+
+def test_unknown_pstate_key_rejected():
+    text = "[pstate:P1]\nfrequency_ghz = 2.2\nc0_power_w = 4\nbogus = 1\n"
+    with pytest.raises(ParseError, match=r"\[pstate:P1\] unknown keys: \['bogus'\]"):
+        loads_catalog(text)
+
+
+def _every_field_changed(cat):
+    """cat with every field of every spec moved off its built-in value."""
+    pstates = {
+        n: dataclasses.replace(p, frequency_ghz=p.frequency_ghz + 0.5,
+                               c0_power_mw=p.c0_power_mw + 7)
+        for n, p in cat.pstates.items()
+    }
+    cstates = {
+        n: dataclasses.replace(
+            s,
+            transition_time_us=s.transition_time_us + 1.5,
+            target_residency_us=s.target_residency_us + 3.5,
+            power_mw=s.power_mw + 7,
+            hw_entry_ns=s.hw_entry_ns + 1,
+            hw_exit_ns=s.hw_exit_ns + 2,
+            implied_pstate="Pn" if s.implied_pstate == "P1" else "P1",
+            clocks=f"{n} clocks", adpll=f"{n} adpll", caches=f"{n} caches",
+            voltage=f"{n} voltage", context=f"{n} context",
+        )
+        for n, s in cat.cstates.items()
+    }
+    return Catalog(cstates, pstates)
+
+
+def test_round_trip_carries_every_field():
+    # A key the writer dropped would come back as the built-in value, so
+    # the round trip starts from a catalog that differs in every field.
+    base = default_catalog()
+    cat = _every_field_changed(base)
+    cat.validate()
+    for group, base_group in ((cat.pstates, base.pstates), (cat.cstates, base.cstates)):
+        for name, spec in group.items():
+            for f in dataclasses.fields(spec)[1:]:
+                assert getattr(spec, f.name) != getattr(base_group[name], f.name), (name, f.name)
+    text = dumps_catalog(cat)
+    assert loads_catalog(text) == cat
+    assert dumps_catalog(loads_catalog(text)) == text

@@ -353,6 +353,35 @@ class TestFsmCli:
         assert code == 1
         assert "error:" in err
 
+    def test_snoop_trace_respects_service_flag(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "fsm", "trace", "--flow", "snoop", "--variant", "C6A",
+            "--service-ns", "100",
+        )
+        assert code == 0
+        serve = next(line for line in out.splitlines() if line.startswith("serve snoop"))
+        assert serve.split()[-2] == "100"
+
+    @pytest.mark.parametrize("flags, flag, flow", [
+        (["--flow", "entry", "--variant", "C6A", "--zones", "9", "--service-ns", "999"],
+         "--zones", "C6A entry"),
+        (["--flow", "exit", "--variant", "C6", "--zones", "9", "--zone-ns", "1"],
+         "--zones", "C6 exit"),
+        (["--flow", "snoop", "--variant", "C6A", "--zones", "9"],
+         "--zones", "C6A snoop"),
+        (["--flow", "exit", "--variant", "C6", "--zone-ns", "1"],
+         "--zone-ns", "C6 exit"),
+        (["--flow", "entry", "--variant", "C6AE", "--service-ns", "999"],
+         "--service-ns", "C6AE entry"),
+    ])
+    def test_flag_the_flow_does_not_read_is_usage_error(self, capsys, flags, flag, flow):
+        with pytest.raises(SystemExit) as exc:
+            main(["fsm", "trace", *flags])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"{flag} does not apply to the {flow} flow" in err
+
     @pytest.mark.parametrize("flow, variant", [
         ("entry", "C6A"), ("exit", "C6A"), ("snoop", "C6A"), ("entry", "C6"),
     ])
@@ -391,6 +420,20 @@ class TestValidateCli:
         assert len(fails) == 1
         assert "power strictly decreasing" in fails[0]
         assert "1 failure(s)" in out
+
+    def test_catalog_breaking_a_state_contract_does_not_load(self, capsys, tmp_path):
+        # C6's target residency below its transition time: the catalog is
+        # refused when it loads, before any check runs.
+        broken = dumps_catalog(default_catalog()).replace(
+            "target_residency_us = 600\n", "target_residency_us = 100\n"
+        )
+        assert "target_residency_us = 100" in broken
+        path = tmp_path / "broken.ini"
+        path.write_text(broken)
+        code, out, err = run_cli(capsys, "validate", "--catalog", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: [C6]: C6: target residency 100.0 us below transition time")
 
 
 # ---------------------------------------------------------------------------
