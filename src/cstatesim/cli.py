@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
 from typing import Dict, List, Optional
 
 from . import __version__, fsm
@@ -132,8 +133,8 @@ def cmd_model_estimate(args) -> int:
             "power_estimate",
             {
                 "avg_power_w": est.avg_power_w,
-                "per_state_w": dict(sorted(est.per_state_w.items())),
-                "residency": dict(sorted(profile.residency.items())),
+                "per_state_w": est.per_state_w,
+                "residency": profile.residency,
             },
         )
         save_document(doc, args.out)
@@ -157,12 +158,8 @@ def cmd_model_estimate_aw(args) -> int:
                 "avg_power_w": est.avg_power_w,
                 "baseline_w": sv.baseline_w,
                 "savings_fraction": sv.savings_fraction,
-                "per_state_w": dict(sorted(est.per_state_w.items())),
-                "perf": {
-                    "freq_penalty": perf.freq_penalty,
-                    "scalability": perf.scalability,
-                    "delta_transition_ns": perf.delta_transition_ns,
-                },
+                "per_state_w": est.per_state_w,
+                "perf": asdict(perf),
             },
         )
         save_document(doc, args.out)
@@ -247,13 +244,14 @@ def cmd_sim_sweep(args, parser) -> int:
 
     points = sweep(parsed.config, qps_list, variants, catalog=catalog,
                    perf=parsed.perf, jobs=args.jobs)
-    print(emit_plot_table(points), end="")
+    table = emit_plot_table(points)
+    print(table, end="")
     if args.out:
         save_document(sweep_document(points, parsed.config), args.out)
         print(f"wrote {args.out}")
     if args.plot:
         with open(args.plot, "w") as f:
-            f.write(emit_plot_table(points))
+            f.write(table)
         print(f"wrote {args.plot}")
     return 0
 

@@ -163,16 +163,6 @@ def config_to_dict(config: SimConfig) -> dict:
     return {**asdict(config), "cstates_enabled": sorted(config.cstates_enabled)}
 
 
-def _profile_dict(profile: ResidencyProfile) -> dict:
-    return {
-        "duration_s": profile.duration_s,
-        "residency": {k: profile.residency[k] for k in sorted(profile.residency)},
-        "transitions": {
-            k: profile.transitions[k] for k in sorted(profile.transitions)
-        },
-    }
-
-
 def make_document(kind: str, config: Optional[dict], results: dict,
                   seed: Optional[int]) -> dict:
     """Wrap results in the versioned report envelope.
@@ -199,9 +189,9 @@ def sim_report_document(report: SimReport) -> dict:
         "energy_j": report.energy_j,
         "avg_power_w": report.avg_power_w,
         "latency_us": asdict(report.latency_us),
-        "residency": _profile_dict(report.residency),
-        "per_core": [_profile_dict(p) for p in report.per_core],
-        "transitions": {k: report.transitions[k] for k in sorted(report.transitions)},
+        "residency": asdict(report.residency),
+        "per_core": [asdict(p) for p in report.per_core],
+        "transitions": report.transitions,
         "wakeups_aborted": report.wakeups_aborted,
         "snoops_served": report.snoops_served,
         "requests": {
@@ -259,11 +249,10 @@ def parse_document(text: str) -> dict:
 
 def canonical_hash(doc: dict) -> str:
     """SHA-256 over the canonical JSON form, timestamp excluded."""
-    trimmed = json.loads(json.dumps(doc))  # deep copy via JSON
-    prov = trimmed.get("provenance")
+    prov = doc.get("provenance")
     if isinstance(prov, dict):
-        prov.pop("timestamp", None)
-    canonical = json.dumps(trimmed, sort_keys=True, separators=(",", ":"))
+        doc = {**doc, "provenance": {k: v for k, v in prov.items() if k != "timestamp"}}
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

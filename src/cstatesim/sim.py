@@ -927,11 +927,10 @@ def run(
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """A named idle-state configuration to sweep."""
+    """A named idle-state menu to sweep; a point runs the base config with it."""
 
     name: str
     cstates: frozenset
-    turbo_c0_power_w: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -962,8 +961,7 @@ def _sweep_load(args) -> List[SimReport]:
     config, variants, catalog, perf = args
     streams = _draw_streams(config)
     return [
-        run(replace(config, cstates_enabled=variant.cstates,
-                    turbo_c0_power_w=variant.turbo_c0_power_w),
+        run(replace(config, cstates_enabled=variant.cstates),
             catalog=catalog, perf=perf, streams=streams)
         for variant in variants
     ]
@@ -1032,11 +1030,13 @@ def sweep(
 ) -> List[SweepPoint]:
     """Cross-product of loads and variants, paired at each load.
 
-    Load i runs at the sub-seed derive_subseed(base.seed, i), and every
-    variant at it serves the same arrival and service draws (common
-    random numbers), so the comparisons with the first variant measure
-    the menus, not seed noise (see _paired_sweep).  As in run, only
-    perf.service_inflation is read, never perf.delta_transition_ns.
+    A point is base with its load's seed and rate and its variant's menu;
+    every other field is base's.  Load i runs at the sub-seed
+    derive_subseed(base.seed, i), and every variant at it serves the same
+    arrival and service draws (common random numbers), so the comparisons
+    with the first variant measure the menus, not seed noise (see
+    _paired_sweep).  As in run, only perf.service_inflation is read,
+    never perf.delta_transition_ns.
     """
     configs = [
         replace(base, seed=derive_subseed(base.seed, i),

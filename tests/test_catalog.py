@@ -266,6 +266,11 @@ def test_unknown_section_rejected():
         loads_catalog("[C9]\npower_w = 1\n")
 
 
+def test_unknown_pstate_section_rejected():
+    with pytest.raises(ParseError, match=r"^unknown P-state section 'pstate:P9'$"):
+        loads_catalog("[pstate:P9]\nfrequency_ghz = 1.0\nc0_power_w = 2\n")
+
+
 def test_unknown_key_rejected():
     text = "[C6A]\n" \
            "transition_time_us = 2\ntarget_residency_us = 2\n" \

@@ -248,6 +248,25 @@ class TestSimCli:
         for name in BUILTIN_VARIANTS:
             assert name in err
 
+    def test_sweep_plot_file_is_the_printed_table(self, capsys, sim_config, tmp_path):
+        plot = tmp_path / "sweep.csv"
+        code, out, _ = run_cli(capsys, "sim", "sweep", "--config", sim_config,
+                               "--qps", "1000,3000", "--variants", "baseline,agile",
+                               "--plot", str(plot))
+        assert code == 0
+        table = plot.read_text()
+        assert table.startswith("variant,qps,avg_power_w")
+        assert out == table + f"wrote {plot}\n"
+
+    @pytest.mark.parametrize("flag, value", [("--qps", ","), ("--variants", " , ")])
+    def test_sweep_empty_list_is_usage_error(self, capsys, sim_config, flag, value):
+        argv = {"--qps": "1000", "--variants": "baseline", flag: value}
+        with pytest.raises(SystemExit) as exc:
+            main(["sim", "sweep", "--config", sim_config,
+                  *(item for pair in argv.items() for item in pair)])
+        assert exc.value.code == 2
+        assert f"{flag} needs a comma-separated list" in capsys.readouterr().err
+
     @pytest.mark.parametrize("jobs", ["0", "-2"])
     def test_sweep_jobs_below_one_is_usage_error(self, capsys, sim_config, jobs):
         with pytest.raises(SystemExit) as exc:

@@ -214,6 +214,12 @@ class TestDocuments:
         doc["provenance"]["timestamp"] = "2000-01-01T00:00:00+00:00"
         assert canonical_hash(doc) == h1
 
+    def test_canonical_hash_leaves_the_document_alone(self):
+        doc = sim_report_document(small_report())
+        before = document_to_json(doc)
+        canonical_hash(doc)
+        assert document_to_json(doc) == before
+
     def test_canonical_hash_sees_results(self):
         doc = sim_report_document(small_report())
         h1 = canonical_hash(doc)
@@ -366,7 +372,6 @@ cstates = C0, C1, C1E, C6
 
 [variant:hot]
 cstates = C0, C1
-turbo_c0_power_w = 12.0
 """
 
 
@@ -414,7 +419,7 @@ class TestSimConfigFile:
         assert parsed.variants["all_idle"].cstates == frozenset(
             {"C0", "C1", "C1E", "C6"}
         )
-        assert parsed.variants["hot"].turbo_c0_power_w == 12.0
+        assert parsed.variants["hot"].cstates == frozenset({"C0", "C1"})
 
     def test_missing_sim_section(self):
         with pytest.raises(ParseError, match=r"needs a \[sim\] section"):
@@ -443,20 +448,20 @@ class TestSimConfigFile:
         # The analytic model's knob: the simulator never reads it.
         ("perf", "delta_transition_ns = 100", "delta_transition_ns"),
         ("variant:x", "cstates = C0,C1\nturbo = 12", "turbo"),
+        # A variant is only a menu: a point runs the base config's turbo.
+        ("variant:x", "cstates = C0,C1\nturbo_c0_power_w = 12", "turbo_c0_power_w"),
     ])
     def test_unknown_key_rejected(self, section, line, key):
         text = MINIMAL_INI + f"\n[{section}]\n{line}\n"
         if section == "sim":
             text = MINIMAL_INI.replace("[sim]\n", f"[sim]\n{line}\n")
-        with pytest.raises(ParseError, match=rf"unknown key '{key}'"):
+        with pytest.raises(ParseError, match=rf"\[{section}\] unknown key '{key}'"):
             loads_sim_config(text)
 
     @pytest.mark.parametrize("section, line, message", [
         ("arrival", "rate_qps = abc", r"\[arrival\] bad number for 'rate_qps': 'abc'"),
         ("service", "mean_us = 1O", r"\[service\] bad number for 'mean_us'"),
         ("snoop", "service_ns = 5.5", r"\[snoop\] bad integer for 'service_ns'"),
-        ("variant:hot", "cstates = C0,C1\nturbo_c0_power_w = hot",
-         r"\[variant:hot\] bad number for 'turbo_c0_power_w'"),
     ])
     def test_bad_number_in_any_section(self, section, line, message):
         with pytest.raises(ParseError, match=message):
@@ -466,6 +471,10 @@ class TestSimConfigFile:
         text = MINIMAL_INI + "\n[variant:empty]\nnote = nothing\n"
         with pytest.raises(ParseError, match="needs a cstates list"):
             loads_sim_config(text)
+
+    def test_variant_needs_a_name(self):
+        with pytest.raises(ParseError, match=r"^variant section 'variant: ' needs a name$"):
+            loads_sim_config(MINIMAL_INI + "\n[variant: ]\ncstates = C0,C1\n")
 
     def test_semantic_errors_stay_validation_errors(self):
         text = """
@@ -518,7 +527,6 @@ _KEY_VALUES = [
     ("perf", "freq_penalty", "0.02", 0.02),
     ("perf", "scalability", "0.9", 0.9),
     ("variant:v", "cstates", "C0, C1E", frozenset({"C0", "C1E"})),
-    ("variant:v", "turbo_c0_power_w", "12", 12.0),
 ]
 _SECTION_CLASSES = {
     "sim": SimConfig, "arrival": ArrivalSpec, "service": ServiceSpec,
@@ -559,7 +567,7 @@ class TestSimConfigKeys:
         for section in sections:
             expected |= {(section, f.name) for f in fields(_SECTION_CLASSES[section])}
         expected |= {("perf", "freq_penalty"), ("perf", "scalability"),
-                     ("variant:v", "cstates"), ("variant:v", "turbo_c0_power_w")}
+                     ("variant:v", "cstates")}
         assert {(section, key) for section, key, _, _ in _KEY_VALUES} == expected
 
     @pytest.mark.parametrize("section, key, raw, value", _KEY_VALUES)

@@ -898,22 +898,29 @@ class TestSweep:
                 assert (p.savings_vs_first, p.mean_delta_vs_first,
                         p.p99_delta_vs_first) == (0.0, 0.0, 0.0)
 
-    def test_each_point_equals_a_standalone_run_at_its_load_seed(self):
-        variants = self.VARIANTS + [
-            VariantSpec("agile_turbo", frozenset({"C0", "C6A"}), turbo_c0_power_w=9.0)]
-        base = self.base()
-        qps_list = [2000.0, 5000.0]
+    def _assert_points_equal_standalone_runs(self, base, qps_list, variants):
         points = sweep(base, qps_list, variants)
         for k, p in enumerate(points):
             i, variant = divmod(k, len(variants))
             alone = run(dataclasses.replace(
                 base, seed=derive_subseed(base.seed, i),
                 arrival=dataclasses.replace(base.arrival, rate_qps=qps_list[i]),
-                cstates_enabled=variants[variant].cstates,
-                turbo_c0_power_w=variants[variant].turbo_c0_power_w))
+                cstates_enabled=variants[variant].cstates))
             assert (p.qps, p.variant) == (qps_list[i], variants[variant].name)
             assert canonical_hash(sim_report_document(p.report)) == \
                 canonical_hash(sim_report_document(alone))
+
+    def test_each_point_equals_a_standalone_run_at_its_load_seed(self):
+        variants = self.VARIANTS + [VariantSpec("agile_only", frozenset({"C0", "C6A"}))]
+        self._assert_points_equal_standalone_runs(self.base(), [2000.0, 5000.0], variants)
+
+    def test_base_turbo_reaches_every_point(self):
+        # A variant swaps in only its menu, so the base config's C0 power
+        # override prices every point as it prices a standalone run.
+        base = SimConfig(cores=2, duration_s=0.01, seed=3,
+                         arrival=ArrivalSpec(rate_qps=10_000.0),
+                         service=ServiceSpec("exponential", 10.0), turbo_c0_power_w=11.0)
+        self._assert_points_equal_standalone_runs(base, [10_000.0, 20_000.0], self.VARIANTS)
 
     def test_streams_drawn_for_another_config_rejected(self):
         cfg = self.base()
