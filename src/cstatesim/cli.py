@@ -50,6 +50,7 @@ from .reporting import (
     format_timeline,
     load_residency_csv,
     load_sim_config,
+    loads_residency_items,
     save_document,
     sim_report_document,
     sweep_document,
@@ -68,37 +69,16 @@ BUILTIN_VARIANTS: Dict[str, VariantSpec] = {
 }
 
 
-def _parse_residency(text: str) -> Dict[str, float]:
-    out: Dict[str, float] = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValidationError(f"bad residency item {item!r}, expected NAME=FRACTION")
-        name, value = item.split("=", 1)
-        try:
-            out[name.strip()] = float(value)
-        except ValueError:
-            raise ValidationError(f"bad fraction {value!r} for {name!r}") from None
-    if not out:
-        raise ValidationError("empty residency specification")
-    return out
-
-
-def _profile_from_args(args) -> ResidencyProfile:
-    if getattr(args, "trace", None):
-        return load_residency_csv(args.trace, duration_s=args.duration)
-    if getattr(args, "residency", None):
-        duration = args.duration if args.duration is not None else 1.0
-        return ResidencyProfile(duration, _parse_residency(args.residency))
+def _profile_from_args(args, duration_s: Optional[float] = None) -> ResidencyProfile:
+    if args.trace:
+        return load_residency_csv(args.trace, duration_s=duration_s)
+    if args.residency:
+        return loads_residency_items(args.residency, duration_s=duration_s)
     raise ValidationError("give a profile via --residency or --trace")
 
 
 def _catalog_from_args(args) -> Catalog:
-    if getattr(args, "catalog", None):
-        return load_catalog(args.catalog)
-    return default_catalog()
+    return load_catalog(args.catalog) if args.catalog else default_catalog()
 
 
 def _perf_from_args(args) -> PerfModel:
@@ -144,7 +124,7 @@ def cmd_model_estimate(args) -> int:
 
 def cmd_model_estimate_aw(args) -> int:
     catalog = _catalog_from_args(args)
-    profile = _profile_from_args(args)
+    profile = _profile_from_args(args, duration_s=args.duration)
     perf = _perf_from_args(args)
     est = avg_power_aw(profile, catalog, perf)
     sv = est.savings_vs
@@ -415,10 +395,9 @@ def build_parser() -> argparse.ArgumentParser:
     model_sub = model.add_subparsers(dest="model_command", required=True)
 
     def add_profile_args(p):
-        p.add_argument("--residency", help="inline profile, e.g. C0=0.5,C1=0.45,C6=0.05")
-        p.add_argument("--trace", help="residency CSV file")
-        p.add_argument("--duration", type=float, default=None,
-                       help="profile duration in seconds (overrides the trace comment)")
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--residency", help="inline profile, e.g. C0=0.5,C1=0.45,C6=0.05")
+        source.add_argument("--trace", help="residency CSV file")
         p.add_argument("--catalog", help="catalog override file")
 
     ub = model_sub.add_parser("upper-bound",
@@ -435,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
         "estimate-aw", help="agile-idle estimate (C1->C6A, C1E->C6AE) with savings"
     )
     add_profile_args(est_aw)
+    est_aw.add_argument("--duration", type=float, default=None,
+                        help="profile duration in seconds (overrides the trace comment)")
     perf = PerfModel()
     est_aw.add_argument("--freq-penalty", type=float, default=perf.freq_penalty)
     est_aw.add_argument("--scalability", type=float, default=perf.scalability)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from .catalog import default_catalog
-from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile, upper_bound_savings
+from .model import PerfModel, upper_bound_savings
 from .sim import (
     ArrivalSpec,
     GovernorPolicy,
@@ -75,19 +75,6 @@ class DemoResult:
         return list(self.pairs)
 
 
-def _bound_profile(profile: ResidencyProfile) -> ResidencyProfile:
-    """Fold the transition bucket into C0 so the bound's precondition holds.
-
-    Transition time is charged at C0 power anyway, so folding it into C0
-    is the faithful reduction to a {C0, C1, C6} profile.
-    """
-    residency = dict(profile.residency)
-    moved = residency.pop(TRANSITION_BUCKET, 0.0)
-    residency["C0"] = residency.get("C0", 0.0) + moved
-    transitions = {k: v for k, v in profile.transitions.items() if k in residency}
-    return ResidencyProfile(profile.duration_s, residency, transitions)
-
-
 def demo_sweep(
     seed: int = DEMO_SEED,
     loads_qps: Sequence[float] = DEMO_LOADS_QPS,
@@ -110,7 +97,7 @@ def demo_sweep(
     pairs = _paired_sweep(configs, (BASELINE, AGILE), catalog, _PERF, jobs=1)
     points = [
         DemoPoint(base.qps, base.report, agile.report, agile.savings_vs_first,
-                  upper_bound_savings(_bound_profile(base.report.residency), catalog),
+                  upper_bound_savings(base.report.residency, catalog),
                   agile.p99_delta_vs_first)
         for base, agile in zip(pairs[::2], pairs[1::2])
     ]

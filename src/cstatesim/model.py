@@ -5,7 +5,7 @@ the fraction of time spent in it.  On top of that this module provides:
 
   * upper_bound_savings: the best case for replacing C1 with an idle
     state that keeps C1's latency but draws C6's power, evaluated on a
-    {C0, C1, C6} residency profile.
+    {C0, C1, C6} residency profile (a transition bucket is allowed).
 
   * rescale_residency / avg_power_aw: a first-order estimate of what a
     profile looks like after swapping C1 -> C6A and C1E -> C6AE, folding
@@ -76,7 +76,7 @@ class ResidencyProfile:
             if abs(total - 1.0) <= _RENORM_TOL:
                 warnings.warn(
                     f"residency sum {total:.9f} off by {total - 1.0:.2e}; renormalizing",
-                    stacklevel=2,
+                    stacklevel=3,  # past the dataclass __init__ to its caller
                 )
                 object.__setattr__(
                     self,
@@ -162,10 +162,11 @@ def upper_bound_savings(profile: ResidencyProfile, catalog: Catalog) -> float:
 
     The ideal replacement keeps C1's transition latency but draws C6's
     power, so every second of C1 residency saves P_C1 - P_C6.  Only
-    profiles over {C0, C1, C6} are meaningful here; anything else is
-    rejected.
+    profiles over {C0, C1, C6} are meaningful here, plus the transition
+    bucket that simulated profiles carry, charged at C0 power; anything
+    else is rejected.
     """
-    allowed = {"C0", "C1", "C6"}
+    allowed = {"C0", "C1", "C6", TRANSITION_BUCKET}
     extra = set(profile.residency) - allowed
     if extra:
         raise ValidationError(

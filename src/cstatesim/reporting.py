@@ -30,6 +30,7 @@ __all__ = [
     "load_residency_csv",
     "loads_residency_csv",
     "dumps_residency_csv",
+    "loads_residency_items",
     "save_document",
     "make_document",
     "sim_report_document",
@@ -56,6 +57,19 @@ _KNOWN_TRACE_STATES = set(CSTATE_NAMES) | {TRANSITION_BUCKET}
 # ---------------------------------------------------------------------------
 # Residency CSV
 # ---------------------------------------------------------------------------
+
+def _add_fraction(residency: Dict[str, float], state: str, frac_text: str,
+                  lineno: Optional[int] = None) -> None:
+    """Check one state=fraction row and record it (CSV rows and inline items)."""
+    if state not in _KNOWN_TRACE_STATES:
+        raise ParseError(f"unknown state {state!r}", lineno)
+    if state in residency:
+        raise ParseError(f"duplicate state {state!r}", lineno)
+    try:
+        residency[state] = float(frac_text)
+    except ValueError:
+        raise ParseError(f"bad fraction {frac_text!r}", lineno) from None
+
 
 def loads_residency_csv(text: str, duration_s: Optional[float] = None) -> ResidencyProfile:
     """Parse a residency trace.
@@ -94,20 +108,11 @@ def loads_residency_csv(text: str, duration_s: Optional[float] = None) -> Reside
         if len(cells) != 3:
             raise ParseError(f"expected 3 columns, got {len(cells)}", lineno)
         state, frac_text, trans_text = cells
-        if state not in _KNOWN_TRACE_STATES:
-            raise ParseError(f"unknown state {state!r}", lineno)
-        if state in residency:
-            raise ParseError(f"duplicate state {state!r}", lineno)
+        _add_fraction(residency, state, frac_text, lineno)
         try:
-            frac = float(frac_text)
-        except ValueError:
-            raise ParseError(f"bad fraction {frac_text!r}", lineno) from None
-        try:
-            trans = int(trans_text)
+            transitions[state] = int(trans_text)
         except ValueError:
             raise ParseError(f"bad transition count {trans_text!r}", lineno) from None
-        residency[state] = frac
-        transitions[state] = trans
 
     if not header_seen:
         raise ParseError("missing residency header")
@@ -123,6 +128,27 @@ def loads_residency_csv(text: str, duration_s: Optional[float] = None) -> Reside
 
 def load_residency_csv(path: str, duration_s: Optional[float] = None) -> ResidencyProfile:
     return loads_residency_csv(read_input(path), duration_s=duration_s)
+
+
+def loads_residency_items(text: str, duration_s: Optional[float] = None) -> ResidencyProfile:
+    """Parse an inline profile: comma-separated NAME=FRACTION items.
+
+    Each item passes the same checks as a CSV row; inline items carry
+    no transition counts, and the duration defaults to 1 s.
+    """
+    residency: Dict[str, float] = {}
+    for item in text.split(","):
+        item = item.strip()
+        if not item:
+            continue
+        state, sep, frac_text = item.partition("=")
+        if not sep:
+            raise ParseError(f"bad residency item {item!r}, expected NAME=FRACTION")
+        _add_fraction(residency, state.strip(), frac_text.strip())
+    if not residency:
+        raise ParseError("empty residency specification")
+    return ResidencyProfile(duration_s=1.0 if duration_s is None else duration_s,
+                            residency=residency)
 
 
 def dumps_residency_csv(profile: ResidencyProfile) -> str:

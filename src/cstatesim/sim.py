@@ -945,17 +945,6 @@ class SweepPoint:
     p99_delta_vs_first: float = 0.0
 
 
-def __getattr__(name):
-    # PEP 562: concurrent.futures pulls in multiprocessing, logging,
-    # socket and pickle, which only a sweep with jobs > 1 uses, so
-    # sim.ProcessPoolExecutor is imported on first access and cached.
-    if name == "ProcessPoolExecutor":
-        from concurrent.futures import ProcessPoolExecutor
-        globals()[name] = ProcessPoolExecutor
-        return ProcessPoolExecutor
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 def _sweep_load(args) -> List[SimReport]:
     """Every variant at one load, run against the load's shared streams."""
     config, variants, catalog, perf = args
@@ -982,7 +971,7 @@ def _paired_sweep(
     savings, (first - variant) / first, and the mean/p99 latency deltas
     against the first variant at the same load.  With jobs > 1, loads run
     in parallel processes, at most one per load, and the process pool is
-    imported on first use (a serial sweep never loads multiprocessing).
+    imported only then (a serial sweep never loads multiprocessing).
     """
     if not configs:
         raise ValidationError("qps_list must not be empty")
@@ -998,8 +987,10 @@ def _paired_sweep(
     if jobs == 1:
         per_load = [_sweep_load(task) for task in tasks]
     else:
-        pool_class = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
-        with pool_class(max_workers=jobs) as pool:
+        # concurrent.futures pulls in multiprocessing, logging, socket
+        # and pickle, which only a parallel sweep uses.
+        from concurrent.futures import ProcessPoolExecutor
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
             per_load = list(pool.map(_sweep_load, tasks))
 
     points: List[SweepPoint] = []

@@ -137,6 +137,21 @@ def test_unknown_name_rejected():
         CStateSpec("C2", 2.0, 2.0, 100, 4, 4, "P1")
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: PState("P2", 2.0, 4000), "unknown P-state name 'P2'"),
+    (lambda: PState("P1", 2.0, 0), "P1: C0 power must be positive"),
+    (lambda: CStateSpec("C1", 2.0, 2.0, 1440, 4, 4, "P3"), "C1: implied_pstate must be one of"),
+    (lambda: CStateSpec("C1", 2.0, 2.0, 1440, -1, 4, "P1"),
+     "C1: hw latencies must be nonnegative"),
+    (lambda: Catalog(default_catalog().cstates,
+                     {"P1": default_catalog().pstate("P1")}).validate(),
+     r"catalog missing P-states: \['Pn'\]"),
+], ids=["pstate-name", "c0-power", "implied-pstate", "hw-latency", "missing-pstate"])
+def test_out_of_range_field_rejected(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
+
+
 def test_catalog_missing_state_rejected():
     cat = default_catalog()
     partial = {k: v for k, v in cat.cstates.items() if k != "C6"}

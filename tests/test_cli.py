@@ -14,9 +14,9 @@ from cstatesim import fsm
 from cstatesim.catalog import default_catalog, dumps_catalog, save_catalog
 from cstatesim.cli import BUILTIN_VARIANTS, build_parser, main
 from cstatesim.demo import demo_sweep
-from cstatesim.model import PerfModel
-from cstatesim.sim import SnoopSpec
-from cstatesim.reporting import canonical_hash, parse_document
+from cstatesim.model import PerfModel, upper_bound_savings
+from cstatesim.sim import ArrivalSpec, ServiceSpec, SimConfig, SnoopSpec, run
+from cstatesim.reporting import canonical_hash, dumps_residency_csv, parse_document
 
 SIM_INI = """
 [sim]
@@ -152,6 +152,45 @@ class TestModelCli:
         code, _, err = run_cli(capsys, "model", "estimate", "--residency", "C0:1.0")
         assert code == 1
         assert "expected NAME=FRACTION" in err
+
+    def test_residency_and_trace_together_is_usage_error(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["model", "estimate", "--trace", str(tmp_path / "r.csv"),
+                  "--residency", "C0=0.5,C1=0.45,C6=0.05"])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["upper-bound", "estimate"])
+    def test_duration_only_on_estimate_aw(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main(["model", command, "--residency", "C0=0.5,C1=0.45,C6=0.05",
+                  "--duration", "7"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --duration 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("residency, message", [
+        ("C0=0.3,C1=0.7,C1=0.7", "duplicate state 'C1'"),
+        ("C0=0.5,C9=0.5", "unknown state 'C9'"),
+        ("C0=0.5,C1=half", "bad fraction 'half'"),
+    ], ids=["duplicate", "unknown", "bad-fraction"])
+    def test_inline_items_get_the_csv_row_checks(self, capsys, residency, message):
+        code, out, err = run_cli(capsys, "model", "estimate", "--residency", residency)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_upper_bound_reads_a_simulated_profile_as_written(self, capsys, tmp_path):
+        report = run(SimConfig(cores=4, duration_s=0.02, seed=1,
+                               arrival=ArrivalSpec(rate_qps=20000.0),
+                               service=ServiceSpec(mean_us=20.0),
+                               cstates_enabled=frozenset({"C0", "C1", "C6"})))
+        assert "transition" in report.residency.residency
+        trace = tmp_path / "sim_residency.csv"
+        trace.write_text(dumps_residency_csv(report.residency))
+        code, out, _ = run_cli(capsys, "model", "upper-bound", "--trace", str(trace))
+        assert code == 0
+        bound = upper_bound_savings(report.residency, default_catalog())
+        assert out == f"savings {bound * 100.0:.1f}%\n"
 
     def test_missing_trace_file_is_exit_2(self, capsys):
         code, _, err = run_cli(
@@ -318,6 +357,17 @@ class TestSimCli:
         assert code == 1
         assert out == ""
         assert err == "error: snoop rate 1e+10 Hz times the 60 ns C6A snoop window is not below 1\n"
+
+    def test_run_prints_saturation_warning(self, capsys, tmp_path):
+        # 0.9 utilization at nominal speed; halving the clock saturates the core.
+        path = tmp_path / "saturated.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 0.05\nseed = 5\n"
+                        "cstates_enabled = C0,C6A\n\n[arrival]\nrate_qps = 90000\n\n"
+                        "[service]\ndist = fixed\nmean_us = 10\n\n"
+                        "[perf]\nfreq_penalty = 0.5\n")
+        code, out, _ = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 0
+        assert "WARNING: saturated (queue high-water mark kept growing)\n" in out
 
     def test_demo_self_checks_pass(self, capsys):
         code, out, _ = run_cli(capsys, "sim", "demo", "--duration", "0.05")

@@ -21,6 +21,7 @@ from cstatesim.fsm import (
     ACTIVE_STATE,
     CoreDomainState,
     FsmStep,
+    FsmTimeline,
     StaggerPlan,
     entry_timeline,
     exit_timeline,
@@ -238,6 +239,19 @@ def test_blocking_step_needs_a_cost():
         FsmStep("noop", ACTIVE_STATE)
     # annotations may be free of charge
     FsmStep("note", ACTIVE_STATE, blocking=False)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: FsmStep("stall", ACTIVE_STATE, cycles=-1), "step 'stall': negative cost"),
+    (lambda: FsmTimeline("resume", "C6A", ACTIVE_STATE,
+                         (FsmStep("wake", ACTIVE_STATE, cycles=1),)), "flow must be one of"),
+    (lambda: FsmTimeline("entry", "C6A", ACTIVE_STATE, ()),
+     "a timeline needs at least one step"),
+    (lambda: snoop_timeline("C6A", service_ns=-1), "service_ns must be nonnegative"),
+], ids=["step-cost", "flow", "no-steps", "snoop-service"])
+def test_out_of_range_field_rejected(build, message):
+    with pytest.raises(ValidationError, match=message):
+        build()
 
 
 def test_rows_do_not_advance_on_annotations():

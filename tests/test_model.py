@@ -17,12 +17,13 @@ frozen here:
                                      -> savings 0.2026213...
 """
 
+import dataclasses
 import math
 import warnings
 
 import pytest
 
-from cstatesim.catalog import default_catalog
+from cstatesim.catalog import Catalog, default_catalog
 from cstatesim.errors import ValidationError
 from cstatesim.model import (
     TRANSITION_BUCKET,
@@ -59,6 +60,13 @@ def test_profile_small_drift_renormalized_with_warning():
     assert math.isclose(sum(p.residency.values()), 1.0, abs_tol=1e-12)
 
 
+def test_profile_renormalization_warning_points_at_the_caller():
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ResidencyProfile(1.0, {"C0": 0.5, "C1": 0.5 + 4e-7})
+    assert [w.filename for w in caught] == [__file__]
+
+
 def test_profile_transitions_must_reference_known_states():
     with pytest.raises(ValidationError, match="C6"):
         profile({"C0": 1.0}, transitions={"C6": 5})
@@ -69,6 +77,11 @@ def test_profile_rejects_bad_duration_and_fractions():
         profile({"C0": 1.0}, duration_s=0.0)
     with pytest.raises(ValidationError):
         profile({"C0": 1.5, "C1": -0.5})
+
+
+def test_profile_rejects_negative_transition_count():
+    with pytest.raises(ValidationError, match=r"transitions\['C1'\] = -1 negative"):
+        profile({"C0": 0.5, "C1": 0.5}, transitions={"C1": -1})
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +162,19 @@ def test_upper_bound_goldens(residency, expected):
 def test_upper_bound_with_no_c1_is_zero():
     assert upper_bound_savings(profile({"C0": 1.0}), CAT) == 0.0
     assert upper_bound_savings(profile({"C0": 0.5, "C6": 0.5}), CAT) == 0.0
+
+
+def test_upper_bound_prices_the_transition_bucket_at_c0():
+    # A simulated profile as it is equals the profile with the bucket folded into C0.
+    got = upper_bound_savings(
+        profile({"C0": 0.4, TRANSITION_BUCKET: 0.1, "C1": 0.45, "C6": 0.05}), CAT)
+    assert got == pytest.approx(0.45 * 1.34 / 2.653, abs=1e-12)
+
+
+def test_upper_bound_on_a_zero_power_baseline_is_zero():
+    free_c6 = dataclasses.replace(CAT["C6"], power_mw=0)
+    catalog = Catalog({**CAT.cstates, "C6": free_c6}, CAT.pstates)
+    assert upper_bound_savings(profile({"C6": 1.0}), catalog) == 0.0
 
 
 def test_upper_bound_rejects_other_states():

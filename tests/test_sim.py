@@ -19,6 +19,7 @@ Hand-derived expectations used below:
   two report fields must agree to float round-off.
 """
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import itertools
@@ -302,6 +303,23 @@ class TestConfigValidation:
     def test_bad_predictor_rejected(self):
         with pytest.raises(ValidationError, match="predictor"):
             GovernorPolicy(predictor="psychic")
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: ArrivalSpec(process="uniform"), "arrival process must be one of"),
+        (lambda: ArrivalSpec(rate_qps=-1.0), "rate_qps must be nonnegative"),
+        (lambda: ServiceSpec(dist="pareto"), "service dist must be one of"),
+        (lambda: ServiceSpec(mean_us=0.0), "mean_us must be positive"),
+        (lambda: ServiceSpec(dist="lognormal", sigma=0.0), "lognormal sigma must be positive"),
+        (lambda: SnoopSpec(rate_per_core_hz=-1.0), "snoop rate must be nonnegative"),
+        (lambda: SnoopSpec(service_ns=-1), "snoop service_ns must be nonnegative"),
+        (lambda: GovernorPolicy(ewma_alpha=0.0), r"ewma_alpha must be in \(0, 1\]"),
+        (lambda: GovernorPolicy(ewma_alpha=1.5), r"ewma_alpha must be in \(0, 1\]"),
+        (lambda: quiet_config(pack_queue_cap=0), "pack_queue_cap must be >= 1"),
+    ], ids=["process", "rate", "dist", "mean", "sigma", "snoop-rate", "snoop-service",
+            "alpha-zero", "alpha-above-one", "pack-cap"])
+    def test_out_of_range_field_rejected(self, build, message):
+        with pytest.raises(ValidationError, match=message):
+            build()
 
     def test_negative_rtt_rejected(self):
         with pytest.raises(ValidationError, match="rtt"):
@@ -989,7 +1007,7 @@ class TestSweep:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(sim_module, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
         serial = sweep(self.base(), [1000.0, 3000.0], self.VARIANTS)
         assert sweep(self.base(), [1000.0, 3000.0], self.VARIANTS, jobs=64) == serial
         assert sizes == [2]
