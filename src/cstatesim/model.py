@@ -21,7 +21,7 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional
 
-from .catalog import REPLACEMENTS, Catalog
+from .catalog import AGILE_STATES, CSTATE_NAMES, REPLACEMENTS, Catalog
 from .errors import ValidationError
 
 __all__ = [
@@ -254,7 +254,7 @@ def avg_power_aw(
     model, renames C1 -> C6A and C1E -> C6AE, and reprices it.  The
     result carries savings_vs against the unmodified baseline.
     """
-    allowed = {"C0", "C1", "C1E", "C6", TRANSITION_BUCKET}
+    allowed = (set(CSTATE_NAMES) - AGILE_STATES) | {TRANSITION_BUCKET}
     extra = set(profile.residency) - allowed
     if extra:
         raise ValidationError(

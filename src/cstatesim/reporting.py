@@ -152,12 +152,14 @@ def loads_residency_items(text: str, duration_s: Optional[float] = None) -> Resi
 
 
 def dumps_residency_csv(profile: ResidencyProfile) -> str:
+    """Render a profile as a residency CSV; floats are written with repr,
+    so the file reads back to the same profile exactly."""
     out = io.StringIO()
-    out.write(f"# duration_s={_fmt6(profile.duration_s)}\n")
+    out.write(f"# duration_s={profile.duration_s!r}\n")
     out.write(",".join(_RESIDENCY_HEADER) + "\n")
     for state in sorted(profile.residency):
         out.write(
-            f"{state},{_fmt6(profile.residency[state])},"
+            f"{state},{profile.residency[state]!r},"
             f"{profile.transitions.get(state, 0)}\n"
         )
     return out.getvalue()

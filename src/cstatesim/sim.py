@@ -283,11 +283,6 @@ class SimConfig:
         if self.pack_queue_cap < 1:
             raise ValidationError("pack_queue_cap must be >= 1")
 
-    def validate_against(self, catalog: Catalog) -> None:
-        for name in sorted(self.cstates_enabled):
-            catalog[name]  # raises on unknown states
-
-
 @dataclass(frozen=True)
 class LatencyStats:
     """Request latency summary in microseconds (zeros when no requests)."""
@@ -594,7 +589,6 @@ def run(
         catalog = default_catalog()
     if perf is None:
         perf = PerfModel()
-    config.validate_against(catalog)
 
     # Idle states are indices into the sorted menu; "C0" sorts first, so
     # it is index 0 and the idle states are 1 and up.

@@ -358,6 +358,26 @@ class TestSimCli:
         assert out == ""
         assert err == "error: snoop rate 1e+10 Hz times the 60 ns C6A snoop window is not below 1\n"
 
+    @pytest.mark.parametrize("turbo", ["", "turbo_c0_power_w = 11\n"],
+                             ids=["catalog-c0", "turbo-c0"])
+    def test_run_unknown_state_is_exit_1(self, capsys, tmp_path, turbo):
+        path = tmp_path / "c9.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 0.01\nseed = 3\n"
+                        "cstates_enabled = C0,C1,C9\n" + turbo)
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown C-state 'C9'\n"
+
+    def test_sweep_unknown_state_in_a_config_variant_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "c9.ini"
+        path.write_text(SIM_INI + "\n[variant:bad]\ncstates = C0,C9\n")
+        code, out, err = run_cli(capsys, "sim", "sweep", "--config", str(path),
+                                 "--qps", "1000", "--variants", "baseline,bad")
+        assert code == 1
+        assert out == ""
+        assert err == "error: unknown C-state 'C9'\n"
+
     def test_run_prints_saturation_warning(self, capsys, tmp_path):
         # 0.9 utilization at nominal speed; halving the clock saturates the core.
         path = tmp_path / "saturated.ini"
@@ -467,28 +487,84 @@ class TestFsmCli:
 # validate
 
 
+def validate_catalog(capsys, tmp_path, text):
+    path = tmp_path / "catalog.ini"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "validate", "--catalog", str(path))
+    assert err == ""
+    return code, out, [line for line in out.splitlines() if line.startswith("FAIL")]
+
+
 class TestValidateCli:
+    CHECKS = [
+        "upper-bound savings 23% profile",
+        "upper-bound savings 41% profile",
+        "upper-bound savings 55% profile",
+        "C6A power within its budget (290, 315) mW",
+        "C6AE power within its budget (227, 243) mW",
+        "C6A/C0(P1) power ratio in [5%, 8%]",
+        "C6AE/C0(P1) power ratio in [5%, 8%]",
+        "agile entry <= 20 ns",
+        "agile exit <= 85 ns",
+        "C6 reference entry 87 us",
+        "C6 reference exit 30 us",
+        "C1 reference entry <= 10 ns",
+        "C6 transition / agile hw latency >= 900x",
+        "catalog power strictly decreasing C0 > C1 > C1E > C6A > C6AE > C6",
+    ]
+
     def test_default_catalog_passes(self, capsys):
         code, out, _ = run_cli(capsys, "validate")
         assert code == 0
-        assert "all checks passed" in out
-        assert "FAIL" not in out
-        assert out.count("PASS") >= 15
+        assert out.splitlines() == [f"PASS {name}" for name in self.CHECKS] + [
+            "all checks passed"
+        ]
 
     def test_broken_catalog_fails_power_ordering(self, capsys, tmp_path):
-        # Raise C6A above C1E so exactly the ordering check trips.
+        # C6A at 2.0 W sits above C1E, outside its budget and at half of P1.
         broken = dumps_catalog(default_catalog()).replace(
             "power_w = 0.3\n", "power_w = 2.0\n"
         )
         assert "power_w = 2.0" in broken
-        path = tmp_path / "broken.ini"
-        path.write_text(broken)
-        code, out, _ = run_cli(capsys, "validate", "--catalog", str(path))
+        code, out, fails = validate_catalog(capsys, tmp_path, broken)
         assert code == 1
-        fails = [line for line in out.splitlines() if line.startswith("FAIL")]
-        assert len(fails) == 1
-        assert "power strictly decreasing" in fails[0]
-        assert "1 failure(s)" in out
+        assert fails == [
+            "FAIL C6A power within its budget (290, 315) mW: got 2000 mW",
+            "FAIL C6A/C0(P1) power ratio in [5%, 8%]: got 0.5000",
+            "FAIL catalog power strictly decreasing C0 > C1 > C1E > C6A > C6AE > C6: "
+            "power(C1E) = 880 mW not greater than power(C6A) = 2000 mW",
+        ]
+        assert out.endswith("3 failure(s)\n")
+
+    def test_agile_power_over_budget_in_power_order(self, capsys, tmp_path):
+        # 0.5 W keeps the power order but is 12.5 % of P1 and over budget.
+        broken = dumps_catalog(default_catalog()).replace(
+            "power_w = 0.3\n", "power_w = 0.5\n"
+        )
+        code, out, fails = validate_catalog(capsys, tmp_path, broken)
+        assert code == 1
+        assert fails == [
+            "FAIL C6A power within its budget (290, 315) mW: got 500 mW",
+            "FAIL C6A/C0(P1) power ratio in [5%, 8%]: got 0.1250",
+        ]
+        assert out.endswith("2 failure(s)\n")
+
+    def test_c6_entry_latency_read_from_the_catalog(self, capsys, tmp_path):
+        broken = dumps_catalog(default_catalog()).replace(
+            "hw_entry_ns = 87000\n", "hw_entry_ns = 80000\n"
+        )
+        code, _, fails = validate_catalog(capsys, tmp_path, broken)
+        assert code == 1
+        assert fails == ["FAIL C6 reference entry 87 us: got 80000 ns"]
+
+    def test_zero_agile_hw_latency_ends_without_a_traceback(self, capsys, tmp_path):
+        cat = default_catalog()
+        c6a = dataclasses.replace(cat["C6A"], hw_entry_ns=0, hw_exit_ns=0)
+        zero = dataclasses.replace(cat, cstates={**cat.cstates, "C6A": c6a})
+        code, out, fails = validate_catalog(capsys, tmp_path, dumps_catalog(zero))
+        assert code == 0
+        assert fails == []
+        assert "PASS C6 transition / agile hw latency >= 900x\n" in out
 
     def test_catalog_breaking_a_state_contract_does_not_load(self, capsys, tmp_path):
         # C6's target residency below its transition time: the catalog is

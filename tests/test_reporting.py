@@ -2,6 +2,7 @@
 timeline rendering, and the INI simulation config."""
 
 import json
+import warnings
 from dataclasses import MISSING, fields
 
 import pytest
@@ -80,6 +81,20 @@ class TestResidencyCsv:
         assert again.duration_s == prof.duration_s
         assert again.residency == prof.residency
         assert again.transitions == prof.transitions
+
+    def test_simulated_profile_round_trips_exactly(self):
+        report = run(SimConfig(cores=4, duration_s=0.02, seed=1,
+                               arrival=ArrivalSpec(rate_qps=20000.0),
+                               service=ServiceSpec(mean_us=20.0),
+                               cstates_enabled=frozenset({"C0", "C1", "C6"})))
+        prof = report.residency
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            again = loads_residency_csv(dumps_residency_csv(prof))
+        assert again.duration_s == prof.duration_s
+        assert again.residency == prof.residency
+        # Every row carries a count, so the transition bucket reads back as 0.
+        assert again.transitions == {**dict.fromkeys(prof.residency, 0), **prof.transitions}
 
     def test_transition_bucket_row_allowed(self):
         text = "state,fraction,transitions\nC0,0.5,10\nC1,0.49,10\ntransition,0.01,0\n"
