@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Compare the simulator of two checkouts on random configs.
 
-Draws N random single-run configs from --seed and runs each of them in
+Draws N random configs from --seed and runs each of them in
 one subprocess per checkout, with cstatesim imported from that
 checkout's src/ directory.  The configs cover every arrival process,
 dispatch policy, predictor and idle-state menu (all 31), snoops on and
 off, a network RTT, turbo, pack_queue_cap 1-5, horizons down to 1 ns,
-and trace=True on about a third.  Each config expects at most
---max-requests requests (default 3000); above the default, horizons are
-drawn longer in proportion, so that at 20000 about one config in seven
-crosses a chunk of 4096 drawn arrivals or service times.  For each
-config it compares the whole sim_report document (config, results and
-provenance, with only the provenance timestamp dropped) and the
+and trace=True on about a third.  About one config in ten runs instead
+as a sim.sweep of 2 loads (its rate and a lower one) by 3 menus, two of
+which share a service inflation (both agile or both not), so the second
+of them replays the service times the first converted.  Each config
+expects at most --max-requests requests (default 3000); above the
+default, horizons are drawn longer in proportion, so that at 20000
+about one config in seven crosses a chunk of 4096 drawn arrivals or
+service times.  For each config it compares the whole sim_report
+document, or the sweep document of a sweep (config, results and
+provenance, with only the provenance timestamp dropped), and the
 SimTrace lists (decisions and idle_intervals, in order).  A config one
 side rejects is compared by its error message.  Every config is
 compared; when some differ, it prints the first one's description with
@@ -41,6 +45,10 @@ MENUS = [
     ["C0"] + [s for k, s in enumerate(IDLE_STATES) if mask >> k & 1]
     for mask in range(1, 2 ** len(IDLE_STATES))
 ]
+# A menu with an agile state runs at the service inflation, one without
+# it at 1.0.
+AGILE_MENUS = [m for m in MENUS if {"C6A", "C6AE"} & set(m)]
+PLAIN_MENUS = [m for m in MENUS if m not in AGILE_MENUS]
 # Expected requests per run stay below this by default, so a config runs
 # in milliseconds.
 MAX_REQUESTS = 3000
@@ -89,18 +97,29 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
         "network_rtt_us": rng.choice([0.0, rng.uniform(0.0, 50.0)]),
         "pack_queue_cap": rng.randint(1, 5),
         "trace": rng.random() < 1 / 3,
+        "sweep": random_sweep(rng, rate_qps) if rng.random() < 0.1 else None,
+    }
+
+
+def random_sweep(rng: random.Random, rate_qps: float) -> dict:
+    """2 loads by 3 menus, the first two sharing a service inflation."""
+    shared = rng.choice([AGILE_MENUS, PLAIN_MENUS])
+    return {
+        "loads_qps": [rate_qps, rate_qps * rng.uniform(0.2, 1.0)],
+        "menus": rng.sample(shared, 2) + [rng.choice(MENUS)],
     }
 
 
 def run_one(description: dict) -> dict:
     """Run one config with the cstatesim on sys.path; plain-data outcome."""
     from cstatesim.errors import ParseError, ValidationError
-    from cstatesim.reporting import sim_report_document
+    from cstatesim.reporting import sim_report_document, sweep_document
     from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
-                               SnoopSpec, run)
+                               SnoopSpec, VariantSpec, run, sweep)
 
     kwargs = dict(description)
     trace = kwargs.pop("trace")
+    grid = kwargs.pop("sweep")
     try:
         config = SimConfig(
             **{**kwargs,
@@ -109,10 +128,16 @@ def run_one(description: dict) -> dict:
                "governor": GovernorPolicy(**kwargs["governor"]),
                "snoop": SnoopSpec(**kwargs["snoop"]),
                "cstates_enabled": frozenset(kwargs["cstates_enabled"])})
-        report = run(config, trace=trace)
+        if grid:
+            variants = [VariantSpec(f"v{k}", frozenset(menu))
+                        for k, menu in enumerate(grid["menus"])]
+            document = sweep_document(sweep(config, grid["loads_qps"], variants), config)
+            trace = False
+        else:
+            report = run(config, trace=trace)
+            document = sim_report_document(report)
     except (ValidationError, ParseError) as e:
         return {"error": f"{type(e).__name__}: {e}"}
-    document = sim_report_document(report)
     del document["provenance"]["timestamp"]
     out = {"document": document}
     if trace:
@@ -193,12 +218,14 @@ def main() -> int:
         paths.update({re.sub(r"\[\d+\]", "[*]", path) for path, _, _ in differences(p, c)})
     errors = sum("error" in p for p in parent)
     traced = sum("trace_sha256" in p for p in parent)
+    swept = sum(p.get("document", {}).get("kind") == "sweep" for p in parent)
     if differing:
         print(f"{differing} of {len(parent)} configs differ; configs per key path:")
         for path, n in sorted(paths.items(), key=lambda item: (-item[1], item[0])):
             print(f"{n:8d}  {path}")
         return 1
-    print(f"{len(parent)} configs matched ({traced} traced, {errors} rejected by both)")
+    print(f"{len(parent)} configs matched ({traced} traced, {swept} swept, "
+          f"{errors} rejected by both)")
     return 0
 
 

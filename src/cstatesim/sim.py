@@ -45,6 +45,10 @@ writes only those two per-core tables; every entry and exit adds
 entry_ns + exit_ns of transition time, so the transition bucket and the
 C0 entries are settled once after the loop, from the entry counts and
 the horizon's cuts, and so is the network RTT, with the per-name tables.
+Latencies stay Python ints: the loop appends each to a plain list, which
+is sorted in place after the loop, once the run has dropped its own
+stream arrays.  That list, one int per completed request, is the
+largest thing a run holds.
 
 Same-nanosecond ties: a completion at an arrival's time leaves the
 queue before the arrival joins it; an arrival exactly when the queue
@@ -60,11 +64,14 @@ and all randomness flows from named streams derived from the config
 seed (arrivals, service, dispatch, and one snoop stream per core).
 Running the same config twice produces byte-identical reports.  The
 arrival and service streams do not depend on the idle-state menu, so a
-sweep draws them once per load and every variant replays them.  The
-exponential and lognormal samplers are inlined copies of
-random.expovariate and random.lognormvariate: the same uniform draws,
-in the same order, give the same numbers.  Poisson gaps are drawn a
-chunk at a time, with expovariate's draws and arithmetic.
+sweep draws them once per load and every variant replays them.  A load
+converts its service times to integer ns once per distinct service
+inflation, and the variants that share an inflation read one array,
+which no run writes to.  The exponential and lognormal samplers are
+inlined copies of random.expovariate and random.lognormvariate: the
+same uniform draws, in the same order, give the same numbers.  Poisson
+gaps are drawn a chunk at a time, with expovariate's draws and
+arithmetic.
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -84,7 +91,7 @@ import random
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from itertools import accumulate, chain, count, cycle, islice, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -243,8 +250,8 @@ class SimConfig:
         _require_finite(self)
         if not 1 <= self.cores <= MAX_CORES:
             raise ValidationError(f"cores must be in [1, {MAX_CORES}], got {self.cores}")
-        # Arrival times and latencies (at most the horizon plus the RTT)
-        # are stored as 64-bit integer nanoseconds.
+        # Arrival times are stored as 64-bit integer nanoseconds; the
+        # bound also covers a latency (at most the horizon plus the RTT).
         if not (self.duration_s * 1e9 + self.network_rtt_us * 1e3 < 2 ** 62):
             raise ValidationError(
                 "duration_s plus network_rtt_us must be below 2**62 ns (about 146 years)")
@@ -336,8 +343,12 @@ def percentile_us(sorted_ns: Sequence[int], pct: float) -> float:
     """
     if not sorted_ns:
         return 0.0
-    rank = -(-round(pct * 1000) * len(sorted_ns) // 100_000)
-    return sorted_ns[max(0, rank - 1)] / 1000.0
+    return sorted_ns[_rank_index(len(sorted_ns), pct)] / 1000.0
+
+
+def _rank_index(n: int, pct: float) -> int:
+    """Index of the nearest-rank percentile pct among n sorted values."""
+    return max(0, -(-round(pct * 1000) * n // 100_000) - 1)
 
 
 def derive_subseed(seed: int, *parts) -> int:
@@ -522,20 +533,25 @@ class _Streams:
     arrivals: array       # 'q': arrival times before t_end, in ns
     lookahead: float      # the first arrival at or past t_end
     service_s: array      # 'd': one service time per arrival, in s
+    # service_ns's conversions, one per distinct inflation.
+    _service_ns: Dict[float, array] = field(default_factory=dict, compare=False, repr=False)
 
     def service_ns(self, inflation: float) -> array:
         """Service times inflated and rounded to whole ns (at least 1).
 
         round(x * inflation * 1e9) is the arithmetic a run always used,
         so results do not depend on whether the streams are shared.
-        Built for each run and not kept: it costs far less than the draw,
-        and a run drops it before its latency sort, the peak of its
-        memory.
+        Converted once per distinct inflation and kept with the streams,
+        so the variants at one load whose menus share an inflation read
+        one array; no run writes to it.  A run that draws its own
+        streams keeps only this array and the arrivals for its loop.
         """
-        ns = array("q")
-        seconds = self.service_s
-        for lo in range(0, len(seconds), _CHUNK):
-            ns.fromlist([round(x * inflation * 1e9) or 1 for x in seconds[lo:lo + _CHUNK]])
+        ns = self._service_ns.get(inflation)
+        if ns is None:
+            ns = self._service_ns[inflation] = array("q")
+            seconds = self.service_s
+            for lo in range(0, len(seconds), _CHUNK):
+                ns.fromlist([round(x * inflation * 1e9) or 1 for x in seconds[lo:lo + _CHUNK]])
         return ns
 
 
@@ -667,7 +683,7 @@ def run(
     entries = [[0] * n_states for _ in range(n_cores)]
     snoop_clear_ns = [0] * n_cores
 
-    latencies_ns = array("q")
+    latencies_ns: List[int] = []
     rtt_ns = round(config.network_rtt_us * 1000)
     wakeups_aborted = snoops_served = snoop_pj = popped = peak_queue = 0
     # With one idle state on the menu no prediction can change the
@@ -883,13 +899,15 @@ def run(
     )
 
     completed = len(latencies_ns)
-    del arrivals, services  # drop a run's own draws before the sort's copy
-    # Adding the RTT keeps the order, so it is added as the list is sorted.
-    latencies = sorted(map(rtt_ns.__add__, latencies_ns) if rtt_ns else latencies_ns)
+    del arrivals, services  # drop a run's own draws before the sort
+    latencies_ns.sort()
     stats = LatencyStats()
-    if latencies:
-        stats = LatencyStats(sum(latencies) / completed / 1000.0, *(
-            percentile_us(latencies, pct) for pct in (50.0, 95.0, 99.0, 99.9)))
+    if completed:
+        # The RTT shifts every latency alike, so it is added only to the
+        # integer sum and the four ranked values read, not to each one.
+        stats = LatencyStats((sum(latencies_ns) + completed * rtt_ns) / completed / 1000.0, *(
+            (latencies_ns[_rank_index(completed, pct)] + rtt_ns) / 1000.0
+            for pct in (50.0, 95.0, 99.0, 99.9)))
 
     # High-water-mark saturation heuristic: the backlog grew well past
     # anything a stable queue produces and never drained.

@@ -24,6 +24,24 @@ def script(name, *args):
                           capture_output=True, text=True, timeout=120)
 
 
+def diff_results_module():
+    spec = importlib.util.spec_from_file_location("diff_results", SCRIPTS / "diff_results.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def mutant_src(tmp_path, old: str, new: str) -> Path:
+    """A copy of src/ with one line of sim.py replaced."""
+    mutant = tmp_path / "src"
+    shutil.copytree(ROOT / "src", mutant, ignore=shutil.ignore_patterns("__pycache__"))
+    sim_py = mutant / "cstatesim" / "sim.py"
+    text = sim_py.read_text()
+    assert text.count(old) == 1
+    sim_py.write_text(text.replace(old, new))
+    return mutant
+
+
 def test_diff_results_matches_a_checkout_with_itself():
     src = ROOT / "src"
     proc = script("diff_results.py", src, src, "--configs", 10, "--seed", 3)
@@ -35,13 +53,8 @@ def test_diff_results_counts_every_differing_key_path(tmp_path):
     # A copy whose network RTT is 1 ns longer moves every latency figure
     # of every config that completes a request, and nothing else.  The
     # first differing config is printed whole, so it can be rerun.
-    mutant = tmp_path / "src"
-    shutil.copytree(ROOT / "src", mutant, ignore=shutil.ignore_patterns("__pycache__"))
-    sim_py = mutant / "cstatesim" / "sim.py"
-    text = sim_py.read_text()
     line = "    rtt_ns = round(config.network_rtt_us * 1000)\n"
-    assert line in text
-    sim_py.write_text(text.replace(line, line.replace(")\n", ") + 1\n")))
+    mutant = mutant_src(tmp_path, line, line.replace(")\n", ") + 1\n"))
     proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 20, "--seed", 3)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, value, header, *rows = proc.stdout.splitlines()
@@ -56,12 +69,33 @@ def test_diff_results_counts_every_differing_key_path(tmp_path):
                       for key in ("mean", "p50", "p95", "p99", "p999")}
 
 
+def test_diff_results_sweeps_catch_a_run_that_writes_its_service_times(tmp_path):
+    # A copy whose run adds 1 us to every service time it was given,
+    # after its loop.  A stand-alone run converts its own array and drops
+    # it, so every run config matches; only a sweep's second variant at a
+    # shared inflation replays the written array, and differs.
+    configs, seed = 40, 3
+    rng = random.Random(seed)
+    drawn = [diff_results_module().random_config(rng) for _ in range(configs)]
+    sweeps = sum(d["sweep"] is not None for d in drawn)
+    assert sweeps >= 1
+    line = "    del arrivals, services  # drop a run's own draws before the sort\n"
+    mutant = mutant_src(tmp_path, line, "    for k, s in enumerate(services):\n"
+                                        "        services[k] = s + 1000\n" + line)
+    proc = script("diff_results.py", ROOT / "src", mutant, "--configs", configs, "--seed", seed)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first, value, header, *rows = proc.stdout.splitlines()
+    assert '"sweep": {' in first
+    assert value.startswith(".document.results.points[")
+    assert 1 <= int(header.split()[0]) <= sweeps
+    assert rows and all(row.split()[1].startswith(".document.results.points[*].")
+                        for row in rows)
+
+
 def test_diff_results_max_requests_sizes_the_configs():
     # The default keeps every config under 3,000 expected requests; the
     # knob lets them reach past 10k, across chunks of 4096 draws.
-    spec = importlib.util.spec_from_file_location("diff_results", SCRIPTS / "diff_results.py")
-    diff_results = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(diff_results)
+    diff_results = diff_results_module()
 
     def expected_requests(max_requests):
         rng = random.Random(5)

@@ -27,6 +27,7 @@ import json
 import math
 import random
 import time
+from array import array
 from fractions import Fraction
 
 import pytest
@@ -939,6 +940,35 @@ class TestSweep:
                          arrival=ArrivalSpec(rate_qps=10_000.0),
                          service=ServiceSpec("exponential", 10.0), turbo_c0_power_w=11.0)
         self._assert_points_equal_standalone_runs(base, [10_000.0, 20_000.0], self.VARIANTS)
+
+    def test_variants_sharing_an_inflation_share_one_conversion(self):
+        # The two agile menus run at one service inflation and the two
+        # others at 1.0, so each load converts its service times twice
+        # and two variants read each array.  In either order every point
+        # equals a stand-alone run, and afterwards the shared arrays
+        # still equal a fresh conversion: no run wrote to them.
+        base = SimConfig(cores=2, duration_s=0.01, seed=5,
+                         arrival=ArrivalSpec(rate_qps=20_000.0),
+                         service=ServiceSpec("lognormal", 20.0, sigma=1.0),
+                         governor=GovernorPolicy("ewma"), snoop=SnoopSpec(50_000.0),
+                         network_rtt_us=3.0)
+        variants = [VariantSpec("baseline", frozenset({"C0", "C1", "C1E", "C6"})),
+                    VariantSpec("agile_only", frozenset({"C0", "C6A"})),
+                    VariantSpec("no_c6", frozenset({"C0", "C1", "C1E"})),
+                    VariantSpec("agile", frozenset({"C0", "C6A", "C6AE", "C6"}))]
+        for order in (variants, variants[::-1]):
+            self._assert_points_equal_standalone_runs(base, [10_000.0, 30_000.0], order)
+
+        perf = PerfModel()
+        streams = _draw_streams(base)
+        for variant in variants:
+            run(dataclasses.replace(base, cstates_enabled=variant.cstates),
+                perf=perf, streams=streams)
+        for inflation in (1.0, perf.service_inflation):
+            shared = streams.service_ns(inflation)
+            assert streams.service_ns(inflation) is shared
+            assert shared == array("q", [round(x * inflation * 1e9) or 1
+                                         for x in streams.service_s])
 
     def test_streams_drawn_for_another_config_rejected(self):
         cfg = self.base()
