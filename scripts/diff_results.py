@@ -5,11 +5,12 @@ Draws N random configs from --seed and runs each of them in
 one subprocess per checkout, with cstatesim imported from that
 checkout's src/ directory.  The configs cover every arrival process,
 dispatch policy, predictor and idle-state menu (all 31), snoops on and
-off, a network RTT, turbo, pack_queue_cap 1-5, horizons down to 1 ns,
-and trace=True on about a third.  About one config in ten runs instead
-as a sim.sweep of 2 loads (its rate and a lower one) by 3 menus, two of
-which share a service inflation (both agile or both not), so the second
-of them replays the service times the first converted.  Each config
+off, a network RTT, a catalog whose C0 power is drawn on about a third,
+pack_queue_cap 1-5, horizons down to 1 ns, and trace=True on about a
+third.  About one config in ten runs instead as a sim.sweep of 2 loads
+(its rate and a lower one) by 3 menus, two of which share a service
+inflation (both agile or both not), so the second of them replays the
+service times the first converted.  Each config
 expects at most --max-requests requests (default 3000); above the
 default, horizons are drawn longer in proportion, so that at 20000
 about one config in seven crosses a chunk of 4096 drawn arrivals or
@@ -21,6 +22,8 @@ side rejects is compared by its error message.  Every config is
 compared; when some differ, it prints the first one's description with
 its first differing key path and values, then each key path that
 differs (list indices as [*]) with the number of configs where it does.
+A key that one side has and the other lacks differs, even when its
+value is null; the lacking side's value prints as <absent>.
 
 Usage:
     python3 scripts/diff_results.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
@@ -89,7 +92,7 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
             "ewma_alpha": rng.uniform(0.05, 1.0),
         },
         "cstates_enabled": rng.choice(MENUS),
-        "turbo_c0_power_w": rng.choice([None, None, rng.uniform(5.0, 12.0)]),
+        "c0_power_w": rng.choice([None, None, rng.uniform(5.0, 12.0)]),
         "snoop": {
             "rate_per_core_hz": 10 ** rng.uniform(3.0, 6.5) if snoops_on else 0.0,
             "service_ns": rng.randint(0, 200),
@@ -111,7 +114,14 @@ def random_sweep(rng: random.Random, rate_qps: float) -> dict:
 
 
 def run_one(description: dict) -> dict:
-    """Run one config with the cstatesim on sys.path; plain-data outcome."""
+    """Run one config with the cstatesim on sys.path; plain-data outcome.
+
+    A drawn c0_power_w becomes the [C0] power of the default catalog,
+    in whole milliwatts, as a catalog file would give it.
+    """
+    from dataclasses import replace
+
+    from cstatesim.catalog import default_catalog
     from cstatesim.errors import ParseError, ValidationError
     from cstatesim.reporting import sim_report_document, sweep_document
     from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
@@ -120,6 +130,12 @@ def run_one(description: dict) -> dict:
     kwargs = dict(description)
     trace = kwargs.pop("trace")
     grid = kwargs.pop("sweep")
+    c0_power_w = kwargs.pop("c0_power_w")
+    catalog = None
+    if c0_power_w is not None:
+        catalog = default_catalog()
+        c0 = replace(catalog["C0"], power_mw=round(c0_power_w * 1000))
+        catalog = replace(catalog, cstates={**catalog.cstates, "C0": c0})
     try:
         config = SimConfig(
             **{**kwargs,
@@ -131,10 +147,11 @@ def run_one(description: dict) -> dict:
         if grid:
             variants = [VariantSpec(f"v{k}", frozenset(menu))
                         for k, menu in enumerate(grid["menus"])]
-            document = sweep_document(sweep(config, grid["loads_qps"], variants), config)
+            points = sweep(config, grid["loads_qps"], variants, catalog=catalog)
+            document = sweep_document(points, config)
             trace = False
         else:
-            report = run(config, trace=trace)
+            report = run(config, catalog=catalog, trace=trace)
             document = sim_report_document(report)
     except (ValidationError, ParseError) as e:
         return {"error": f"{type(e).__name__}: {e}"}
@@ -167,12 +184,23 @@ def outcomes(src: str, n: int, seed: int, max_requests: int) -> list:
     return [json.loads(line) for line in proc.stdout.splitlines()]
 
 
+class Absent:
+    """The value of a key that one document lacks."""
+
+    def __repr__(self):
+        return "<absent>"
+
+
+ABSENT = Absent()
+
+
 def differences(a, b, path=""):
     """(key path, a's value, b's value) wherever two JSON values differ, in order."""
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(set(a) | set(b)):
-            if a.get(key) != b.get(key):
-                yield from differences(a.get(key), b.get(key), f"{path}.{key}")
+            x, y = a.get(key, ABSENT), b.get(key, ABSENT)
+            if x != y:
+                yield from differences(x, y, f"{path}.{key}")
     elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
         for k, (x, y) in enumerate(zip(a, b)):
             if x != y:

@@ -154,7 +154,7 @@ def cmd_model_estimate_aw(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _print_report(report: SimReport) -> None:
-    print(f"seed            {report.seed}")
+    print(f"seed            {report.config.seed}")
     print(f"avg power       {report.avg_power_w:.6g} W")
     print(f"energy          {report.energy_j:.6g} J")
     lat = report.latency_us
@@ -185,9 +185,7 @@ def cmd_sim_run(args) -> int:
         save_document(sim_report_document(report), args.out)
         print(f"wrote {args.out}")
     if args.plot:
-        table = emit_plot_table(
-            [SweepPoint("run", parsed.config.arrival.rate_qps, report)]
-        )
+        table = emit_plot_table([SweepPoint("run", report)])
         with open(args.plot, "w") as f:
             f.write(table)
         print(f"wrote {args.plot}")

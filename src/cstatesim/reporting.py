@@ -230,7 +230,7 @@ def sim_report_document(report: SimReport) -> dict:
         "peak_queue": report.peak_queue,
     }
     return make_document("sim_report", config_to_dict(report.config), results,
-                         report.seed)
+                         report.config.seed)
 
 
 def sweep_document(points: Sequence[SweepPoint], base: SimConfig) -> dict:
@@ -239,7 +239,7 @@ def sweep_document(points: Sequence[SweepPoint], base: SimConfig) -> dict:
             {
                 "variant": p.variant,
                 "qps": p.qps,
-                "seed": p.report.seed,
+                "seed": p.report.config.seed,
                 "avg_power_w": p.report.avg_power_w,
                 "savings_vs_first": p.savings_vs_first,
                 "mean_delta_vs_first": p.mean_delta_vs_first,
@@ -379,7 +379,6 @@ def _state_list(raw: str) -> frozenset:
 _READERS = {
     int: int,
     float: float,
-    Optional[float]: float,
     str: str.strip,
     frozenset: _state_list,
 }

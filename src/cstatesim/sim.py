@@ -79,8 +79,7 @@ residency buckets reproduces the reported energy with no rounding slop.
 
 Scope notes: request service is single-threaded per core and FIFO; the
 network is at most a constant RTT added to reported latency; snoops are
-an exogenous Poisson process; thermal behavior is not modeled (turbo is
-just an alternate active power level).
+an exogenous Poisson process; thermal behavior is not modeled.
 """
 
 from __future__ import annotations
@@ -193,6 +192,10 @@ class ServiceSpec:
             raise ValidationError(f"service dist must be one of {_SERVICE_DISTS}")
         if self.mean_us <= 0:
             raise ValidationError("mean_us must be positive")
+        # The samplers work in seconds, and divide by or take the log of
+        # the mean.
+        if not self.mean_us * 1e-6 > 0:
+            raise ValidationError(f"mean_us {self.mean_us!r} underflows to 0 s")
         if self.dist == "lognormal" and self.sigma <= 0:
             raise ValidationError("lognormal sigma must be positive")
 
@@ -241,7 +244,6 @@ class SimConfig:
     dispatch: str = "round_robin"
     governor: GovernorPolicy = GovernorPolicy()
     cstates_enabled: frozenset = frozenset({"C0", "C1", "C1E", "C6"})
-    turbo_c0_power_w: Optional[float] = None
     snoop: SnoopSpec = SnoopSpec()
     network_rtt_us: float = 0.0
     pack_queue_cap: int = 4  # pack_lowest_index spills past this queue depth
@@ -285,8 +287,6 @@ class SimConfig:
             )
         if self.network_rtt_us < 0:
             raise ValidationError("network_rtt_us must be nonnegative")
-        if self.turbo_c0_power_w is not None and self.turbo_c0_power_w <= 0:
-            raise ValidationError("turbo_c0_power_w must be positive")
         if self.pack_queue_cap < 1:
             raise ValidationError("pack_queue_cap must be >= 1")
 
@@ -317,13 +317,11 @@ class SimTrace:
 @dataclass(frozen=True)
 class SimReport:
     config: SimConfig
-    seed: int
     energy_j: float
     avg_power_w: float
     residency: ResidencyProfile               # aggregated across cores
     per_core: List[ResidencyProfile]
     latency_us: LatencyStats
-    transitions: Dict[str, int]
     wakeups_aborted: int
     snoops_served: int
     requests_offered: int
@@ -331,6 +329,11 @@ class SimReport:
     saturated: bool
     peak_queue: int
     trace: Optional[SimTrace] = None
+
+    @property
+    def transitions(self) -> Dict[str, int]:
+        """Entries per state, summed over cores (the residency's counts)."""
+        return self.residency.transitions
 
 
 def percentile_us(sorted_ns: Sequence[int], pct: float) -> float:
@@ -545,13 +548,18 @@ class _Streams:
         so the variants at one load whose menus share an inflation read
         one array; no run writes to it.  A run that draws its own
         streams keeps only this array and the arrivals for its loop.
+        An array is kept only once it is whole.
         """
         ns = self._service_ns.get(inflation)
         if ns is None:
-            ns = self._service_ns[inflation] = array("q")
-            seconds = self.service_s
-            for lo in range(0, len(seconds), _CHUNK):
-                ns.fromlist([round(x * inflation * 1e9) or 1 for x in seconds[lo:lo + _CHUNK]])
+            ns, seconds = array("q"), self.service_s
+            try:
+                for lo in range(0, len(seconds), _CHUNK):
+                    ns.fromlist([round(x * inflation * 1e9) or 1
+                                 for x in seconds[lo:lo + _CHUNK]])
+            except OverflowError:
+                raise ValidationError("a service time is not below 2**63 ns") from None
+            self._service_ns[inflation] = ns
         return ns
 
 
@@ -613,12 +621,9 @@ def run(
     agile_on = bool(config.cstates_enabled & AGILE_STATES)
     inflation = perf.service_inflation if agile_on else 1.0
 
-    # Active (C0) power: the turbo override, when set, applies to every
-    # powered-and-stalled segment as well as actual service.
-    if config.turbo_c0_power_w is not None:
-        active_mw = round(config.turbo_c0_power_w * 1000)
-    else:
-        active_mw = catalog["C0"].power_mw
+    # Active (C0) power applies to every powered-and-stalled segment as
+    # well as actual service.
+    active_mw = catalog["C0"].power_mw
     state_mw = [catalog[name].power_mw for name in names]
     thresholds, picks = _state_picker(config.cstates_enabled, catalog)
 
@@ -891,11 +896,10 @@ def run(
         name: sum(bucket[name] for bucket in buckets) / (t_end * config.cores)
         for name in buckets[0]
     }
-    agg_transitions = dict(zip(names, map(sum, zip(*entries))))
     aggregated = ResidencyProfile(
         duration_s=horizon_s,
         residency=agg_residency,
-        transitions=agg_transitions,
+        transitions=dict(zip(names, map(sum, zip(*entries)))),
     )
 
     completed = len(latencies_ns)
@@ -916,13 +920,11 @@ def run(
 
     return SimReport(
         config=config,
-        seed=config.seed,
         energy_j=energy_j,
         avg_power_w=avg_power_w,
         residency=aggregated,
         per_core=per_core,
         latency_us=stats,
-        transitions=agg_transitions,
         wakeups_aborted=wakeups_aborted,
         snoops_served=snoops_served,
         requests_offered=offered,
@@ -950,11 +952,15 @@ class SweepPoint:
     """One (load, variant) result with deltas against the first variant."""
 
     variant: str
-    qps: float
     report: SimReport
     savings_vs_first: float = 0.0
     mean_delta_vs_first: float = 0.0
     p99_delta_vs_first: float = 0.0
+
+    @property
+    def qps(self) -> float:
+        """The point's load: its run's arrival rate."""
+        return self.report.config.arrival.rate_qps
 
 
 def _sweep_load(args) -> List[SimReport]:
@@ -1006,13 +1012,12 @@ def _paired_sweep(
             per_load = list(pool.map(_sweep_load, tasks))
 
     points: List[SweepPoint] = []
-    for config, (first, *others) in zip(configs, per_load):
-        qps = config.arrival.rate_qps
+    for first, *others in per_load:
         base_p, base_lat = first.avg_power_w, first.latency_us
-        points.append(SweepPoint(variants[0].name, qps, first))
+        points.append(SweepPoint(variants[0].name, first))
         for variant, rep in zip(variants[1:], others):
             savings = (base_p - rep.avg_power_w) / base_p if base_p > 0 else 0.0
-            points.append(SweepPoint(variant.name, qps, rep, savings,
+            points.append(SweepPoint(variant.name, rep, savings,
                                      _delta(rep.latency_us.mean, base_lat.mean),
                                      _delta(rep.latency_us.p99, base_lat.p99)))
     return points

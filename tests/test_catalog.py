@@ -337,8 +337,8 @@ def test_infinite_power_in_file_rejected():
 
 @pytest.mark.parametrize("value", ["11", "inf", "1e306"])
 def test_turbo_section_rejected(value):
-    # The catalog has no turbo knob: the simulator reads C0 power from
-    # [C0] or from the sim config's turbo_c0_power_w.
+    # The catalog has no turbo knob: the simulator reads C0 power only
+    # from [C0] power_w.
     with pytest.raises(ParseError, match="unknown section 'turbo'"):
         loads_catalog(f"[turbo]\nc0_power_w = {value}\n")
 

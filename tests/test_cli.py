@@ -43,6 +43,15 @@ def sim_config(tmp_path):
     return str(path)
 
 
+def c0_catalog_file(tmp_path, power_w):
+    """A catalog file that gives C0 power_w and the built-in C0's other keys."""
+    path = tmp_path / "c0.ini"
+    path.write_text("[C0]\ntransition_time_us = 0\ntarget_residency_us = 0\n"
+                    f"power_w = {power_w}\nhw_entry_ns = 0\nhw_exit_ns = 0\n"
+                    "implied_pstate = P1\n")
+    return str(path)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -358,16 +367,57 @@ class TestSimCli:
         assert out == ""
         assert err == "error: snoop rate 1e+10 Hz times the 60 ns C6A snoop window is not below 1\n"
 
-    @pytest.mark.parametrize("turbo", ["", "turbo_c0_power_w = 11\n"],
-                             ids=["catalog-c0", "turbo-c0"])
-    def test_run_unknown_state_is_exit_1(self, capsys, tmp_path, turbo):
+    @pytest.mark.parametrize("c0_power_w", [None, 11.0], ids=["catalog-c0", "catalog-file-c0"])
+    def test_run_unknown_state_is_exit_1(self, capsys, tmp_path, c0_power_w):
         path = tmp_path / "c9.ini"
         path.write_text("[sim]\ncores = 1\nduration_s = 0.01\nseed = 3\n"
-                        "cstates_enabled = C0,C1,C9\n" + turbo)
-        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+                        "cstates_enabled = C0,C1,C9\n")
+        argv = ["sim", "run", "--config", str(path)]
+        if c0_power_w is not None:
+            argv += ["--catalog", c0_catalog_file(tmp_path, c0_power_w)]
+        code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert err == "error: unknown C-state 'C9'\n"
+
+    def test_run_turbo_c0_key_is_parse_error(self, capsys, tmp_path):
+        # C0 power comes only from the catalog's [C0] power_w.
+        path = tmp_path / "turbo.ini"
+        path.write_text(SIM_INI.replace("[sim]\n", "[sim]\nturbo_c0_power_w = 11\n"))
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: [sim] unknown key 'turbo_c0_power_w'\n"
+
+    def test_run_catalog_c0_power_raises_power(self, capsys, tmp_path, sim_config):
+        def power(*argv):
+            code, out, _ = run_cli(capsys, "sim", "run", "--config", sim_config, *argv)
+            assert code == 0
+            return float(next(line for line in out.splitlines()
+                              if line.startswith("avg power")).split()[2])
+
+        hot = power("--catalog", c0_catalog_file(tmp_path, 11.0))
+        assert hot > power()
+
+    @pytest.mark.parametrize("dist", ["fixed", "exponential", "lognormal"])
+    def test_run_mean_that_underflows_is_exit_1(self, capsys, tmp_path, dist):
+        path = tmp_path / "tiny.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 0.01\nseed = 3\n\n"
+                        f"[service]\ndist = {dist}\nmean_us = 1e-320\n")
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: mean_us 1e-320 underflows to 0 s\n"
+
+    def test_run_service_time_past_64_bits_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "long.ini"
+        path.write_text("[sim]\ncores = 4096\nduration_s = 4e9\nseed = 3\n\n"
+                        "[arrival]\nprocess = periodic\nrate_qps = 4e-8\n\n"
+                        "[service]\ndist = fixed\nmean_us = 1e16\n")
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: a service time is not below 2**63 ns\n"
 
     def test_sweep_unknown_state_in_a_config_variant_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "c9.ini"

@@ -357,7 +357,6 @@ cstates_enabled = C0, C6A, C6AE, C6
 dispatch = pack_lowest_index
 pack_queue_cap = 8
 network_rtt_us = 50
-turbo_c0_power_w = 11.5
 
 [arrival]
 process = bursty
@@ -404,7 +403,6 @@ class TestSimConfigFile:
         assert cfg.governor.predictor == "clairvoyant"
         assert cfg.dispatch == "round_robin"
         assert cfg.cstates_enabled == frozenset({"C0", "C1", "C1E", "C6"})
-        assert cfg.turbo_c0_power_w is None
         assert cfg.snoop.rate_per_core_hz == 0.0
         assert cfg.network_rtt_us == 0.0
         assert cfg.pack_queue_cap == 4
@@ -419,7 +417,6 @@ class TestSimConfigFile:
         assert cfg.dispatch == "pack_lowest_index"
         assert cfg.pack_queue_cap == 8
         assert cfg.network_rtt_us == 50.0
-        assert cfg.turbo_c0_power_w == 11.5
         assert cfg.arrival.process == "bursty"
         assert cfg.arrival.burst_off_ms == 5.0
         assert cfg.service.dist == "lognormal"
@@ -463,8 +460,10 @@ class TestSimConfigFile:
         # The analytic model's knob: the simulator never reads it.
         ("perf", "delta_transition_ns = 100", "delta_transition_ns"),
         ("variant:x", "cstates = C0,C1\nturbo = 12", "turbo"),
-        # A variant is only a menu: a point runs the base config's turbo.
+        # A variant is only a menu.
         ("variant:x", "cstates = C0,C1\nturbo_c0_power_w = 12", "turbo_c0_power_w"),
+        # C0 power comes only from the catalog's [C0] power_w.
+        ("sim", "turbo_c0_power_w = 11", "turbo_c0_power_w"),
     ])
     def test_unknown_key_rejected(self, section, line, key):
         text = MINIMAL_INI + f"\n[{section}]\n{line}\n"
@@ -525,7 +524,6 @@ _KEY_VALUES = [
     ("sim", "seed", "7", 7),
     ("sim", "dispatch", "random", "random"),
     ("sim", "cstates_enabled", "C0, C6A", frozenset({"C0", "C6A"})),
-    ("sim", "turbo_c0_power_w", "11.5", 11.5),
     ("sim", "network_rtt_us", "50", 50.0),
     ("sim", "pack_queue_cap", "8", 8),
     ("arrival", "process", "bursty", "bursty"),

@@ -92,6 +92,19 @@ def test_diff_results_sweeps_catch_a_run_that_writes_its_service_times(tmp_path)
                         for row in rows)
 
 
+def test_diff_results_a_null_key_differs_from_an_absent_one():
+    # A key that one side writes as null and the other lacks is a
+    # difference, so a pair of outcomes that compare unequal always
+    # yields a first differing key path.
+    differences = diff_results_module().differences
+    parent = {"document": {"config": {"cores": 2, "old_key": None}}}
+    change = {"document": {"config": {"cores": 2}}}
+    assert [(path, repr(a), repr(b)) for path, a, b in differences(parent, change)] == [
+        (".document.config.old_key", "None", "<absent>")]
+    assert [path for path, _, _ in differences(change, parent)] == [".document.config.old_key"]
+    assert list(differences(parent, parent)) == []
+
+
 def test_diff_results_max_requests_sizes_the_configs():
     # The default keeps every config under 3,000 expected requests; the
     # knob lets them reach past 10k, across chunks of 4096 draws.

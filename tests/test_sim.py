@@ -45,7 +45,9 @@ from cstatesim.sim import (
     GovernorPolicy,
     ServiceSpec,
     SimConfig,
+    SimReport,
     SnoopSpec,
+    SweepPoint,
     VariantSpec,
     _arrival_times,
     _draw_streams,
@@ -58,6 +60,12 @@ from cstatesim.sim import (
 )
 
 CATALOG = default_catalog()
+
+
+def c0_catalog(power_mw):
+    """The default catalog with its C0 power replaced."""
+    c0 = dataclasses.replace(CATALOG["C0"], power_mw=power_mw)
+    return Catalog({**CATALOG.cstates, "C0": c0}, CATALOG.pstates)
 
 
 def quiet_config(**overrides):
@@ -326,9 +334,12 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="rtt"):
             quiet_config(network_rtt_us=-1.0)
 
-    def test_nonpositive_turbo_rejected(self):
-        with pytest.raises(ValidationError, match="turbo"):
-            quiet_config(turbo_c0_power_w=0.0)
+    @pytest.mark.parametrize("dist", ["fixed", "exponential", "lognormal"])
+    def test_mean_that_underflows_in_seconds_rejected(self, dist):
+        # 1e-320 us is 0 s in floats: the exponential sampler would
+        # divide by it and the lognormal one take its log.
+        with pytest.raises(ValidationError, match="mean_us 1e-320 underflows to 0 s"):
+            ServiceSpec(dist, 1e-320)
 
     def test_bursty_needs_positive_phases(self):
         with pytest.raises(ValidationError, match="burst"):
@@ -502,9 +513,28 @@ class TestLoadBehaviour:
         assert not report.saturated
 
     def test_turbo_override_raises_power(self):
-        hot = run(loaded_config(turbo_c0_power_w=11.0))
+        # A turbo C0 figure comes in as the catalog's C0 power; it moves
+        # the energy only.
+        hot = run(loaded_config(), catalog=c0_catalog(11_000))
         cool = run(loaded_config())
         assert hot.avg_power_w > cool.avg_power_w
+        assert hot.residency == cool.residency
+        assert hot.latency_us == cool.latency_us
+
+    def test_service_time_past_64_bits_is_a_validation_error(self):
+        # 1e16 us is 1e19 ns, past the 64-bit service array.  The failed
+        # conversion is not kept: a second try fails the same way rather
+        # than reading a truncated array.
+        cfg = SimConfig(cores=MAX_CORES, duration_s=4e9, seed=1,
+                        arrival=ArrivalSpec("periodic", 4e-8),
+                        service=ServiceSpec("fixed", 1e16))
+        with pytest.raises(ValidationError, match=r"not below 2\*\*63 ns"):
+            run(cfg)
+        streams = _draw_streams(cfg)
+        assert len(streams.arrivals) == 159
+        for _ in range(2):
+            with pytest.raises(ValidationError, match=r"not below 2\*\*63 ns"):
+                run(cfg, streams=streams)
 
     def test_catalog_agile_exit_latency_reaches_the_run(self):
         # A slower C6A exit delays every request that wakes a core and
@@ -890,6 +920,15 @@ class TestSweep:
             ("agile", 5000.0),
         ]
 
+    def test_load_and_entry_counts_have_one_source(self):
+        # A point's load is its run's arrival rate, and a report's entry
+        # counts are its aggregate residency's: neither is stored twice.
+        for p in sweep(self.base(), [1000.0, 5000.0], self.VARIANTS):
+            assert p.qps == p.report.config.arrival.rate_qps
+            assert p.report.transitions is p.report.residency.transitions
+        stored = {f.name for cls in (SimReport, SweepPoint) for f in dataclasses.fields(cls)}
+        assert not stored & {"qps", "seed", "transitions"}
+
     def test_deltas_relative_to_first_variant(self):
         points = sweep(self.base(), [1000.0], self.VARIANTS)
         ref, agile = points
@@ -917,14 +956,14 @@ class TestSweep:
                 assert (p.savings_vs_first, p.mean_delta_vs_first,
                         p.p99_delta_vs_first) == (0.0, 0.0, 0.0)
 
-    def _assert_points_equal_standalone_runs(self, base, qps_list, variants):
-        points = sweep(base, qps_list, variants)
+    def _assert_points_equal_standalone_runs(self, base, qps_list, variants, catalog=None):
+        points = sweep(base, qps_list, variants, catalog=catalog)
         for k, p in enumerate(points):
             i, variant = divmod(k, len(variants))
             alone = run(dataclasses.replace(
                 base, seed=derive_subseed(base.seed, i),
                 arrival=dataclasses.replace(base.arrival, rate_qps=qps_list[i]),
-                cstates_enabled=variants[variant].cstates))
+                cstates_enabled=variants[variant].cstates), catalog=catalog)
             assert (p.qps, p.variant) == (qps_list[i], variants[variant].name)
             assert canonical_hash(sim_report_document(p.report)) == \
                 canonical_hash(sim_report_document(alone))
@@ -933,13 +972,14 @@ class TestSweep:
         variants = self.VARIANTS + [VariantSpec("agile_only", frozenset({"C0", "C6A"}))]
         self._assert_points_equal_standalone_runs(self.base(), [2000.0, 5000.0], variants)
 
-    def test_base_turbo_reaches_every_point(self):
-        # A variant swaps in only its menu, so the base config's C0 power
-        # override prices every point as it prices a standalone run.
+    def test_catalog_reaches_every_point(self):
+        # A variant swaps in only its menu, so the sweep's catalog, here
+        # with an 11 W C0, prices every point as it prices a standalone run.
         base = SimConfig(cores=2, duration_s=0.01, seed=3,
                          arrival=ArrivalSpec(rate_qps=10_000.0),
-                         service=ServiceSpec("exponential", 10.0), turbo_c0_power_w=11.0)
-        self._assert_points_equal_standalone_runs(base, [10_000.0, 20_000.0], self.VARIANTS)
+                         service=ServiceSpec("exponential", 10.0))
+        self._assert_points_equal_standalone_runs(base, [10_000.0, 20_000.0], self.VARIANTS,
+                                                  catalog=c0_catalog(11_000))
 
     def test_variants_sharing_an_inflation_share_one_conversion(self):
         # The two agile menus run at one service inflation and the two
@@ -1064,8 +1104,9 @@ AGILE_MENU = frozenset({"C0", "C6A", "C6AE", "C6"})
 
 # Configs whose results are pinned by hash.  Together they cover every
 # arrival process, dispatch policy (pack_queue_cap 1 included) and
-# predictor, agile menus, a network RTT, turbo, a zero-rate run, and
-# snoops at 20 kHz-5 MHz per core (a zero snoop service window included).
+# predictor, agile menus, a network RTT, an 11 W C0 from the catalog
+# (GOLDEN_CATALOGS), a zero-rate run, and snoops at 20 kHz-5 MHz per
+# core (a zero snoop service window included).
 GOLDEN = [
     (dict(cores=2, duration_s=0.02, seed=11, arrival=ArrivalSpec("poisson", 20_000.0),
           service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
@@ -1100,8 +1141,7 @@ GOLDEN = [
      "8fdf6c4fcb04fdc0300b3d1f1bd1e74fdec22e34a07de2af6f21e8c3468ccc84"),
     (dict(cores=3, duration_s=0.02, seed=18, arrival=ArrivalSpec("poisson", 60_000.0),
           service=ServiceSpec("exponential", 25.0), dispatch="pack_lowest_index",
-          governor=GovernorPolicy("ewma", 0.7), cstates_enabled=AGILE_MENU,
-          turbo_c0_power_w=11.0),
+          governor=GovernorPolicy("ewma", 0.7), cstates_enabled=AGILE_MENU),
      "1a36751faaebd45e280e2a6b74236292809a5b79ef7ac1fd220850b55539301a"),
     (dict(cores=2, duration_s=0.02, seed=19, arrival=ArrivalSpec("poisson", 20_000.0),
           service=ServiceSpec("exponential", 20.0), dispatch="pack_lowest_index",
@@ -1159,10 +1199,16 @@ GOLDEN = [
 ]
 
 
+# The catalog a golden config runs with, by seed, where it is not the
+# default.
+GOLDEN_CATALOGS = {18: c0_catalog(11_000)}
+
+
 @pytest.mark.parametrize("kwargs, digest", GOLDEN,
                          ids=[f"seed{kwargs['seed']}" for kwargs, _ in GOLDEN])
 def test_golden_results_hash(kwargs, digest):
-    results = sim_report_document(run(SimConfig(**kwargs)))["results"]
+    report = run(SimConfig(**kwargs), catalog=GOLDEN_CATALOGS.get(kwargs["seed"]))
+    results = sim_report_document(report)["results"]
     assert hashlib.sha256(json.dumps(results, sort_keys=True).encode()).hexdigest() == digest
 
 
