@@ -117,11 +117,11 @@ def run_one(description: dict) -> dict:
     """Run one config with the cstatesim on sys.path; plain-data outcome.
 
     A drawn c0_power_w becomes the [C0] power of the default catalog,
-    in whole milliwatts, as a catalog file would give it.
+    in whole milliwatts, read back through the catalog file reader.
     """
     from dataclasses import replace
 
-    from cstatesim.catalog import default_catalog
+    from cstatesim.catalog import default_catalog, dumps_catalog, loads_catalog
     from cstatesim.errors import ParseError, ValidationError
     from cstatesim.reporting import sim_report_document, sweep_document
     from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
@@ -135,7 +135,8 @@ def run_one(description: dict) -> dict:
     if c0_power_w is not None:
         catalog = default_catalog()
         c0 = replace(catalog["C0"], power_mw=round(c0_power_w * 1000))
-        catalog = replace(catalog, cstates={**catalog.cstates, "C0": c0})
+        catalog = loads_catalog(dumps_catalog(
+            replace(catalog, cstates={**catalog.cstates, "C0": c0})))
     try:
         config = SimConfig(
             **{**kwargs,

@@ -25,15 +25,14 @@ their controller flows (fsm), so the flows stay their one definition.
 
 from __future__ import annotations
 
-import configparser
 import io
 import math
-from dataclasses import MISSING, Field, dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple, get_type_hints
+from typing import Dict, List, Tuple
 
 from . import fsm
-from .errors import ParseError, ValidationError, read_input
+from .errors import ParseError, ValidationError, file_fields, read_ini, read_input, read_section
 
 __all__ = [
     "CSTATE_NAMES",
@@ -87,8 +86,9 @@ class PState:
             raise ValidationError(f"unknown P-state name {self.name!r}")
         if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
             raise ValidationError(f"{self.name}: frequency must be finite and positive")
-        if self.c0_power_mw <= 0:
-            raise ValidationError(f"{self.name}: C0 power must be positive")
+        # Powers stay below 2**63 mW, as service times stay below 2**63 ns.
+        if not 0 < self.c0_power_mw < 2 ** 63:
+            raise ValidationError(f"{self.name}: C0 power must be positive and below 2**63 mW")
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,11 @@ class CStateSpec:
         if not (0 <= self.transition_time_us < math.inf
                 and 0 <= self.target_residency_us < math.inf):
             raise ValidationError(f"{self.name}: times must be finite and nonnegative")
-        if self.power_mw < 0:
-            raise ValidationError(f"{self.name}: power must be nonnegative")
+        # With the horizon below 2**62 ns and at most 2**12 cores, a run's
+        # energy in integer picojoules then stays below 2**137, well
+        # inside a float.
+        if not 0 <= self.power_mw < 2 ** 63:
+            raise ValidationError(f"{self.name}: power must be nonnegative and below 2**63 mW")
         if self.hw_entry_ns < 0 or self.hw_exit_ns < 0:
             raise ValidationError(f"{self.name}: hw latencies must be nonnegative")
         if self.target_residency_us < self.transition_time_us:
@@ -322,28 +325,19 @@ def power_ratio_vs_active(state: CStateSpec, active: PState) -> float:
 # Serialization: INI-style text, one section per state.  See docs/formats.md.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _file_fields(cls) -> Tuple[Tuple[Field, str, type], ...]:
-    """(field, file key, type) for each field of a spec after its name.
-
-    The fields are the file's keys, in order; a *_mw field is the key
-    *_w, written and read in watts.
-    """
-    hints = get_type_hints(cls)
-    return tuple(
-        (f, f.name[:-3] + "_w" if f.name.endswith("_mw") else f.name, hints[f.name])
-        for f in fields(cls)[1:]
-    )
+def _sections(catalog: Catalog) -> Dict[str, object]:
+    """Each spec of catalog under its section name, in file order."""
+    sections: Dict[str, object] = {f"pstate:{n}": catalog.pstates[n] for n in PSTATE_NAMES}
+    sections.update((n, catalog.cstates[n]) for n in CSTATE_NAMES)
+    return sections
 
 
 def dumps_catalog(catalog: Catalog) -> str:
     """Render a catalog to its canonical text form (byte-stable)."""
     out = io.StringIO()
-    sections = [(f"pstate:{n}", catalog.pstates[n]) for n in PSTATE_NAMES]
-    sections += [(n, catalog.cstates[n]) for n in CSTATE_NAMES]
-    for header, spec in sections:
+    for header, spec in _sections(catalog).items():
         out.write(f"[{header}]\n")
-        for f, key, kind in _file_fields(type(spec)):
+        for f, key, kind in file_fields(type(spec))[1:]:
             value = getattr(spec, f.name)
             if key != f.name:
                 value = f"{value / 1000.0:g}"
@@ -359,79 +353,25 @@ def save_catalog(catalog: Catalog, path: str) -> None:
         f.write(dumps_catalog(catalog))
 
 
-def _watts_to_mw(value: float, where: str) -> int:
-    # Powers are quantized to whole milliwatts on ingest.
-    mw = value * 1000.0
-    if not (math.isfinite(mw) and mw >= 0):
-        raise ParseError(f"{where}: power must be finite and nonnegative")
-    return round(mw)
-
-
-def _read_spec(sec, section: str, base):
-    """A spec of base's type from one section, key by key from its fields.
-
-    A field with no dataclass default is a required key; an absent key
-    with a default keeps base's value.
-    """
-    spec_fields = _file_fields(type(base))
-    unknown = sorted(set(sec) - {key for _, key, _ in spec_fields})
-    if unknown:
-        raise ParseError(f"[{section}] unknown keys: {unknown}")
-    values = {}
-    try:
-        for f, key, kind in spec_fields:
-            raw = sec[key] if f.default is MISSING else sec.get(key)
-            if raw is None:
-                values[f.name] = getattr(base, f.name)
-            elif key != f.name:
-                values[f.name] = _watts_to_mw(float(raw), section)
-            else:
-                values[f.name] = kind(raw)
-        return type(base)(base.name, **values)
-    except KeyError as e:
-        raise ParseError(f"[{section}] missing key {e}") from None
-    except ValueError as e:
-        raise ParseError(f"[{section}]: {e}") from None
-
-
 def loads_catalog(text: str) -> Catalog:
-    """Parse catalog text.  Unknown keys are rejected; unknown sections too.
+    """Parse catalog text (see docs/formats.md).
 
-    Each section's keys are its spec's fields (see _file_fields).
-    Descriptive keys (clocks, adpll, caches, voltage, context) are
-    optional and default to the built-in catalog's wording for the same
-    state, so a numeric-only override file stays short.
+    Each section's keys are its spec's fields after the name, a *_mw
+    field as the key *_w in watts (errors.file_fields).  A section, or
+    a key, that is absent or empty keeps the built-in catalog's value
+    for the same state, so a file can give a single key.  Unknown
+    sections and keys and malformed numbers raise ParseError; values
+    that parse but break a spec's contract raise ValidationError.
     """
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as e:
-        raise ParseError(f"bad catalog file: {e}") from None
-    if cp.defaults():
-        raise ParseError(f"unknown section {cp.default_section!r}")
-
-    base = default_catalog()
-    pstates: Dict[str, PState] = {}
-    cstates: Dict[str, CStateSpec] = {}
+    cp = read_ini(text, "catalog file")
+    specs = _sections(default_catalog())
     for section in cp.sections():
-        if section.startswith("pstate:"):
-            name = section.split(":", 1)[1]
-            if name not in PSTATE_NAMES:
-                raise ParseError(f"unknown P-state section {section!r}")
-            pstates[name] = _read_spec(cp[section], section, base.pstates[name])
-        elif section in CSTATE_NAMES:
-            cstates[section] = _read_spec(cp[section], section, base.cstates[section])
-        else:
-            raise ParseError(f"unknown section {section!r}")
-
-    # Sections not present fall back to the built-in values, so a file can
-    # override a single state.
-    for name in PSTATE_NAMES:
-        pstates.setdefault(name, base.pstates[name])
-    for name in CSTATE_NAMES:
-        cstates.setdefault(name, base.cstates[name])
-
-    cat = Catalog(cstates, pstates)
+        base = specs.get(section)
+        if base is None:
+            raise ParseError(f"unknown section [{section}]")
+        specs[section] = read_section(cp[section], section, type(base), base, name=base.name)
+    cat = Catalog({n: specs[n] for n in CSTATE_NAMES},
+                  {n: specs[f"pstate:{n}"] for n in PSTATE_NAMES})
     cat.validate()
     return cat
 

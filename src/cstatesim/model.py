@@ -207,13 +207,19 @@ def rescale_residency(profile: ResidencyProfile, perf: PerfModel) -> ResidencyPr
     for state in REPLACEMENTS:
         if state not in times:
             continue
-        moved = profile.transitions.get(state, 0) * perf.delta_transition_ns * 1e-9
-        if moved == 0.0:
+        moved_ns = profile.transitions.get(state, 0) * perf.delta_transition_ns
+        if moved_ns == 0:
             continue
+        try:
+            moved = moved_ns * 1e-9
+        except OverflowError:
+            # Past 2**1024 ns: whole seconds, an int that compares
+            # exactly with the residency below.
+            moved = moved_ns // 10 ** 9
         if moved > times[state] + 1e-15:
             raise ValidationError(
                 f"load infeasible under penalty: {state} transitions need "
-                f"{moved:.6g} s but only {times[state]:.6g} s of residency exist"
+                f"more than the {times[state]:.6g} s of residency that exist"
             )
         times[state] -= moved
         bucket += moved

@@ -9,19 +9,17 @@ drops the provenance timestamp) is stable for a given seed.
 
 from __future__ import annotations
 
-import configparser
 import csv
 import hashlib
 import io
 import json
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from datetime import datetime, timezone
-from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, get_type_hints
+from typing import Dict, List, Optional, Sequence
 
 from . import __version__
 from .catalog import CSTATE_NAMES
-from .errors import ParseError, ValidationError, read_input
+from .errors import ParseError, ValidationError, file_fields, read_ini, read_input, read_section
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
 from .sim import SimConfig, SimReport, SweepPoint, VariantSpec
 
@@ -371,84 +369,43 @@ class ParsedSimConfig:
     variants: Dict[str, VariantSpec] = field(default_factory=dict)
 
 
-def _state_list(raw: str) -> frozenset:
-    return frozenset(s.strip() for s in raw.split(",") if s.strip())
+def _read_section(cp, section, cls, **given):
+    """cls from one INI section (errors.read_section), its spec fields composed.
 
-
-# How a key's text becomes its field's value, by the field's annotated type.
-_READERS = {
-    int: int,
-    float: float,
-    str: str.strip,
-    frozenset: _state_list,
-}
-
-
-@lru_cache(maxsize=None)
-def _schema(cls):
-    """(field, annotated type, whether that type is a spec) per field of cls."""
-    hints = get_type_hints(cls)
-    return tuple((f, hints[f.name], is_dataclass(hints[f.name])) for f in fields(cls))
-
-
-def _read_section(cp, section, cls, skip=(), **given):
-    """cls from one INI section, key by key from its dataclass fields.
-
-    Every field that is not given, skipped or itself a spec dataclass is
-    a key, parsed by the field's type.  A spec field is read from the
-    section named after it.  An absent or empty key leaves its field at
-    the dataclass default (a field with none needs a value), except that
-    an empty state list is read as empty: an empty menu is an error, not
-    the default menu.
+    A field whose type is a spec dataclass is read from the section
+    named after it, so it is not a key here.
     """
-    todo = [t for t in _schema(cls) if t[0].name not in given and t[0].name not in skip]
-    sec = cp[section] if section in cp else {}
-    unknown = sorted(set(sec) - {f.name for f, _, spec in todo if not spec})
-    if unknown:
-        raise ParseError(f"[{section}] unknown key {unknown[0]!r}")
-    for f, hint, spec in todo:
-        if spec:
+    for f, _, hint in file_fields(cls):
+        if is_dataclass(hint) and f.name not in given:
             given[f.name] = _read_section(cp, f.name, hint)
-            continue
-        raw = sec.get(f.name)
-        if raw is not None and (raw.strip() or hint is frozenset):
-            try:
-                given[f.name] = _READERS[hint](raw)
-            except ValueError:
-                word = "integer" if hint is int else "number"
-                raise ParseError(f"[{section}] bad {word} for {f.name!r}: {raw!r}") from None
-        elif f.default is MISSING:
-            raise ParseError(f"[{section}] missing key {f.name!r}")
-    return cls(**given)
+    return read_section(cp[section] if section in cp else {}, section, cls, **given)
 
 
 def loads_sim_config(text: str) -> ParsedSimConfig:
     """Parse the INI-style simulation config (see docs/formats.md).
 
     [sim] holds SimConfig's keys, and each of its spec fields has a
-    section of the same name.  [perf] takes only the PerfModel fields
-    run reads, through PerfModel.service_inflation: delta_transition_ns
-    is the analytic model's knob (model estimate-aw --delta-ns), not the
-    simulator's.  Unknown sections and keys and malformed numbers raise
-    ParseError; values that parse but break a contract raise
-    ValidationError.
+    section of the same name.  An absent or empty key keeps its field's
+    dataclass default; a field with none is a missing key.  [perf] takes
+    only the PerfModel fields run reads, through
+    PerfModel.service_inflation: delta_transition_ns is the analytic
+    model's knob (model estimate-aw --delta-ns), not the simulator's.
+    Unknown sections and keys and malformed numbers raise ParseError;
+    values that parse but break a contract raise ValidationError.
     """
-    cp = configparser.ConfigParser(interpolation=None)
-    try:
-        cp.read_string(text)
-    except configparser.Error as e:
-        raise ParseError(f"bad sim config: {e}") from None
+    cp = read_ini(text, "sim config")
     if "sim" not in cp:
         raise ParseError("sim config needs a [sim] section")
-    if cp.defaults():
-        raise ParseError(f"unknown section [{cp.default_section}]")
-    known = {"sim", "perf"} | {f.name for f, _, spec in _schema(SimConfig) if spec}
+    known = {"sim", "perf"} | {f.name for f, _, hint in file_fields(SimConfig)
+                               if is_dataclass(hint)}
     for section in cp.sections():
         if section not in known and not section.startswith("variant:"):
             raise ParseError(f"unknown section [{section}]")
 
     config = _read_section(cp, "sim", SimConfig)
-    perf = _read_section(cp, "perf", PerfModel, skip=("delta_transition_ns",))
+    # Not a [perf] key: the field keeps its default.
+    perf = _read_section(cp, "perf", PerfModel,
+                         delta_transition_ns=PerfModel.delta_transition_ns)
 
     variants: Dict[str, VariantSpec] = {}
     for section in cp.sections():
@@ -457,7 +414,7 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         name = section.split(":", 1)[1].strip()
         if not name:
             raise ParseError(f"variant section {section!r} needs a name")
-        if not _state_list(cp[section].get("cstates", "")):
+        if not cp[section].get("cstates", "").replace(",", " ").split():
             raise ParseError(f"[{section}] needs a cstates list")
         variants[name] = _read_section(cp, section, VariantSpec, name=name)
 

@@ -44,11 +44,9 @@ def sim_config(tmp_path):
 
 
 def c0_catalog_file(tmp_path, power_w):
-    """A catalog file that gives C0 power_w and the built-in C0's other keys."""
+    """A catalog file that gives only C0's power_w."""
     path = tmp_path / "c0.ini"
-    path.write_text("[C0]\ntransition_time_us = 0\ntarget_residency_us = 0\n"
-                    f"power_w = {power_w}\nhw_entry_ns = 0\nhw_exit_ns = 0\n"
-                    "implied_pstate = P1\n")
+    path.write_text(f"[C0]\npower_w = {power_w}\n")
     return str(path)
 
 
@@ -144,6 +142,18 @@ class TestModelCli:
         code, out, _ = run_cli(capsys, "model", "estimate", "--trace", str(trace))
         assert code == 0
         assert out.splitlines()[0] == "average power 2.653 W"
+
+    @pytest.mark.parametrize("count, delta", [("1" + "0" * 400, "100"), ("10", "1" + "0" * 400)],
+                             ids=["count", "delta"])
+    def test_estimate_aw_transitions_past_a_float_is_exit_1(self, capsys, tmp_path, count, delta):
+        trace = tmp_path / "residency.csv"
+        trace.write_text(f"state,fraction,transitions\nC0,0.5,0\nC1,0.5,{count}\n")
+        code, out, err = run_cli(capsys, "model", "estimate-aw", "--trace", str(trace),
+                                 "--delta-ns", delta)
+        assert code == 1
+        assert out == ""
+        assert err == ("error: load infeasible under penalty: C1 transitions need "
+                       "more than the 0.5 s of residency that exist\n")
 
     def test_profile_required(self, capsys):
         code, _, err = run_cli(capsys, "model", "estimate")
@@ -356,7 +366,7 @@ class TestSimCli:
                                  "--catalog", str(path))
         assert code == 1
         assert out == ""
-        assert err == "error: unknown section 'turbo'\n"
+        assert err == "error: unknown section [turbo]\n"
 
     def test_run_unbounded_snoop_rate_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "snoop.ini"
@@ -418,6 +428,16 @@ class TestSimCli:
         assert code == 1
         assert out == ""
         assert err == "error: a service time is not below 2**63 ns\n"
+
+    def test_run_catalog_power_past_64_bits_is_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "one.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 1\nseed = 3\n\n"
+                        "[arrival]\nrate_qps = 1000\n")
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path),
+                                 "--catalog", c0_catalog_file(tmp_path, 1e300))
+        assert code == 1
+        assert out == ""
+        assert err == "error: C0: power must be nonnegative and below 2**63 mW\n"
 
     def test_sweep_unknown_state_in_a_config_variant_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "c9.ini"
@@ -628,7 +648,7 @@ class TestValidateCli:
         code, out, err = run_cli(capsys, "validate", "--catalog", str(path))
         assert code == 1
         assert out == ""
-        assert err.startswith("error: [C6]: C6: target residency 100.0 us below transition time")
+        assert err == "error: C6: target residency 100.0 us below transition time 133.0 us\n"
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,24 @@ def test_rescale_infeasible_transition_bucket():
         rescale_residency(p, PerfModel(0.0, 0.0, 100))
 
 
+
+@pytest.mark.parametrize("count, delta", [(10 ** 400, 100), (10, 10 ** 400)],
+                         ids=["count", "delta"])
+def test_rescale_transitions_past_a_float_are_infeasible(count, delta):
+    # count * delta ns does not convert to a float; it is still compared
+    # with the residency, exactly.
+    p = profile({"C0": 0.5, "C1": 0.5}, transitions={"C1": count})
+    with pytest.raises(ValidationError, match="infeasible"):
+        rescale_residency(p, PerfModel(0.0, 0.0, delta))
+
+
+def test_rescale_transitions_past_a_float_that_fit_the_residency():
+    # 10**310 transitions of 100 ns are 1e303 s, within 0.5 * 1e305 s.
+    p = profile({"C0": 0.5, "C1": 0.5}, transitions={"C1": 10 ** 310}, duration_s=1e305)
+    r = rescale_residency(p, PerfModel(0.0, 0.0, 100))
+    assert r.residency["transition"] == pytest.approx(0.01)
+    assert r.residency["C1"] == pytest.approx(0.49)
+
 # ---------------------------------------------------------------------------
 # avg_power_aw
 # ---------------------------------------------------------------------------
