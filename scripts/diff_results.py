@@ -5,13 +5,17 @@ Draws N random configs from --seed and runs each of them in
 one subprocess per checkout, with cstatesim imported from that
 checkout's src/ directory.  The configs cover every arrival process,
 dispatch policy, predictor and idle-state menu (all 31), snoops on and
-off, a network RTT, a catalog whose C0 power is drawn on about a third,
-pack_queue_cap 1-5, horizons down to 1 ns, and trace=True on about a
-third.  About one config in ten runs instead as a sim.sweep of 2 loads
-(its rate and a lower one) by 3 menus, two of which share a service
-inflation (both agile or both not), so the second of them replays the
-service times the first converted.  Each config
-expects at most --max-requests requests (default 3000); above the
+off, a network RTT, a catalog whose C0 power is drawn on about a third
+and, independently on about a third, each idle state's hw_entry_ns and
+hw_exit_ns scaled by 0.5-1 and its target_residency_us by 1-2 (so every
+state contract still holds; these come from a stream of their own,
+seeded by the config's seed), pack_queue_cap 1-5, horizons down to
+1 ns, and trace=True on about a third.  So the catalogs cross every key
+the simulator reads.  About one config in ten runs instead as a
+sim.sweep of 2 loads (its rate and a lower one) by 3 menus, two of
+which share a service inflation (both agile or both not), so the
+second of them replays the service times the first converted.  Each
+config expects at most --max-requests requests (default 3000); above the
 default, horizons are drawn longer in proportion, so that at 20000
 about one config in seven crosses a chunk of 4096 drawn arrivals or
 service times.  For each config it compares the whole sim_report
@@ -71,10 +75,11 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
     if rate_qps * duration_s > max_requests:
         duration_s = max_requests / rate_qps
     snoops_on = rng.random() < 0.5
+    seed = rng.randrange(2 ** 64)
     return {
         "cores": cores,
         "duration_s": duration_s,
-        "seed": rng.randrange(2 ** 64),
+        "seed": seed,
         "arrival": {
             "process": rng.choice(["poisson", "periodic", "bursty"]),
             "rate_qps": rate_qps,
@@ -93,6 +98,7 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
         },
         "cstates_enabled": rng.choice(MENUS),
         "c0_power_w": rng.choice([None, None, rng.uniform(5.0, 12.0)]),
+        "latency_scales": random_latency_scales(random.Random(f"latency_scales {seed}")),
         "snoop": {
             "rate_per_core_hz": 10 ** rng.uniform(3.0, 6.5) if snoops_on else 0.0,
             "service_ns": rng.randint(0, 200),
@@ -102,6 +108,18 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
         "trace": rng.random() < 1 / 3,
         "sweep": random_sweep(rng, rate_qps) if rng.random() < 0.1 else None,
     }
+
+
+def random_latency_scales(rng: random.Random):
+    """None on about two configs in three; else per idle state the scales
+    of its hw entry, hw exit and target residency.
+
+    Drawn from a stream of their own, so no other draw depends on them.
+    """
+    if rng.random() >= 1 / 3:
+        return None
+    return {name: [rng.uniform(0.5, 1.0), rng.uniform(0.5, 1.0), rng.uniform(1.0, 2.0)]
+            for name in IDLE_STATES}
 
 
 def random_sweep(rng: random.Random, rate_qps: float) -> dict:
@@ -117,7 +135,9 @@ def run_one(description: dict) -> dict:
     """Run one config with the cstatesim on sys.path; plain-data outcome.
 
     A drawn c0_power_w becomes the [C0] power of the default catalog,
-    in whole milliwatts, read back through the catalog file reader.
+    in whole milliwatts, and drawn latency_scales scale its idle states'
+    hw latencies (rounded to whole ns) and target residencies; the
+    catalog is then read back through the catalog file reader.
     """
     from dataclasses import replace
 
@@ -131,12 +151,19 @@ def run_one(description: dict) -> dict:
     trace = kwargs.pop("trace")
     grid = kwargs.pop("sweep")
     c0_power_w = kwargs.pop("c0_power_w")
+    scales = kwargs.pop("latency_scales")
     catalog = None
-    if c0_power_w is not None:
+    if c0_power_w is not None or scales is not None:
         catalog = default_catalog()
-        c0 = replace(catalog["C0"], power_mw=round(c0_power_w * 1000))
-        catalog = loads_catalog(dumps_catalog(
-            replace(catalog, cstates={**catalog.cstates, "C0": c0})))
+        cstates = dict(catalog.cstates)
+        if c0_power_w is not None:
+            cstates["C0"] = replace(cstates["C0"], power_mw=round(c0_power_w * 1000))
+        for name, (entry, exit_, target) in (scales or {}).items():
+            spec = cstates[name]
+            cstates[name] = replace(spec, hw_entry_ns=round(spec.hw_entry_ns * entry),
+                                    hw_exit_ns=round(spec.hw_exit_ns * exit_),
+                                    target_residency_us=spec.target_residency_us * target)
+        catalog = loads_catalog(dumps_catalog(replace(catalog, cstates=cstates)))
     try:
         config = SimConfig(
             **{**kwargs,

@@ -8,7 +8,7 @@ interface speaks watts.
 
 Six states are modeled:
 
-    C0     active, at the base (P1) or minimum (Pn) operating point
+    C0     active, at the base (P1) operating point
     C1     core clocks stopped, everything else powered
     C6A    core logic power-gated with in-place state retention,
            caches in sleep mode but coherent, PLL locked (agile deep idle)
@@ -66,26 +66,23 @@ AGILE_STATES = frozenset(REPLACEMENTS.values())
 # catalog (note C6A undercuts C1E despite its shallower latency class).
 POWER_DEPTH_ORDER: Tuple[str, ...] = ("C0", "C1", "C1E", "C6A", "C6AE", "C6")
 
-PSTATE_NAMES: Tuple[str, ...] = ("P1", "Pn")
+PSTATE_NAMES: Tuple[str, ...] = ("P1",)
 
 
 @dataclass(frozen=True)
 class PState:
-    """An active operating point: frequency plus the C0 power it implies."""
+    """The active operating point: the C0 power idle powers are compared to.
+
+    A loaded catalog's P1 is C0's power (Catalog.validate), so active
+    power has one key, [C0] power_w.
+    """
 
     name: str
-    frequency_ghz: float
     c0_power_mw: int
-
-    @property
-    def c0_power_w(self) -> float:
-        return self.c0_power_mw / 1000.0
 
     def __post_init__(self):
         if self.name not in PSTATE_NAMES:
             raise ValidationError(f"unknown P-state name {self.name!r}")
-        if not (math.isfinite(self.frequency_ghz) and self.frequency_ghz > 0):
-            raise ValidationError(f"{self.name}: frequency must be finite and positive")
         # Powers stay below 2**63 mW, as service times stay below 2**63 ns.
         if not 0 < self.c0_power_mw < 2 ** 63:
             raise ValidationError(f"{self.name}: C0 power must be positive and below 2**63 mW")
@@ -98,8 +95,8 @@ class CStateSpec:
     transition_time_us is the worst-case software-visible entry+exit
     cost; target_residency_us is the break-even idle duration the
     governor uses; hw_entry_ns/hw_exit_ns are the hardware-only
-    latencies charged by the simulator.  The descriptive fields record
-    what each state does to clocks, PLL, caches, voltage, and context.
+    latencies charged by the simulator.  C0 is never entered or exited,
+    so its four latencies must be zero.
     """
 
     name: str
@@ -108,12 +105,6 @@ class CStateSpec:
     power_mw: int
     hw_entry_ns: int
     hw_exit_ns: int
-    implied_pstate: str
-    clocks: str = ""
-    adpll: str = ""
-    caches: str = ""
-    voltage: str = ""
-    context: str = ""
 
     @property
     def power_w(self) -> float:
@@ -126,10 +117,6 @@ class CStateSpec:
     def __post_init__(self):
         if self.name not in CSTATE_NAMES:
             raise ValidationError(f"unknown C-state name {self.name!r}")
-        if self.implied_pstate not in PSTATE_NAMES:
-            raise ValidationError(
-                f"{self.name}: implied_pstate must be one of {PSTATE_NAMES}"
-            )
         # Chained comparisons also reject NaN, which compares false.
         if not (0 <= self.transition_time_us < math.inf
                 and 0 <= self.target_residency_us < math.inf):
@@ -141,6 +128,9 @@ class CStateSpec:
             raise ValidationError(f"{self.name}: power must be nonnegative and below 2**63 mW")
         if self.hw_entry_ns < 0 or self.hw_exit_ns < 0:
             raise ValidationError(f"{self.name}: hw latencies must be nonnegative")
+        if self.name == "C0" and (self.transition_time_us or self.target_residency_us
+                                  or self.hw_total_ns):
+            raise ValidationError("C0: latencies must be zero (it is never entered or exited)")
         if self.target_residency_us < self.transition_time_us:
             raise ValidationError(
                 f"{self.name}: target residency {self.target_residency_us} us "
@@ -197,13 +187,13 @@ class Catalog:
             raise ValidationError(f"unknown P-state {name!r}") from None
 
     def validate(self) -> None:
-        """Structural checks: all states present, latency classes paired."""
+        """Structural checks: all states present, P1 at C0's power, classes paired."""
         missing = [n for n in CSTATE_NAMES if n not in self.cstates]
         if missing:
             raise ValidationError(f"catalog missing C-states: {missing}")
-        missing_p = [n for n in PSTATE_NAMES if n not in self.pstates]
-        if missing_p:
-            raise ValidationError(f"catalog missing P-states: {missing_p}")
+        c0_mw = self.cstates["C0"].power_mw
+        if self.pstates != {"P1": PState("P1", c0_mw)}:
+            raise ValidationError(f"catalog P-states must be exactly P1 at C0's {c0_mw} mW")
         for shallow, agile in REPLACEMENTS.items():
             a, b = self.cstates[shallow], self.cstates[agile]
             if a.transition_time_us != b.transition_time_us:
@@ -244,49 +234,24 @@ def _flow_totals_ns(variant: str) -> Tuple[int, int]:
             fsm.reference_flow(variant, "exit").total_ns)
 
 
-def default_catalog() -> Catalog:
-    """Built-in catalog for a 14 nm server core (base 2.2 GHz, min 0.8 GHz)."""
-    pstates = {
-        "P1": PState("P1", 2.2, 4000),
-        "Pn": PState("Pn", 0.8, 1000),
-    }
-    specs = [
-        CStateSpec(
-            "C0", 0.0, 0.0, 4000, 0, 0, "P1",
-            clocks="running", adpll="on", caches="coherent",
-            voltage="active", context="maintained",
-        ),
-        CStateSpec(
-            "C1", 2.0, 2.0, 1440, *_flow_totals_ns("C1"), "P1",
-            clocks="stopped", adpll="on", caches="coherent",
-            voltage="active", context="maintained",
-        ),
-        CStateSpec(
-            "C6A", 2.0, 2.0, 300, *_flow_totals_ns("C6A"), "P1",
-            clocks="stopped", adpll="on", caches="coherent",
-            voltage="gated domain in retention, rest active",
-            context="retained in place",
-        ),
-        CStateSpec(
-            "C1E", 10.0, 20.0, 880, 5000, 5000, "Pn",
-            clocks="stopped", adpll="on", caches="coherent",
-            voltage="min v/f", context="maintained",
-        ),
-        CStateSpec(
-            "C6AE", 10.0, 20.0, 230, *_flow_totals_ns("C6AE"), "Pn",
-            clocks="stopped", adpll="on", caches="coherent",
-            voltage="gated domain in retention, rest min v/f",
-            context="retained in place",
-        ),
-        CStateSpec(
-            "C6", 133.0, 600.0, 100, *_flow_totals_ns("C6"), "Pn",
-            clocks="stopped", adpll="off", caches="flushed",
-            voltage="shut off", context="saved to external sram",
-        ),
-    ]
-    cat = Catalog({s.name: s for s in specs}, pstates)
+def _catalog(cstates: Dict[str, CStateSpec]) -> Catalog:
+    """The validated catalog of cstates, with P1 at C0's power."""
+    cat = Catalog(cstates, {"P1": PState("P1", cstates["C0"].power_mw)})
     cat.validate()
     return cat
+
+
+def default_catalog() -> Catalog:
+    """Built-in catalog for a 14 nm server core (base 2.2 GHz, min 0.8 GHz)."""
+    specs = [
+        CStateSpec("C0", 0.0, 0.0, 4000, 0, 0),
+        CStateSpec("C1", 2.0, 2.0, 1440, *_flow_totals_ns("C1")),
+        CStateSpec("C6A", 2.0, 2.0, 300, *_flow_totals_ns("C6A")),
+        CStateSpec("C1E", 10.0, 20.0, 880, 5000, 5000),
+        CStateSpec("C6AE", 10.0, 20.0, 230, *_flow_totals_ns("C6AE")),
+        CStateSpec("C6", 133.0, 600.0, 100, *_flow_totals_ns("C6")),
+    ]
+    return _catalog({s.name: s for s in specs})
 
 
 def default_budget() -> List[C6ABudget]:
@@ -325,19 +290,13 @@ def power_ratio_vs_active(state: CStateSpec, active: PState) -> float:
 # Serialization: INI-style text, one section per state.  See docs/formats.md.
 # ---------------------------------------------------------------------------
 
-def _sections(catalog: Catalog) -> Dict[str, object]:
-    """Each spec of catalog under its section name, in file order."""
-    sections: Dict[str, object] = {f"pstate:{n}": catalog.pstates[n] for n in PSTATE_NAMES}
-    sections.update((n, catalog.cstates[n]) for n in CSTATE_NAMES)
-    return sections
-
-
 def dumps_catalog(catalog: Catalog) -> str:
     """Render a catalog to its canonical text form (byte-stable)."""
     out = io.StringIO()
-    for header, spec in _sections(catalog).items():
-        out.write(f"[{header}]\n")
-        for f, key, kind in file_fields(type(spec))[1:]:
+    for name in CSTATE_NAMES:
+        spec = catalog.cstates[name]
+        out.write(f"[{name}]\n")
+        for f, key, kind in file_fields(CStateSpec)[1:]:
             value = getattr(spec, f.name)
             if key != f.name:
                 value = f"{value / 1000.0:g}"
@@ -364,16 +323,13 @@ def loads_catalog(text: str) -> Catalog:
     that parse but break a spec's contract raise ValidationError.
     """
     cp = read_ini(text, "catalog file")
-    specs = _sections(default_catalog())
+    specs = dict(default_catalog().cstates)
     for section in cp.sections():
         base = specs.get(section)
         if base is None:
             raise ParseError(f"unknown section [{section}]")
-        specs[section] = read_section(cp[section], section, type(base), base, name=base.name)
-    cat = Catalog({n: specs[n] for n in CSTATE_NAMES},
-                  {n: specs[f"pstate:{n}"] for n in PSTATE_NAMES})
-    cat.validate()
-    return cat
+        specs[section] = read_section(cp[section], section, CStateSpec, base, name=section)
+    return _catalog(specs)
 
 
 def load_catalog(path: str) -> Catalog:

@@ -34,7 +34,7 @@ def test_default_catalog_is_complete_and_valid():
     cat = default_catalog()
     cat.validate()
     assert set(cat.cstates) == set(CSTATE_NAMES)
-    assert set(cat.pstates) == {"P1", "Pn"}
+    assert set(cat.pstates) == {"P1"}
 
 
 @pytest.mark.parametrize(
@@ -59,19 +59,10 @@ def test_default_latencies(name, transition_us, target_us):
 
 
 def test_default_pstates():
+    # P1 is C0's power: active power has one key, [C0] power_w.
     cat = default_catalog()
-    assert cat.pstate("P1").frequency_ghz == 2.2
-    assert cat.pstate("P1").c0_power_mw == 4000
-    assert cat.pstate("Pn").frequency_ghz == 0.8
-    assert cat.pstate("Pn").c0_power_mw == 1000
-
-
-def test_implied_pstates():
-    cat = default_catalog()
-    assert cat["C1"].implied_pstate == "P1"
-    assert cat["C6A"].implied_pstate == "P1"
-    assert cat["C1E"].implied_pstate == "Pn"
-    assert cat["C6AE"].implied_pstate == "Pn"
+    assert cat.pstates == {"P1": PState("P1", 4000)}
+    assert cat.pstate("P1").c0_power_mw == cat["C0"].power_mw
 
 
 def test_power_strictly_decreases_along_depth_order():
@@ -119,34 +110,37 @@ def test_unknown_state_lookup_raises():
 
 def test_target_residency_below_transition_rejected():
     with pytest.raises(ValidationError, match="target"):
-        CStateSpec("C6", 133.0, 100.0, 100, 87000, 30000, "Pn")
+        CStateSpec("C6", 133.0, 100.0, 100, 87000, 30000)
 
 
 def test_hw_latency_exceeding_transition_rejected():
     with pytest.raises(ValidationError, match="exceeds"):
-        CStateSpec("C1", 2.0, 2.0, 1440, 1500, 1000, "P1")
+        CStateSpec("C1", 2.0, 2.0, 1440, 1500, 1000)
 
 
 def test_negative_power_rejected():
     with pytest.raises(ValidationError):
-        CStateSpec("C1", 2.0, 2.0, -1, 4, 4, "P1")
+        CStateSpec("C1", 2.0, 2.0, -1, 4, 4)
 
 
 def test_unknown_name_rejected():
     with pytest.raises(ValidationError, match="C2"):
-        CStateSpec("C2", 2.0, 2.0, 100, 4, 4, "P1")
+        CStateSpec("C2", 2.0, 2.0, 100, 4, 4)
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: PState("P2", 2.0, 4000), "unknown P-state name 'P2'"),
-    (lambda: PState("P1", 2.0, 0), "P1: C0 power must be positive"),
-    (lambda: CStateSpec("C1", 2.0, 2.0, 1440, 4, 4, "P3"), "C1: implied_pstate must be one of"),
-    (lambda: CStateSpec("C1", 2.0, 2.0, 1440, -1, 4, "P1"),
+    (lambda: PState("P2", 4000), "unknown P-state name 'P2'"),
+    (lambda: PState("P1", 0), "P1: C0 power must be positive"),
+    (lambda: CStateSpec("C1", 2.0, 2.0, 1440, -1, 4),
      "C1: hw latencies must be nonnegative"),
-    (lambda: Catalog(default_catalog().cstates,
-                     {"P1": default_catalog().pstate("P1")}).validate(),
-     r"catalog missing P-states: \['Pn'\]"),
-], ids=["pstate-name", "c0-power", "implied-pstate", "hw-latency", "missing-pstate"])
+    (lambda: Catalog(default_catalog().cstates, {}).validate(),
+     "catalog P-states must be exactly P1 at C0's 4000 mW"),
+    (lambda: Catalog(default_catalog().cstates, {"P1": PState("P1", 3999)}).validate(),
+     "catalog P-states must be exactly P1 at C0's 4000 mW"),
+    # A zero C0 power in a file gives P1 no positive power.
+    (lambda: loads_catalog("[C0]\npower_w = 0\n"), "P1: C0 power must be positive"),
+], ids=["pstate-name", "c0-power", "hw-latency", "missing-pstate", "pstate-off-c0",
+        "zero-c0-power-file"])
 def test_out_of_range_field_rejected(build, message):
     with pytest.raises(ValidationError, match=message):
         build()
@@ -251,28 +245,17 @@ def test_file_round_trip(tmp_path):
 def test_partial_override_file_keeps_defaults():
     text = "[C6A]\n" \
            "transition_time_us = 2\ntarget_residency_us = 2\n" \
-           "power_w = 0.31\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
-           "implied_pstate = P1\n"
+           "power_w = 0.31\nhw_entry_ns = 20\nhw_exit_ns = 80\n"
     cat = loads_catalog(text)
     assert cat["C6A"].power_mw == 310
     assert cat["C6"].power_mw == 100           # untouched default
     assert cat.pstate("P1").c0_power_mw == 4000
 
 
-def test_descriptive_keys_default_to_builtin_wording():
-    text = "[C6A]\n" \
-           "transition_time_us = 2\ntarget_residency_us = 2\n" \
-           "power_w = 0.3\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
-           "implied_pstate = P1\n"
-    cat = loads_catalog(text)
-    assert cat["C6A"].context == default_catalog()["C6A"].context
-
-
 def test_power_quantized_to_milliwatts():
     text = "[C6A]\n" \
            "transition_time_us = 2\ntarget_residency_us = 2\n" \
-           "power_w = 0.30041\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
-           "implied_pstate = P1\n"
+           "power_w = 0.30041\nhw_entry_ns = 20\nhw_exit_ns = 80\n"
     assert loads_catalog(text)["C6A"].power_mw == 300
 
 
@@ -290,18 +273,18 @@ def test_unknown_key_rejected():
     text = "[C6A]\n" \
            "transition_time_us = 2\ntarget_residency_us = 2\n" \
            "power_w = 0.3\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
-           "implied_pstate = P1\nbogus_key = 1\n"
+           "bogus_key = 1\n"
     with pytest.raises(ParseError, match="bogus_key"):
         loads_catalog(text)
 
 
 def test_one_key_file_keeps_builtin_values():
     # An absent key keeps the built-in state's value, so a file can give
-    # just the C0 power.
+    # just the C0 power; P1 follows it.
     base = default_catalog()
     c0 = dataclasses.replace(base["C0"], power_mw=11000)
-    assert loads_catalog("[C0]\npower_w = 11\n") == dataclasses.replace(
-        base, cstates={**base.cstates, "C0": c0})
+    assert loads_catalog("[C0]\npower_w = 11\n") == Catalog(
+        {**base.cstates, "C0": c0}, {"P1": PState("P1", 11000)})
 
 
 def test_huge_power_in_file_rejected():
@@ -309,14 +292,13 @@ def test_huge_power_in_file_rejected():
     with pytest.raises(ValidationError, match=r"C0: power must be nonnegative and below 2\*\*63 mW"):
         loads_catalog("[C0]\npower_w = 1e300\n")
     with pytest.raises(ValidationError, match=r"P1: C0 power must be positive and below 2\*\*63 mW"):
-        loads_catalog("[pstate:P1]\nc0_power_w = 1e300\n")
+        PState("P1", 2 ** 63)
 
 
 def test_negative_power_in_file_rejected():
     text = "[C6A]\n" \
            "transition_time_us = 2\ntarget_residency_us = 2\n" \
-           "power_w = -0.3\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
-           "implied_pstate = P1\n"
+           "power_w = -0.3\nhw_entry_ns = 20\nhw_exit_ns = 80\n"
     with pytest.raises(ParseError, match="nonnegative"):
         loads_catalog(text)
 
@@ -331,8 +313,7 @@ def test_nan_target_residency_in_file_rejected():
     # range checks and leave the governor's depth order undefined.
     text = "[C6]\n" \
            "transition_time_us = 133\ntarget_residency_us = nan\n" \
-           "power_w = 0.1\nhw_entry_ns = 87000\nhw_exit_ns = 30000\n" \
-           "implied_pstate = Pn\n"
+           "power_w = 0.1\nhw_entry_ns = 87000\nhw_exit_ns = 30000\n"
     with pytest.raises(ValidationError, match="finite"):
         loads_catalog(text)
 
@@ -341,8 +322,7 @@ def test_infinite_power_in_file_rejected():
     # round() of an infinite wattage raised a bare OverflowError.
     text = "[C6A]\n" \
            "transition_time_us = 2\ntarget_residency_us = 2\n" \
-           "power_w = inf\nhw_entry_ns = 20\nhw_exit_ns = 80\n" \
-           "implied_pstate = P1\n"
+           "power_w = inf\nhw_entry_ns = 20\nhw_exit_ns = 80\n"
     with pytest.raises(ParseError, match="finite"):
         loads_catalog(text)
 
@@ -357,16 +337,41 @@ def test_turbo_section_rejected(value):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_non_finite_pstate_frequency_in_file_rejected(value):
+    # A file has no P-state sections: active power is [C0] power_w.
     text = f"[pstate:P1]\nfrequency_ghz = {value}\nc0_power_w = 4.0\n"
-    with pytest.raises(ValidationError, match="frequency must be finite"):
+    with pytest.raises(ParseError, match=r"^unknown section \[pstate:P1\]$"):
+        loads_catalog(text)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[pstate:Pn]\nc0_power_w = 1\n", r"unknown section \[pstate:Pn\]"),
+    ("[C1]\nimplied_pstate = P1\n", r"\[C1\] unknown key 'implied_pstate'"),
+    ("[C6]\nclocks = stopped\n", r"\[C6\] unknown key 'clocks'"),
+], ids=["pstate-Pn", "C1-implied_pstate", "C6-clocks"])
+def test_deleted_section_or_key_rejected(text, message):
+    # Nothing read these, so a file that sets them is refused.
+    with pytest.raises(ParseError, match=rf"^{message}$"):
         loads_catalog(text)
 
 
 @pytest.mark.parametrize("text", [
+    "target_residency_us = 200\n",
+    "transition_time_us = 200\ntarget_residency_us = 200\n",
+    "hw_exit_ns = 100000\ntransition_time_us = 200\ntarget_residency_us = 200\n",
+    "hw_entry_ns = 1\ntransition_time_us = 1\ntarget_residency_us = 1\n",
+], ids=["target", "transition", "hw_exit", "hw_entry"])
+def test_c0_latency_in_file_rejected(text):
+    # C0 is never entered or exited, so nothing would read these.
+    with pytest.raises(ValidationError,
+                       match=r"^C0: latencies must be zero \(it is never entered or exited\)$"):
+        loads_catalog("[C0]\n" + text)
+
+
+@pytest.mark.parametrize("text", [
     "[DEFAULT]\npower_w = 0.3\n",
-    "[DEFAULT]\nclocks = gated\n\n"
+    "[DEFAULT]\npower_w = 1\n\n"
     "[C1]\ntransition_time_us = 2\ntarget_residency_us = 2\npower_w = 1.44\n"
-    "hw_entry_ns = 4\nhw_exit_ns = 4\nimplied_pstate = P1\n",
+    "hw_entry_ns = 4\nhw_exit_ns = 4\n",
 ], ids=["alone", "beside_C1"])
 def test_default_section_rejected(text):
     # configparser would otherwise hand [DEFAULT]'s keys to every section.
@@ -375,33 +380,25 @@ def test_default_section_rejected(text):
 
 
 def test_unknown_pstate_key_rejected():
-    text = "[pstate:P1]\nfrequency_ghz = 2.2\nc0_power_w = 4\nbogus = 1\n"
-    with pytest.raises(ParseError, match=r"^\[pstate:P1\] unknown key 'bogus'$"):
+    text = "[pstate:P1]\nc0_power_w = 4\nbogus = 1\n"
+    with pytest.raises(ParseError, match=r"^unknown section \[pstate:P1\]$"):
         loads_catalog(text)
 
 
 def _every_field_changed(cat):
-    """cat with every field of every spec moved off its built-in value."""
-    pstates = {
-        n: dataclasses.replace(p, frequency_ghz=p.frequency_ghz + 0.5,
-                               c0_power_mw=p.c0_power_mw + 7)
-        for n, p in cat.pstates.items()
-    }
-    cstates = {
-        n: dataclasses.replace(
+    """cat with every field of every spec moved off its built-in value,
+    but C0's latencies, which must stay zero."""
+    cstates = {n: dataclasses.replace(s, power_mw=s.power_mw + 7) for n, s in cat.cstates.items()}
+    for n in IDLE_STATES:
+        s = cstates[n]
+        cstates[n] = dataclasses.replace(
             s,
             transition_time_us=s.transition_time_us + 1.5,
             target_residency_us=s.target_residency_us + 3.5,
-            power_mw=s.power_mw + 7,
             hw_entry_ns=s.hw_entry_ns + 1,
             hw_exit_ns=s.hw_exit_ns + 2,
-            implied_pstate="Pn" if s.implied_pstate == "P1" else "P1",
-            clocks=f"{n} clocks", adpll=f"{n} adpll", caches=f"{n} caches",
-            voltage=f"{n} voltage", context=f"{n} context",
         )
-        for n, s in cat.cstates.items()
-    }
-    return Catalog(cstates, pstates)
+    return Catalog(cstates, {"P1": PState("P1", cstates["C0"].power_mw)})
 
 
 def test_round_trip_carries_every_field():
@@ -410,10 +407,11 @@ def test_round_trip_carries_every_field():
     base = default_catalog()
     cat = _every_field_changed(base)
     cat.validate()
-    for group, base_group in ((cat.pstates, base.pstates), (cat.cstates, base.cstates)):
-        for name, spec in group.items():
-            for f in dataclasses.fields(spec)[1:]:
-                assert getattr(spec, f.name) != getattr(base_group[name], f.name), (name, f.name)
+    assert cat.pstate("P1") != base.pstate("P1")
+    for name, spec in cat.cstates.items():
+        for f in dataclasses.fields(spec)[1:]:
+            if name != "C0" or f.name == "power_mw":
+                assert getattr(spec, f.name) != getattr(base[name], f.name), (name, f.name)
     text = dumps_catalog(cat)
     assert loads_catalog(text) == cat
     assert dumps_catalog(loads_catalog(text)) == text

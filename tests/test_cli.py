@@ -11,12 +11,14 @@ from pathlib import Path
 import pytest
 
 from cstatesim import fsm
-from cstatesim.catalog import default_catalog, dumps_catalog, save_catalog
+from cstatesim.catalog import default_catalog, dumps_catalog, loads_catalog, save_catalog
 from cstatesim.cli import BUILTIN_VARIANTS, build_parser, main
 from cstatesim.demo import demo_sweep
 from cstatesim.model import PerfModel, upper_bound_savings
 from cstatesim.sim import ArrivalSpec, ServiceSpec, SimConfig, SnoopSpec, run
-from cstatesim.reporting import canonical_hash, dumps_residency_csv, parse_document
+from cstatesim.errors import ParseError, ValidationError, read_ini
+from cstatesim.reporting import (canonical_hash, dumps_residency_csv, parse_document,
+                                 sim_report_document)
 
 SIM_INI = """
 [sim]
@@ -368,6 +370,17 @@ class TestSimCli:
         assert out == ""
         assert err == "error: unknown section [turbo]\n"
 
+    def test_run_catalog_c0_latency_is_exit_1(self, capsys, tmp_path, sim_config):
+        # C0 is never entered or exited: its latencies would be ignored.
+        path = tmp_path / "c0.ini"
+        path.write_text("[C0]\nhw_exit_ns = 100000\ntransition_time_us = 200\n"
+                        "target_residency_us = 200\n")
+        code, out, err = run_cli(capsys, "sim", "run", "--config", sim_config,
+                                 "--catalog", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == "error: C0: latencies must be zero (it is never entered or exited)\n"
+
     def test_run_unbounded_snoop_rate_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "snoop.ini"
         path.write_text("[sim]\ncores = 1\nduration_s = 1\nseed = 3\n"
@@ -574,12 +587,15 @@ class TestValidateCli:
         "C6AE power within its budget (227, 243) mW",
         "C6A/C0(P1) power ratio in [5%, 8%]",
         "C6AE/C0(P1) power ratio in [5%, 8%]",
-        "agile entry <= 20 ns",
-        "agile exit <= 85 ns",
+        "C6A entry <= 20 ns",
+        "C6A exit <= 85 ns",
+        "C6AE entry <= 20 ns",
+        "C6AE exit <= 85 ns",
         "C6 reference entry 87 us",
         "C6 reference exit 30 us",
         "C1 reference entry <= 10 ns",
-        "C6 transition / agile hw latency >= 900x",
+        "C6 transition / C6A hw latency >= 900x",
+        "C6 transition / C6AE hw latency >= 900x",
         "catalog power strictly decreasing C0 > C1 > C1E > C6A > C6AE > C6",
     ]
 
@@ -634,7 +650,31 @@ class TestValidateCli:
         code, out, fails = validate_catalog(capsys, tmp_path, dumps_catalog(zero))
         assert code == 0
         assert fails == []
-        assert "PASS C6 transition / agile hw latency >= 900x\n" in out
+        assert "PASS C6 transition / C6A hw latency >= 900x\n" in out
+
+    def test_c6ae_hw_latencies_read_from_the_catalog(self, capsys, tmp_path):
+        code, out, fails = validate_catalog(
+            capsys, tmp_path, "[C6AE]\nhw_entry_ns = 4000\nhw_exit_ns = 5000\n")
+        assert code == 1
+        assert fails == [
+            "FAIL C6AE entry <= 20 ns: got 4000 ns",
+            "FAIL C6AE exit <= 85 ns: got 5000 ns",
+            "FAIL C6 transition / C6AE hw latency >= 900x: C6AE hw 9000 ns, ratio 15x",
+        ]
+        assert out.endswith("3 failure(s)\n")
+
+    def test_power_ratios_read_the_c0_power(self, capsys, tmp_path):
+        # Active power has one key: P1 is [C0] power_w.
+        code, out, fails = validate_catalog(capsys, tmp_path, "[C0]\npower_w = 11\n")
+        assert code == 1
+        assert fails == [
+            "FAIL upper-bound savings 23% profile: got 9.80%, expected 23% within 0.6 points",
+            "FAIL upper-bound savings 41% profile: got 20.69%, expected 41% within 0.6 points",
+            "FAIL upper-bound savings 55% profile: got 31.98%, expected 55% within 0.6 points",
+            "FAIL C6A/C0(P1) power ratio in [5%, 8%]: got 0.0273",
+            "FAIL C6AE/C0(P1) power ratio in [5%, 8%]: got 0.0209",
+        ]
+        assert out.endswith("5 failure(s)\n")
 
     def test_catalog_breaking_a_state_contract_does_not_load(self, capsys, tmp_path):
         # C6's target residency below its transition time: the catalog is
@@ -649,6 +689,51 @@ class TestValidateCli:
         assert code == 1
         assert out == ""
         assert err == "error: C6: target residency 100.0 us below transition time 133.0 us\n"
+
+
+def catalog_keys():
+    """(section, key, value) for each key the built-in catalog's file gives."""
+    cp = read_ini(dumps_catalog(default_catalog()), "catalog file")
+    return [(section, key, value) for section in cp.sections()
+            for key, value in cp[section].items()]
+
+
+def other_value(raw):
+    """Another valid value for a catalog key: half of it, or 1 for a zero."""
+    if raw == "0":
+        return "1"
+    return str(int(raw) // 2) if raw.isdigit() else f"{float(raw) / 2:g}"
+
+
+# Two short runs that between them enter every idle state: idle gaps
+# from under 2 us to past 1 ms, under the conventional and the agile menu.
+KEY_RUNS = [
+    SimConfig(cores=1, duration_s=0.05, seed=7, arrival=ArrivalSpec(rate_qps=5000.0),
+              service=ServiceSpec(dist="exponential", mean_us=5.0),
+              cstates_enabled=frozenset(menu))
+    for menu in (("C0", "C1", "C1E", "C6"), ("C0", "C6A", "C6AE", "C6"))
+]
+
+
+def catalog_outcome(capsys, tmp_path, text):
+    """A catalog file's load error, or its runs' hashes and validate output."""
+    try:
+        catalog = loads_catalog(text)
+    except (ParseError, ValidationError) as e:
+        return f"{type(e).__name__}: {e}"
+    path = tmp_path / "catalog.ini"
+    path.write_text(text)
+    _, out, _ = run_cli(capsys, "validate", "--catalog", str(path))
+    return [canonical_hash(sim_report_document(run(cfg, catalog=catalog)))
+            for cfg in KEY_RUNS], out
+
+
+@pytest.mark.parametrize("section, key, value", catalog_keys())
+def test_every_catalog_key_is_read(capsys, tmp_path, section, key, value):
+    # A key that a file may set but nothing reads is a knob that is
+    # parsed and ignored: moving it must be refused or change something.
+    text = f"[{section}]\n{key} = {other_value(value)}\n"
+    assert catalog_outcome(capsys, tmp_path, text) != catalog_outcome(capsys, tmp_path, "")
 
 
 # ---------------------------------------------------------------------------
