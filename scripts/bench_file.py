@@ -6,9 +6,10 @@ Reads the untraced result copies (`<workload>-seed<N>-trace0.json`) that
 checkouts, a parent commit and a change, and writes one JSON document.
 For each workload and end-to-end metric it holds each side's median and
 quartiles over its runs, the relative change of the median, and how
-many runs of the change beat the parent's run at the same seed.  The
-metrics, their units and which direction is better come from
-BENCHMARK.json at the root of this checkout.
+many runs of the change beat the parent's run at the same seed; seeds
+where a side failed a round are listed.  The metrics, their units and
+which direction is better come from BENCHMARK.json at the root of this
+checkout.  scripts/bench_pairs.py makes the runs and calls this summary.
 
 Usage:
     python3 scripts/bench_file.py PARENT_OUT CHANGE_OUT --out BENCH.json \\
@@ -51,6 +52,9 @@ def summarise(parent: dict, change: dict, metrics: list) -> dict:
     seeds = sorted(set(parent) & set(change))
     out = {
         "seeds": seeds,
+        # Seeds with a failed round are kept in the pairs and named here.
+        "failed_seeds": {side: [s for s in seeds if runs[s]["failed"]]
+                         for side, runs in (("parent", parent), ("change", change))},
         "rounds": {
             side: {"attempted": sum(runs[s]["attempted"] for s in seeds),
                    "failed": sum(runs[s]["failed"] for s in seeds),
@@ -79,6 +83,28 @@ def summarise(parent: dict, change: dict, metrics: list) -> dict:
     return out
 
 
+def bench_document(parent: dict, change: dict, note: str) -> dict:
+    """The bench file of two sides' runs, each {workload: {seed: result}}.
+
+    Raises ValueError naming the workloads that have no paired run.
+    """
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in benchmark["workloads"]]
+    missing = [w for w in workloads if not set(parent.get(w, ())) & set(change.get(w, ()))]
+    if missing:
+        raise ValueError(f"no paired runs for {', '.join(missing)}")
+    return {
+        "note": note,
+        "workloads": {
+            w: summarise(parent[w], change[w], benchmark["end_to_end"]) for w in workloads
+        },
+    }
+
+
+def write_bench_file(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_out", type=Path, help="perfbench/out of the parent")
@@ -87,20 +113,12 @@ def main() -> int:
     parser.add_argument("--note", default="", help="how the runs were made")
     args = parser.parse_args()
 
-    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parent, change = load_runs(args.parent_out), load_runs(args.change_out)
-    workloads = [w["name"] for w in benchmark["workloads"]]
-    missing = [w for w in workloads if not set(parent.get(w, ())) & set(change.get(w, ()))]
-    if missing:
-        print(f"no paired runs for {', '.join(missing)}", file=sys.stderr)
+    try:
+        doc = bench_document(load_runs(args.parent_out), load_runs(args.change_out), args.note)
+    except ValueError as e:
+        print(e, file=sys.stderr)
         return 1
-    doc = {
-        "note": args.note,
-        "workloads": {
-            w: summarise(parent[w], change[w], benchmark["end_to_end"]) for w in workloads
-        },
-    }
-    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    write_bench_file(args.out, doc)
     return 0
 
 

@@ -3,7 +3,8 @@
 
 Draws N random configs from --seed and runs each of them in
 one subprocess per checkout, with cstatesim imported from that
-checkout's src/ directory.  The configs cover every arrival process,
+checkout's src/ directory; the two subprocesses run at once.  The
+configs cover every arrival process,
 dispatch policy, predictor and idle-state menu (all 31), snoops on and
 off, a network RTT, a catalog whose C0 power is drawn on about a third
 and, independently on about a third, each idle state's hw_entry_ns and
@@ -45,6 +46,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 IDLE_STATES = ("C1", "C1E", "C6", "C6A", "C6AE")
 # Every nonempty idle-state menu, C0 added to each.
@@ -137,11 +139,13 @@ def run_one(description: dict) -> dict:
     A drawn c0_power_w becomes the [C0] power of the default catalog,
     in whole milliwatts, and drawn latency_scales scale its idle states'
     hw latencies (rounded to whole ns) and target residencies; the
-    catalog is then read back through the catalog file reader.
+    catalog is then read back through the catalog file reader.  It is
+    built with its P1 given, at C0's power, which every checkout accepts.
     """
     from dataclasses import replace
 
-    from cstatesim.catalog import default_catalog, dumps_catalog, loads_catalog
+    from cstatesim.catalog import (Catalog, PState, default_catalog, dumps_catalog,
+                                   loads_catalog)
     from cstatesim.errors import ParseError, ValidationError
     from cstatesim.reporting import sim_report_document, sweep_document
     from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
@@ -154,8 +158,7 @@ def run_one(description: dict) -> dict:
     scales = kwargs.pop("latency_scales")
     catalog = None
     if c0_power_w is not None or scales is not None:
-        catalog = default_catalog()
-        cstates = dict(catalog.cstates)
+        cstates = dict(default_catalog().cstates)
         if c0_power_w is not None:
             cstates["C0"] = replace(cstates["C0"], power_mw=round(c0_power_w * 1000))
         for name, (entry, exit_, target) in (scales or {}).items():
@@ -163,7 +166,8 @@ def run_one(description: dict) -> dict:
             cstates[name] = replace(spec, hw_entry_ns=round(spec.hw_entry_ns * entry),
                                     hw_exit_ns=round(spec.hw_exit_ns * exit_),
                                     target_residency_us=spec.target_residency_us * target)
-        catalog = loads_catalog(dumps_catalog(replace(catalog, cstates=cstates)))
+        p1 = PState("P1", cstates["C0"].power_mw)
+        catalog = loads_catalog(dumps_catalog(Catalog(cstates, {"P1": p1})))
     try:
         config = SimConfig(
             **{**kwargs,
@@ -254,9 +258,14 @@ def main() -> int:
     if not (args.parent_src and args.change_src):
         parser.error("give PARENT_SRC and CHANGE_SRC")
 
+    def checkout_outcomes(src):
+        return outcomes(src, args.configs, args.seed, args.max_requests)
+
     try:
-        parent = outcomes(args.parent_src, args.configs, args.seed, args.max_requests)
-        change = outcomes(args.change_src, args.configs, args.seed, args.max_requests)
+        # Each thread only waits on its subprocess, so both checkouts run
+        # at once.
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            parent, change = pool.map(checkout_outcomes, (args.parent_src, args.change_src))
     except RuntimeError as e:
         print(e, file=sys.stderr)
         return 2

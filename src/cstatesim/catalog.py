@@ -29,7 +29,7 @@ import io
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import fsm
 from .errors import ParseError, ValidationError, file_fields, read_ini, read_input, read_section
@@ -73,8 +73,8 @@ PSTATE_NAMES: Tuple[str, ...] = ("P1",)
 class PState:
     """The active operating point: the C0 power idle powers are compared to.
 
-    A loaded catalog's P1 is C0's power (Catalog.validate), so active
-    power has one key, [C0] power_w.
+    A catalog's P1 is its C0's power (Catalog refuses any other), so
+    active power has one key, [C0] power_w.
     """
 
     name: str
@@ -167,12 +167,25 @@ class C6ABudget:
 class Catalog:
     """Immutable bundle of C-state specs and P-states.
 
-    Treat as read-only after construction; derive variants with
-    dataclasses.replace on the contained specs.
+    Every C-state must be present, and the one P-state is P1 at C0's
+    power: derived from C0 when pstates is omitted, refused when a given
+    one differs.  Treat as read-only after construction; derive variants
+    from the contained specs, as Catalog(cstates).
     """
 
     cstates: Dict[str, CStateSpec]
-    pstates: Dict[str, PState]
+    pstates: Optional[Dict[str, PState]] = None
+
+    def __post_init__(self):
+        missing = [n for n in CSTATE_NAMES if n not in self.cstates]
+        if missing:
+            raise ValidationError(f"catalog missing C-states: {missing}")
+        c0_mw = self.cstates["C0"].power_mw
+        pstates = {"P1": PState("P1", c0_mw)}
+        if self.pstates is None:
+            object.__setattr__(self, "pstates", pstates)
+        elif self.pstates != pstates:
+            raise ValidationError(f"catalog P-states must be exactly P1 at C0's {c0_mw} mW")
 
     def __getitem__(self, name: str) -> CStateSpec:
         try:
@@ -187,13 +200,7 @@ class Catalog:
             raise ValidationError(f"unknown P-state {name!r}") from None
 
     def validate(self) -> None:
-        """Structural checks: all states present, P1 at C0's power, classes paired."""
-        missing = [n for n in CSTATE_NAMES if n not in self.cstates]
-        if missing:
-            raise ValidationError(f"catalog missing C-states: {missing}")
-        c0_mw = self.cstates["C0"].power_mw
-        if self.pstates != {"P1": PState("P1", c0_mw)}:
-            raise ValidationError(f"catalog P-states must be exactly P1 at C0's {c0_mw} mW")
+        """Structural check: each agile state keeps its donor's latency class."""
         for shallow, agile in REPLACEMENTS.items():
             a, b = self.cstates[shallow], self.cstates[agile]
             if a.transition_time_us != b.transition_time_us:
@@ -235,8 +242,8 @@ def _flow_totals_ns(variant: str) -> Tuple[int, int]:
 
 
 def _catalog(cstates: Dict[str, CStateSpec]) -> Catalog:
-    """The validated catalog of cstates, with P1 at C0's power."""
-    cat = Catalog(cstates, {"P1": PState("P1", cstates["C0"].power_mw)})
+    """The validated catalog of cstates."""
+    cat = Catalog(cstates)
     cat.validate()
     return cat
 

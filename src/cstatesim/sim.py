@@ -40,11 +40,18 @@ and bisects only when that one is not after the idle period's start.
 Idle states are indices into the sorted menu (C0 is 0): entry and exit
 latencies, the snoop flags and windows, and each core's residency and
 entry counts are lists indexed by state, and the governor reads its
-threshold table (_state_picker) in place.  Per idle period the loop
-writes only those two per-core tables; every entry and exit adds
-entry_ns + exit_ns of transition time, so the transition bucket and the
-C0 entries are settled once after the loop, from the entry counts and
-the horizon's cuts, and so is the network RTT, with the per-name tables.
+threshold table (_state_picker) in place.  The oracle's lookahead is an
+integer number of nanoseconds, so it reads the table as integer cut
+points, one per target residency (_cut_ns): the least whole ns whose
+value in us reaches the target.  It compares its gap with them as it
+is, with no conversion to us, and chooses what the us table would.  The
+ewma and last_idle predictions are us floats, read against the us
+table; last_idle is ewma with weight 1 on the newest idle period.  Per
+idle period the loop writes only those two per-core tables; every
+entry and exit adds entry_ns + exit_ns of transition time, so the
+transition bucket and the C0 entries are settled once after the loop,
+from the entry counts and the horizon's cuts, and so is the network
+RTT, with the per-name tables.
 Latencies stay Python ints: the loop appends each to a plain list, which
 is sorted in place after the loop, once the run has dropped its own
 stream arrays.  That list, one int per completed request, is the
@@ -87,6 +94,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -391,6 +399,40 @@ def _state_picker(enabled: frozenset, catalog: Catalog) -> Tuple[List[float], Li
     return thresholds, picks
 
 
+# The largest float as an integer: a larger integer converts to the same
+# float or overflows, so none divides by 1000.0 to more.
+_LARGEST_DIVISIBLE_NS = int(sys.float_info.max)
+
+
+@lru_cache(maxsize=256)
+def _cut_ns(threshold_us: float):
+    """The least integer d with d / 1000.0 >= threshold_us (math.inf if none).
+
+    So an idle period of gap_ns integer nanoseconds fits a state exactly
+    when gap_ns >= _cut_ns(its target residency), which is what
+    gap_ns / 1000.0 >= target decides, without the division.  threshold_us
+    is a target residency, finite and nonnegative.  d / 1000.0 never
+    decreases as d grows, so the cut is found by bisection with Python's
+    own comparison: ceil(threshold_us * 1000) can be off by one either
+    way, and stepping from it by 1 stalls once consecutive integers
+    share a float (at about 9e12 us).
+    """
+    top = _LARGEST_DIVISIBLE_NS
+    if not top / 1000.0 >= threshold_us:
+        return math.inf
+    # lo never fits (a target is nonnegative), hi always does.
+    lo, hi = -1, 1
+    while not hi / 1000.0 >= threshold_us:
+        lo, hi = hi, min(2 * hi, top)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid / 1000.0 >= threshold_us:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def select_state(
     governor: GovernorPolicy,
     predicted_idle_us: float,
@@ -626,6 +668,7 @@ def run(
     active_mw = catalog["C0"].power_mw
     state_mw = [catalog[name].power_mw for name in names]
     thresholds, picks = _state_picker(config.cstates_enabled, catalog)
+    cuts_ns = [_cut_ns(threshold) for threshold in thresholds]
 
     # Entry/exit latencies: the catalog's hardware figures for every
     # state (the governor never picks C0, index 0).
@@ -696,9 +739,10 @@ def run(
     only_state = picks[0] if len(set(picks)) == 1 else None
     predictor = config.governor.predictor if only_state is None else None
     clairvoyant = predictor == "clairvoyant"
-    ewma = predictor == "ewma"
-    last_idle = predictor == "last_idle"
-    alpha = config.governor.ewma_alpha
+    # last_idle is ewma with alpha 1: 1.0 * x + 0.0 * p == x for the
+    # finite, nonnegative idle times the loop holds.
+    ewma = predictor in ("ewma", "last_idle")
+    alpha = 1.0 if predictor == "last_idle" else config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
 
@@ -806,7 +850,7 @@ def run(
                     if k < i and arrivals[k] <= f:
                         k = bisect_right(arrivals, f, k, i)
                     state = picks[bisect_right(
-                        thresholds, ((arrivals[k] if k < offered else lookahead) - f) / 1000.0)]
+                        cuts_ns, (arrivals[k] if k < offered else lookahead) - f)]
                 elif only_state is None:
                     state = picks[bisect_right(thresholds, pred_us[c])]
                 else:
@@ -840,8 +884,6 @@ def run(
                     idle_intervals.append((names[state], t - f))
                 if ewma:
                     pred_us[c] = alpha * ((t - f) / 1000.0) + (1.0 - alpha) * pred_us[c]
-                elif last_idle:
-                    pred_us[c] = (t - f) / 1000.0
                 f = wake
             # else t == f: the queue drained just now, so the governor's
             # decision is dropped and service starts at once.

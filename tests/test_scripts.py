@@ -2,8 +2,9 @@
 
 diff_results.py and bench_file.py back every claim that a change keeps
 reports byte-identical or makes a workload faster, so each is run here
-as a command, the way it is used on two checkouts.  The benchmark's
-tracer is checked against the names it wraps.
+as a command, the way it is used on two checkouts.  bench_pairs.py,
+which makes the benchmark runs, is run with a stub in place of the
+benchmark.  The benchmark's tracer is checked against the names it wraps.
 """
 
 import importlib.util
@@ -13,6 +14,8 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
@@ -172,6 +175,57 @@ def test_bench_file_needs_a_pair_for_every_workload(tmp_path):
     assert proc.returncode == 1
     assert proc.stderr.startswith("no paired runs for")
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_bench_pairs_alternates_sides_on_consecutive_seeds(tmp_path, monkeypatch, capsys):
+    # A stub runner stands in for perfbench/run.py: it records each
+    # command with its checkout and writes the result copy a run leaves.
+    # Seed 42 of sweep-demo fails a round on both sides and still pairs.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    calls = []
+
+    def runner(command, cwd):
+        calls.append((cwd, command))
+        seed = int(command[command.index("--seed") + 1])
+        workload = command[command.index("--workload") + 1]
+        failed = int(workload == "sweep-demo" and seed == 42)
+        doc = {"correct": not failed, "attempted": 6, "failed": failed,
+               "metrics": {m["name"]: {"value": 1.0 if cwd == parent else 0.9, "unit": m["unit"]}
+                           for m in BENCHMARK["end_to_end"]}}
+        out = cwd / "perfbench" / "out"
+        out.mkdir(parents=True, exist_ok=True)
+        (out / f"{workload}-seed{seed}-trace0.json").write_text(json.dumps(doc))
+        return failed
+
+    doc = bench_pairs.run_pairs(parent, change, pairs=3, seconds=2.5, seed_base=40,
+                                note="stub", runner=runner)
+    workloads = [w["name"] for w in BENCHMARK["workloads"]]
+    expected = []
+    for seed, order in ((41, (parent, change)), (42, (change, parent)), (43, (parent, change))):
+        for workload in workloads:
+            expected += [(root, BENCHMARK["command"] + [
+                "--workload", workload, "--seed", str(seed), "--seconds", "2.5", "--trace", "0"])
+                for root in order]
+    assert calls == expected
+    assert doc["note"] == "stub"
+    for workload, summary in doc["workloads"].items():
+        assert summary["seeds"] == [41, 42, 43]
+        failed = [42] if workload == "sweep-demo" else []
+        assert summary["failed_seeds"] == {"parent": failed, "change": failed}
+        assert summary["metrics"]["wall_s"]["change_wins"] == 3
+    assert "sweep-demo seed 42: a round failed on parent and change" in capsys.readouterr().err
+
+
+def test_bench_pairs_stops_at_a_run_that_leaves_no_result(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    with pytest.raises(RuntimeError, match="exit 2"):
+        bench_pairs.run_pairs(tmp_path, tmp_path, pairs=1, seconds=1.0, seed_base=0, note="",
+                              runner=lambda command, cwd: 2)
 
 
 def test_perfbench_tracer_resolves_every_wrapped_name(monkeypatch):

@@ -26,11 +26,14 @@ import itertools
 import json
 import math
 import random
+import sys
 import time
 from array import array
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cstatesim import fsm
 from cstatesim import sim as sim_module
@@ -50,6 +53,7 @@ from cstatesim.sim import (
     SweepPoint,
     VariantSpec,
     _arrival_times,
+    _cut_ns,
     _draw_streams,
     _service_seconds,
     derive_subseed,
@@ -63,9 +67,9 @@ CATALOG = default_catalog()
 
 
 def c0_catalog(power_mw):
-    """The default catalog with its C0 power replaced."""
+    """The default catalog with its C0 power replaced (P1 follows it)."""
     c0 = dataclasses.replace(CATALOG["C0"], power_mw=power_mw)
-    return Catalog({**CATALOG.cstates, "C0": c0}, CATALOG.pstates)
+    return Catalog({**CATALOG.cstates, "C0": c0})
 
 
 def quiet_config(**overrides):
@@ -181,6 +185,36 @@ class TestSelectState:
                     fits = [s for s in states if s.target_residency_us <= p]
                     want = max(fits, key=key) if fits else min(states, key=key)
                     assert self.pick(p, set(menu) | {"C0"}) == want.name, (menu, p)
+
+
+class TestCutPoints:
+    """_cut_ns(T), the least integer d with d / 1000.0 >= T (inf if none)."""
+
+    @pytest.mark.parametrize("threshold_us, cut", [
+        (0.0, 0),
+        (0.1 + 0.2, 301),              # 0.30000000000000004: 300 ns falls short
+        (20.0, 20_000),
+        (600.0, 600_000),
+        (2 ** 53 / 1000, 2 ** 53),
+        (1e15, 10 ** 18 - 64),         # the 64 integers below 1e18 round up to it
+        (1e300, None),                 # a 1007-bit cut, checked by its definition
+        (sys.float_info.max, math.inf),
+    ])
+    def test_fixed_cases(self, threshold_us, cut):
+        got = _cut_ns(threshold_us)
+        if cut is not None:
+            assert got == cut
+        if got == math.inf:
+            assert not int(sys.float_info.max) / 1000.0 >= threshold_us
+        else:
+            assert got / 1000.0 >= threshold_us and not (got - 1) / 1000.0 >= threshold_us
+
+    @given(threshold_us=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+           offset=st.integers(-4, 4) | st.integers(-2 ** 64, 2 ** 64))
+    def test_integer_cut_decides_as_the_us_comparison(self, threshold_us, offset):
+        cut = _cut_ns(threshold_us)
+        d = (int(sys.float_info.max) if cut == math.inf else cut) + offset
+        assert (d / 1000.0 >= threshold_us) == (d >= cut)
 
 
 # ---------------------------------------------------------------------------
@@ -1196,12 +1230,28 @@ GOLDEN = [
           service=ServiceSpec("exponential", 20.0), dispatch="random",
           governor=GovernorPolicy("clairvoyant")),
      "72b8c69bad8214f9bc4ef42b730261493ec5e8a75e19ac0ef3c5a22f840cc954"),
+    # Targets off the ns grid (OFF_GRID_CATALOG): C1E's cut is 20001 ns
+    # and C6's 600001 ns.  Arrivals every 600 us and near-fixed service
+    # of about 575 us give a first idle gap of 600000 ns, one below C6's
+    # cut, and after C1E exits gaps of exactly 20000 and 20001 ns, on
+    # both sides of C1E's cut; so C1E's cut one off either way, or C6's
+    # one low, moves the run.
+    (dict(cores=1, duration_s=0.2, seed=29, arrival=ArrivalSpec("periodic", 1e9 / 600_000),
+          service=ServiceSpec("lognormal", 574.9995, sigma=1e-5), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant")),
+     "0977caf60a270bd02996fffc0069044d80d786d15482696a5f2c36e4dee60281"),
 ]
 
 
+OFF_GRID_CATALOG = Catalog({
+    **CATALOG.cstates,
+    "C1E": dataclasses.replace(CATALOG["C1E"], target_residency_us=20.0004),
+    "C6": dataclasses.replace(CATALOG["C6"], target_residency_us=600.0005),
+})
+
 # The catalog a golden config runs with, by seed, where it is not the
 # default.
-GOLDEN_CATALOGS = {18: c0_catalog(11_000)}
+GOLDEN_CATALOGS = {18: c0_catalog(11_000), 29: OFF_GRID_CATALOG}
 
 
 @pytest.mark.parametrize("kwargs, digest", GOLDEN,
