@@ -19,16 +19,23 @@ second of them replays the service times the first converted.  Each
 config expects at most --max-requests requests (default 3000); above the
 default, horizons are drawn longer in proportion, so that at 20000
 about one config in seven crosses a chunk of 4096 drawn arrivals or
-service times.  For each config it compares the whole sim_report
-document, or the sweep document of a sweep (config, results and
-provenance, with only the provenance timestamp dropped), and the
-SimTrace lists (decisions and idle_intervals, in order).  A config one
-side rejects is compared by its error message.  Every config is
-compared; when some differ, it prints the first one's description with
-its first differing key path and values, then each key path that
-differs (list indices as [*]) with the number of configs where it does.
-A key that one side has and the other lacks differs, even when its
-value is null; the lacking side's value prints as <absent>.
+service times.  About one config in twenty is then redrawn so that one
+stream's values cross 2**52 ns, where the simulator rounds them to whole
+ns without its fast form: Poisson arrivals at 1e-8 to 1e-4 qps (across
+the chunked draw's rate bound), snoops at 1e-8 to 1e-6 Hz per core on
+an agile menu with such arrivals, or a service mean of 3e12 to 3e15 us
+at the drawn utilization.  Its horizon is 1e6 to 1e9 s, it runs traced
+and not as a sweep, and it has no other snoops.  For each config it
+compares the whole sim_report document, or the sweep document of a
+sweep (config, results and provenance, with only the provenance
+timestamp dropped), and the SimTrace lists (decisions and
+idle_intervals, in order).  A config one side rejects is compared by
+its error message.  Every config is compared; when some differ, it
+prints the first one's description with its first differing key path
+and values, then each key path that differs (list indices as [*]) with
+the number of configs where it does.  A key that one side has and the
+other lacks differs, even when its value is null; the lacking side's
+value prints as <absent>.
 
 Usage:
     python3 scripts/diff_results.py PARENT_SRC CHANGE_SRC [--configs N] [--seed S]
@@ -61,6 +68,8 @@ PLAIN_MENUS = [m for m in MENUS if m not in AGILE_MENUS]
 # Expected requests per run stay below this by default, so a config runs
 # in milliseconds.
 MAX_REQUESTS = 3000
+# The streams whose drawn values a config can take past 2**52 ns.
+HUGE_STREAMS = ("arrival", "snoop", "service")
 
 
 def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
@@ -78,7 +87,7 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
         duration_s = max_requests / rate_qps
     snoops_on = rng.random() < 0.5
     seed = rng.randrange(2 ** 64)
-    return {
+    config = {
         "cores": cores,
         "duration_s": duration_s,
         "seed": seed,
@@ -110,6 +119,36 @@ def random_config(rng: random.Random, max_requests: int = MAX_REQUESTS) -> dict:
         "trace": rng.random() < 1 / 3,
         "sweep": random_sweep(rng, rate_qps) if rng.random() < 0.1 else None,
     }
+    cross_2_52_ns(random.Random(f"huge {seed}"), config, max_requests)
+    return config
+
+
+def cross_2_52_ns(rng: random.Random, config: dict, max_requests: int) -> None:
+    """On about one config in twenty, redraw it so one stream crosses 2**52 ns.
+
+    Drawn from a stream of its own, so the other configs are as they
+    were.  kHz snoops over horizons this long would take hours, and a
+    1 ns shift in such a value shows only in a trace.
+    """
+    if rng.random() >= 0.05:
+        return
+    stream = rng.choice(HUGE_STREAMS)
+    arrival, service, snoop = config["arrival"], config["service"], config["snoop"]
+    if stream == "service":
+        mean_us = 10 ** rng.uniform(12.5, 15.5)
+        arrival["rate_qps"] *= service["mean_us"] / mean_us
+        service["mean_us"] = mean_us
+    else:  # mean gaps of 1e13 to 1e17 ns
+        arrival["rate_qps"] = 10 ** rng.uniform(-8.0, -4.0)
+    snoop["rate_per_core_hz"] = 0.0
+    if stream == "snoop":
+        snoop["rate_per_core_hz"] = 10 ** rng.uniform(-8.0, -6.0)
+        config["cstates_enabled"] = rng.choice(AGILE_MENUS)
+    arrival["process"] = "poisson"  # a bursty stream this slow is rejected
+    config["duration_s"] = 10 ** rng.uniform(6.0, 9.0)
+    if arrival["rate_qps"] * config["duration_s"] > max_requests:
+        config["duration_s"] = max_requests / arrival["rate_qps"]
+    config["trace"], config["sweep"] = True, None
 
 
 def random_latency_scales(rng: random.Random):

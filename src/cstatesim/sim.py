@@ -78,7 +78,11 @@ which no run writes to.  The exponential and lognormal samplers are
 inlined copies of random.expovariate and random.lognormvariate: the
 same uniform draws, in the same order, give the same numbers.  Poisson
 gaps are drawn a chunk at a time, with expovariate's draws and
-arithmetic.
+arithmetic.  Drawn gaps and service times become whole ns as round()
+makes them, ties to even, without a call to it: adding and then
+subtracting 2**52 rounds a float below 2**52 to a whole number, and
+floor() makes that an int; a float at or above 2**52 is already whole
+(_ROUND_NS).
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -464,6 +468,14 @@ _CHUNK = 4096
 # random.NV_MAGICCONST, the ratio-of-uniforms bound of the normal draw.
 _NV_MAGICCONST = 4 * math.exp(-0.5) / math.sqrt(2.0)
 
+# floor(x + _ROUND_NS - _ROUND_NS) is round(x) for 0 <= x < 2**52, at
+# about half its cost: floats in [2**52, 2**53) are spaced 1 apart, and
+# addition rounds to nearest even.  A float at or above 2**52 is whole,
+# so with "if x < _ROUND_NS else floor(x)" the form is round(x) for every
+# nonnegative float, and inf raises OverflowError as round() does.
+_ROUND_NS = 2.0 ** 52
+
+
 def _arrival_times(spec: ArrivalSpec, rng: random.Random,
                    t_end: int) -> Tuple[array, float]:
     """Absolute arrival times in integer ns, strictly increasing.
@@ -486,15 +498,16 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
         times = array("q", range(interval, t_end, interval))
         return times, (len(times) + 1) * interval
     times, t = array("q"), 0
-    uniform, log = rng.random, math.log
+    uniform, log, floor, m = rng.random, math.log, math.floor, _ROUND_NS
     on_rate, on_end = spec.rate_qps, inf
-    if spec.process == "poisson" and 40.0 / on_rate * 1e9 < 1e300:
-        # The loop below, a chunk at a time: no gap can overflow
-        # (-log(1 - u) < 37), and a chunk is no larger than the arrivals
-        # expected before t_end, plus a few.
+    if spec.process == "poisson" and 40.0 / on_rate * 1e9 < m:
+        # The loop below, a chunk at a time: every gap is below 2**52
+        # (-log(1 - u) < 37), so it rounds as _ROUND_NS says with no
+        # branch, and a chunk is no larger than the arrivals expected
+        # before t_end, plus a few.
         while True:
             n = min(_CHUNK, int((t_end - t) * on_rate * 1e-9) + 16)
-            block = list(accumulate([round(-log(1.0 - uniform()) / on_rate * 1e9) or 1
+            block = list(accumulate([floor(-log(1.0 - uniform()) / on_rate * 1e9 + m - m) or 1
                                      for _ in range(n)], initial=t))
             k = bisect_left(block, t_end, 1)
             times.fromlist(block[1:k])
@@ -510,9 +523,11 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
     expo = rng.expovariate
     while True:
         # max(1, round(expo(on_rate) * 1e9)), inlined: one uniform draw
-        # each, and a nonnegative gap rounds to 0 only when below 1.
+        # each, rounded as _ROUND_NS says, and a nonnegative gap rounds
+        # to 0 only when below 1.
+        gap = -log(1.0 - uniform()) / on_rate * 1e9
         try:
-            cand = t + (round(-log(1.0 - uniform()) / on_rate * 1e9) or 1)
+            cand = t + ((floor(gap + m - m) if gap < m else floor(gap)) or 1)
         except OverflowError:  # the gap is past any float: it never arrives
             cand = inf
         if cand <= on_end:
@@ -584,8 +599,9 @@ class _Streams:
     def service_ns(self, inflation: float) -> array:
         """Service times inflated and rounded to whole ns (at least 1).
 
-        round(x * inflation * 1e9) is the arithmetic a run always used,
-        so results do not depend on whether the streams are shared.
+        round(x * inflation * 1e9) is the arithmetic a run always used
+        (computed as _ROUND_NS says), so results do not depend on
+        whether the streams are shared.
         Converted once per distinct inflation and kept with the streams,
         so the variants at one load whose menus share an inflation read
         one array; no run writes to it.  A run that draws its own
@@ -595,10 +611,12 @@ class _Streams:
         ns = self._service_ns.get(inflation)
         if ns is None:
             ns, seconds = array("q"), self.service_s
+            floor, m = math.floor, _ROUND_NS
             try:
                 for lo in range(0, len(seconds), _CHUNK):
-                    ns.fromlist([round(x * inflation * 1e9) or 1
-                                 for x in seconds[lo:lo + _CHUNK]])
+                    ns.fromlist([(floor(y + m - m) if y < m else floor(y)) or 1
+                                 for x in seconds[lo:lo + _CHUNK]
+                                 for y in (x * inflation * 1e9,)])
             except OverflowError:
                 raise ValidationError("a service time is not below 2**63 ns") from None
             self._service_ns[inflation] = ns
@@ -758,16 +776,19 @@ def run(
         """
         nonlocal snoops_served, snoop_pj
         uniform, log, rate = snoop_rngs[c].random, math.log, snoop_rate
+        floor, m = math.floor, _ROUND_NS
         window = snoop_window_ns[state]
         unclipped = t_stop + window <= t_end
         clear = snoop_clear_ns[c]
         fast = slow = slow_ns = 0
         while True:
-            # expovariate(rate), inlined as in _arrival_times.  A gap
-            # past any float (at very low rates) cannot be rounded and
-            # ends the interval, as any gap reaching t_stop does.
+            # expovariate(rate), inlined and rounded as in
+            # _arrival_times.  A gap past any float (at very low rates)
+            # cannot be rounded and ends the interval, as any gap
+            # reaching t_stop does.
+            gap = -log(1.0 - uniform()) / rate * 1e9
             try:
-                ts += round(-log(1.0 - uniform()) / rate * 1e9) or 1
+                ts += (floor(gap + m - m) if gap < m else floor(gap)) or 1
             except OverflowError:
                 break
             if ts >= t_stop:

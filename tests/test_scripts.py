@@ -128,6 +128,61 @@ def test_diff_results_max_requests_sizes_the_configs():
     assert proc.returncode == 2 and "--max-requests" in proc.stderr
 
 
+def huge_stream(config: dict):
+    """Which stream of a diff_results config is drawn past 2**52 ns, if any."""
+    if config["duration_s"] < 1e6:
+        return None
+    if config["service"]["mean_us"] * 1e3 > 2 ** 51:
+        return "service"
+    return "snoop" if config["snoop"]["rate_per_core_hz"] > 0 else "arrival"
+
+
+def test_diff_results_draws_values_past_2_52_ns():
+    # About one config in twenty takes one stream past 2**52 ns, over a
+    # horizon of up to 1e9 s, traced, not swept and with no other
+    # snoops; the arrival rates cross the chunked Poisson draw's bound
+    # of about 9e-6 qps.
+    diff_results = diff_results_module()
+    rng = random.Random(0)
+    configs = [diff_results.random_config(rng) for _ in range(1000)]
+    huge = [c for c in configs if huge_stream(c)]
+    assert 25 <= len(huge) <= 80
+    assert {huge_stream(c) for c in huge} == set(diff_results.HUGE_STREAMS)
+    for c in huge:
+        assert c["duration_s"] <= 1e9 and c["trace"] and c["sweep"] is None
+        assert c["arrival"]["process"] == "poisson"
+        snoop_hz = c["snoop"]["rate_per_core_hz"]
+        if huge_stream(c) == "snoop":
+            assert 1e9 / snoop_hz > 2 ** 52 / 10 and {"C6A", "C6AE"} & set(c["cstates_enabled"])
+        else:
+            assert snoop_hz == 0
+    rates = [c["arrival"]["rate_qps"] for c in huge if huge_stream(c) == "arrival"]
+    assert min(rates) < 1e9 / 2 ** 52 and max(rates) > 40 * 1e9 / 2 ** 52
+    assert all(c["duration_s"] < 1e6 for c in configs if not huge_stream(c))
+
+
+@pytest.mark.parametrize("old, new", [
+    # the service conversion's fallback one ns high
+    ("(floor(y + m - m) if y < m else floor(y)) or 1",
+     "(floor(y + m - m) if y < m else floor(y) + 1) or 1"),
+    # the generic arrival loop without its fallback
+    ("cand = t + ((floor(gap + m - m) if gap < m else floor(gap)) or 1)",
+     "cand = t + (floor(gap + m - m) or 1)"),
+    # the chunked Poisson draw's old rate bound, which lets gaps past
+    # 2**52 ns into its branch-free rounding
+    ("40.0 / on_rate * 1e9 < m:", "40.0 / on_rate * 1e9 < 1e300:"),
+])
+def test_diff_results_catches_a_fault_past_2_52_ns(tmp_path, old, new):
+    # Each fault moves only values past 2**52 ns, by a few ns at most,
+    # which only the traces of the configs drawn there show.
+    mutant = mutant_src(tmp_path, old, new)
+    proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 40, "--seed", 1)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first, _, _, *rows = proc.stdout.splitlines()
+    assert huge_stream(json.loads(first.split(": ", 1)[1]))
+    assert [row.split()[1] for row in rows] == [".trace_sha256"]
+
+
 def write_runs(out_dir: Path, values: dict) -> None:
     """perfbench/out-style result copies: every metric of a run at seed s is values[s]."""
     out_dir.mkdir()

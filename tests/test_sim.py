@@ -217,6 +217,55 @@ class TestCutPoints:
         assert (d / 1000.0 >= threshold_us) == (d >= cut)
 
 
+def round_ns(x):
+    """The stream conversions' rounding of a drawn value to whole ns."""
+    m = sim_module._ROUND_NS
+    return math.floor(x + m - m) if x < m else math.floor(x)
+
+
+class TestRoundNs:
+    """The inlined form of round() that the stream conversions use."""
+
+    @pytest.mark.parametrize("x", [
+        -0.0, 0.0, 0.5, 1.5, 2.5, 3.5, 1e6 + 0.5, 2.0 ** 51 + 0.5, 2.0 ** 52 - 1.5,
+        0.49999999999999994,           # the float below 0.5: a naive +0.5 gives 1
+        2.0 ** 52 - 0.5,               # a tie at the top of the fast form's range
+        2.0 ** 52, 2.0 ** 53 - 1, 1e300,
+    ])
+    def test_fixed_cases(self, x):
+        assert round_ns(x) == round(x) and type(round_ns(x)) is int
+
+    def test_inf_overflows_as_round_does(self):
+        with pytest.raises(OverflowError):
+            round(math.inf)
+        with pytest.raises(OverflowError):
+            round_ns(math.inf)
+
+    def test_poisson_chunk_gaps_stay_below_the_fast_form_range(self):
+        # The chunked Poisson draw uses the form without its branch when
+        # 40 / rate * 1e9 < 2**52: -log(1 - u) is below 37 for every
+        # u < 1 that random() returns.
+        assert -math.log(1.0 - (1.0 - 2.0 ** -53)) < 37
+
+    @given(x=st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+           | st.floats(min_value=0.0, max_value=2.0 ** 53))
+    def test_equals_round(self, x):
+        assert round_ns(x) == round(x)
+
+    @given(seconds=st.lists(st.floats(0.0, 1e10) | st.floats(4.5e6, 9.1e6), max_size=20),
+           inflation=st.floats(1.0, 2.0))
+    def test_service_ns_is_round(self, seconds, inflation):
+        # Values from 4.5e6 s straddle 2**52 and 2**53 ns; past 2**63 ns
+        # the conversion is rejected.
+        streams = sim_module._Streams(None, array("q"), math.inf, array("d", seconds))
+        want = [round(x * inflation * 1e9) or 1 for x in seconds]
+        if max(want, default=0) < 2 ** 63:
+            assert list(streams.service_ns(inflation)) == want
+        else:
+            with pytest.raises(ValidationError, match=r"not below 2\*\*63 ns"):
+                streams.service_ns(inflation)
+
+
 # ---------------------------------------------------------------------------
 # determinism and seeding
 
@@ -283,6 +332,15 @@ class TestDeterminism:
             got, lookahead = _arrival_times(ArrivalSpec("poisson", rate), random.Random(9), t_end)
             assert list(got) == times[:-1]
             assert lookahead == times[-1]
+
+    @pytest.mark.parametrize("rate", [1e-8, 1e-7, 2.5e-7, 8.8e-6, 9e-6])
+    def test_poisson_gaps_past_2_52_ns_are_the_stdlib_draws(self, rate):
+        # Below about 8.9e-6 qps the gaps are drawn one at a time, and
+        # below about 2.2e-7 qps most of them are past 2**52 ns, where
+        # they are rounded without the fast form.
+        times = self.reference_poisson_times(3, rate, 20)
+        got, lookahead = _arrival_times(ArrivalSpec("poisson", rate), random.Random(3), times[-1])
+        assert (list(got), lookahead) == (times[:-1], times[-1])
 
     def test_poisson_horizon_on_a_chunk_boundary(self):
         # At seed 5 the horizons at the 1st, 2nd and 3rd _CHUNK-th draw
@@ -1240,6 +1298,24 @@ GOLDEN = [
           service=ServiceSpec("lognormal", 574.9995, sigma=1e-5), dispatch="round_robin",
           governor=GovernorPolicy("clairvoyant")),
      "0977caf60a270bd02996fffc0069044d80d786d15482696a5f2c36e4dee60281"),
+    # Drawn values past 2**52 ns, where the stream conversions round
+    # without the fast form (TestRoundNs), over a 1e9 s horizon: Poisson
+    # gaps at 1e-7 qps, below the chunked draw's rate bound; snoop gaps
+    # at 1e-7 Hz on a menu whose only deep states are agile (185 snoops
+    # served); and a fixed 5e12 us service, inflated, at utilization 0.5.
+    (dict(cores=2, duration_s=1e9, seed=30, arrival=ArrivalSpec("poisson", 1e-7),
+          service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant")),
+     "08c9ca4c67658158e1242bab9a0ff1d20ad3763aa40c9331284be37934aa0208"),
+    (dict(cores=2, duration_s=1e9, seed=31, arrival=ArrivalSpec("poisson", 2e-8),
+          service=ServiceSpec("exponential", 20.0), dispatch="random",
+          governor=GovernorPolicy("ewma", 0.5), cstates_enabled=frozenset({"C0", "C6A", "C6AE"}),
+          snoop=SnoopSpec(1e-7)),
+     "f6231fa85172d6fd558a0d72a6c162c80e8d4d3f603f5ac92d11a9c4847a64a7"),
+    (dict(cores=1, duration_s=1e9, seed=32, arrival=ArrivalSpec("poisson", 1e-7),
+          service=ServiceSpec("fixed", 5e12), dispatch="round_robin",
+          governor=GovernorPolicy("clairvoyant"), cstates_enabled=frozenset({"C0", "C1", "C6A"})),
+     "687ffba86ac5904b3f7ec25aba9c7d0524f4c17d9cc34ced85a5e2301e6fef26"),
 ]
 
 
