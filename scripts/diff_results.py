@@ -28,12 +28,14 @@ at the drawn utilization.  Its horizon is 1e6 to 1e9 s, it runs traced
 and not as a sweep, and it has no other snoops.  For each config it
 compares the whole sim_report document, or the sweep document of a
 sweep (config, results and provenance, with only the provenance
-timestamp dropped), and the SimTrace lists (decisions and
-idle_intervals, in order).  A config one side rejects is compared by
-its error message.  Every config is compared; when some differ, it
-prints the first one's description with its first differing key path
-and values, then each key path that differs (list indices as [*]) with
-the number of configs where it does.  A key that one side has and the
+timestamp dropped), the SimTrace lists (decisions and
+idle_intervals, in order), and the repr() of energy_j and avg_power_w
+of the run or of each sweep point: documents round floats to 6
+significant digits, which can hide a 1 ns shift.  A config one side
+rejects is compared by its error message.  Every config is compared;
+when some differ, it prints the first one's description with its first
+differing key path and values, then each key path that differs (list
+indices as [*]) with the number of configs where it does.  A key that one side has and the
 other lacks differs, even when its value is null; the lacking side's
 value prints as <absent>.
 
@@ -220,14 +222,18 @@ def run_one(description: dict) -> dict:
                         for k, menu in enumerate(grid["menus"])]
             points = sweep(config, grid["loads_qps"], variants, catalog=catalog)
             document = sweep_document(points, config)
+            reports = [point.report for point in points]
             trace = False
         else:
             report = run(config, catalog=catalog, trace=trace)
             document = sim_report_document(report)
+            reports = [report]
     except (ValidationError, ParseError) as e:
         return {"error": f"{type(e).__name__}: {e}"}
     del document["provenance"]["timestamp"]
-    out = {"document": document}
+    out = {"document": document,
+           "full_precision": [{"energy_j": repr(r.energy_j), "avg_power_w": repr(r.avg_power_w)}
+                              for r in reports]}
     if trace:
         lists = json.dumps([report.trace.decisions, report.trace.idle_intervals])
         out["trace_sha256"] = hashlib.sha256(lists.encode()).hexdigest()

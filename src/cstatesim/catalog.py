@@ -18,7 +18,8 @@ Six states are modeled:
 
 C6A deliberately shares C1's latency class (same transition time and
 target residency) and C6AE shares C1E's, while drawing close-to-C6
-power; that pairing is what the analytic model and simulator exploit.
+power; that pairing is what the analytic model and simulator exploit,
+and Catalog refuses a catalog whose agile states break it.
 The built-in C6A/C6AE hardware entry/exit latencies are the totals of
 their controller flows (fsm), so the flows stay their one definition.
 """
@@ -167,10 +168,11 @@ class C6ABudget:
 class Catalog:
     """Immutable bundle of C-state specs and P-states.
 
-    Every C-state must be present, and the one P-state is P1 at C0's
-    power: derived from C0 when pstates is omitted, refused when a given
-    one differs.  Treat as read-only after construction; derive variants
-    from the contained specs, as Catalog(cstates).
+    Every C-state must be present, the one P-state is P1 at C0's power
+    (derived from C0 when pstates is omitted, refused when a given one
+    differs), and each agile state must keep its donor's transition
+    time.  Treat as read-only after construction; derive variants from
+    the contained specs, as Catalog(cstates).
     """
 
     cstates: Dict[str, CStateSpec]
@@ -186,6 +188,13 @@ class Catalog:
             object.__setattr__(self, "pstates", pstates)
         elif self.pstates != pstates:
             raise ValidationError(f"catalog P-states must be exactly P1 at C0's {c0_mw} mW")
+        for shallow, agile in REPLACEMENTS.items():
+            a, b = self.cstates[shallow], self.cstates[agile]
+            if a.transition_time_us != b.transition_time_us:
+                raise ValidationError(
+                    f"{agile} must share {shallow}'s transition time "
+                    f"({b.transition_time_us} != {a.transition_time_us})"
+                )
 
     def __getitem__(self, name: str) -> CStateSpec:
         try:
@@ -198,16 +207,6 @@ class Catalog:
             return self.pstates[name]
         except KeyError:
             raise ValidationError(f"unknown P-state {name!r}") from None
-
-    def validate(self) -> None:
-        """Structural check: each agile state keeps its donor's latency class."""
-        for shallow, agile in REPLACEMENTS.items():
-            a, b = self.cstates[shallow], self.cstates[agile]
-            if a.transition_time_us != b.transition_time_us:
-                raise ValidationError(
-                    f"{agile} must share {shallow}'s transition time "
-                    f"({b.transition_time_us} != {a.transition_time_us})"
-                )
 
     def power_order_violations(self) -> List[str]:
         """Power must strictly decrease from C0 down to C6.
@@ -241,13 +240,6 @@ def _flow_totals_ns(variant: str) -> Tuple[int, int]:
             fsm.reference_flow(variant, "exit").total_ns)
 
 
-def _catalog(cstates: Dict[str, CStateSpec]) -> Catalog:
-    """The validated catalog of cstates."""
-    cat = Catalog(cstates)
-    cat.validate()
-    return cat
-
-
 def default_catalog() -> Catalog:
     """Built-in catalog for a 14 nm server core (base 2.2 GHz, min 0.8 GHz)."""
     specs = [
@@ -258,7 +250,7 @@ def default_catalog() -> Catalog:
         CStateSpec("C6AE", 10.0, 20.0, 230, *_flow_totals_ns("C6AE")),
         CStateSpec("C6", 133.0, 600.0, 100, *_flow_totals_ns("C6")),
     ]
-    return _catalog({s.name: s for s in specs})
+    return Catalog({s.name: s for s in specs})
 
 
 def default_budget() -> List[C6ABudget]:
@@ -336,7 +328,7 @@ def loads_catalog(text: str) -> Catalog:
         if base is None:
             raise ParseError(f"unknown section [{section}]")
         specs[section] = read_section(cp[section], section, CStateSpec, base, name=section)
-    return _catalog(specs)
+    return Catalog(specs)
 
 
 def load_catalog(path: str) -> Catalog:

@@ -46,12 +46,18 @@ points, one per target residency (_cut_ns): the least whole ns whose
 value in us reaches the target.  It compares its gap with them as it
 is, with no conversion to us, and chooses what the us table would.  The
 ewma and last_idle predictions are us floats, read against the us
-table; last_idle is ewma with weight 1 on the newest idle period.  Per
-idle period the loop writes only those two per-core tables; every
-entry and exit adds entry_ns + exit_ns of transition time, so the
-transition bucket and the C0 entries are settled once after the loop,
-from the entry counts and the horizon's cuts, and so is the network
-RTT, with the per-name tables.
+table; last_idle is ewma with weight 1 on the newest idle period.  A
+core's prediction takes in each idle period where it is read, at the
+decision, once the period's end is known (at the horizon too, where
+nothing reads it again).  Per idle period the loop writes only the
+per-core residency and entry tables; every entry and exit adds
+entry_ns + exit_ns of transition time, so the transition bucket and
+the C0 entries are settled once after the loop, from the entry counts
+and the horizon's cuts, and so is the network RTT, with the per-name
+tables.  The peak backlog costs one compare per arrival: limit is the
+completions popped so far plus peak_queue, so arrival i can raise the
+peak only when i >= limit, and only then are the other cores' queues
+drained up to its time.
 Latencies stay Python ints: the loop appends each to a plain list, which
 is sorted in place after the loop, once the run has dropped its own
 stream arrays.  That list, one int per completed request, is the
@@ -76,13 +82,17 @@ converts its service times to integer ns once per distinct service
 inflation, and the variants that share an inflation read one array,
 which no run writes to.  The exponential and lognormal samplers are
 inlined copies of random.expovariate and random.lognormvariate: the
-same uniform draws, in the same order, give the same numbers.  Poisson
-gaps are drawn a chunk at a time, with expovariate's draws and
-arithmetic.  Drawn gaps and service times become whole ns as round()
-makes them, ties to even, without a call to it: adding and then
-subtracting 2**52 rounds a float below 2**52 to a whole number, and
-floor() makes that an int; a float at or above 2**52 is already whole
-(_ROUND_NS).
+same uniform draws, in the same order, give the same numbers.  They
+move expovariate's negation onto the rate, negated once per stream:
+IEEE-754 division rounds the same for either sign, so
+log(1 - u) / -rate is -log(1 - u) / rate to the bit, -0.0 included;
+and lognormvariate's acceptance test z * z / 4 <= -log(u2) is written
+z * z / -4 >= log(u2), which decides the same.  Poisson gaps are drawn
+a chunk at a time, with expovariate's draws and arithmetic.  Drawn
+gaps and service times become whole ns as round() makes them, ties to
+even, without a call to it: adding and then subtracting 2**52 rounds a
+float below 2**52 to a whole number, and floor() makes that an int; a
+float at or above 2**52 is already whole (_ROUND_NS).
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -505,9 +515,10 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
         # (-log(1 - u) < 37), so it rounds as _ROUND_NS says with no
         # branch, and a chunk is no larger than the arrivals expected
         # before t_end, plus a few.
+        neg_rate = -on_rate
         while True:
             n = min(_CHUNK, int((t_end - t) * on_rate * 1e-9) + 16)
-            block = list(accumulate([floor(-log(1.0 - uniform()) / on_rate * 1e9 + m - m) or 1
+            block = list(accumulate([floor(log(1.0 - uniform()) / neg_rate * 1e9 + m - m) or 1
                                      for _ in range(n)], initial=t))
             k = bisect_left(block, t_end, 1)
             times.fromlist(block[1:k])
@@ -521,11 +532,12 @@ def _arrival_times(spec: ArrivalSpec, rng: random.Random,
         on_end = max(1, round(rng.expovariate(1.0 / on_s) * 1e9))
     append = times.append
     expo = rng.expovariate
+    neg_rate = -on_rate
     while True:
         # max(1, round(expo(on_rate) * 1e9)), inlined: one uniform draw
-        # each, rounded as _ROUND_NS says, and a nonnegative gap rounds
-        # to 0 only when below 1.
-        gap = -log(1.0 - uniform()) / on_rate * 1e9
+        # each, with the sign moved onto the rate, rounded as _ROUND_NS
+        # says, and a nonnegative gap rounds to 0 only when below 1.
+        gap = log(1.0 - uniform()) / neg_rate * 1e9
         try:
             cand = t + ((floor(gap + m - m) if gap < m else floor(gap)) or 1)
         except OverflowError:  # the gap is past any float: it never arrives
@@ -553,10 +565,11 @@ def _service_seconds(spec: ServiceSpec, rng: random.Random, n: int) -> array:
         return array("d", [spec.mean_us * 1e-6]) * n
     if spec.dist == "exponential":
         # rng.expovariate(rate), inlined as in _arrival_times.
-        uniform, log, rate = rng.random, math.log, 1.0 / (spec.mean_us * 1e-6)
+        uniform, log, neg_rate = rng.random, math.log, -(1.0 / (spec.mean_us * 1e-6))
         seconds = array("d")
         for lo in range(0, n, _CHUNK):
-            seconds.fromlist([-log(1.0 - uniform()) / rate for _ in range(min(_CHUNK, n - lo))])
+            seconds.fromlist([log(1.0 - uniform()) / neg_rate
+                              for _ in range(min(_CHUNK, n - lo))])
         return seconds
     # Choose mu so the distribution mean equals mean_us.
     mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
@@ -568,15 +581,16 @@ def _lognormal(uniform, mu: float, sigma: float):
     """Endless rng.lognormvariate(mu, sigma) samples from uniform draws.
 
     The Kinderman-Monahan loop of random.normalvariate, with its draws
-    and arithmetic, then exp.  It reads only locals, which are faster
-    than closure cells and globals.
+    and arithmetic (its acceptance test negated on both sides), then
+    exp.  It reads only locals, which are faster than closure cells and
+    globals.
     """
     log, exp, magic = math.log, math.exp, _NV_MAGICCONST
     while True:
         u1 = uniform()
         u2 = 1.0 - uniform()
         z = magic * (u1 - 0.5) / u2
-        if z * z / 4.0 <= -log(u2):
+        if z * z / -4.0 >= log(u2):
             yield exp(mu + z * sigma)
 
 
@@ -699,6 +713,7 @@ def run(
     # exactly as in that state) instead of the resident state's power.
     # Only the states flagged in snooped are snooped.
     snoop_rate = config.snoop.rate_per_core_hz
+    neg_snoop_rate = -snoop_rate  # serve_snoops' gaps divide by it
     snooped = [False] * n_states
     snoop_window_ns = [0] * n_states
     snoop_delta_mw = [0] * n_states
@@ -751,7 +766,10 @@ def run(
 
     latencies_ns: List[int] = []
     rtt_ns = round(config.network_rtt_us * 1000)
-    wakeups_aborted = snoops_served = snoop_pj = popped = peak_queue = 0
+    wakeups_aborted = snoops_served = snoop_pj = peak_queue = 0
+    # Completions popped so far, plus peak_queue: an arrival can raise
+    # the peak only when its index reaches it.
+    limit = 0
     # With one idle state on the menu no prediction can change the
     # choice, so none is made.
     only_state = picks[0] if len(set(picks)) == 1 else None
@@ -759,7 +777,6 @@ def run(
     clairvoyant = predictor == "clairvoyant"
     # last_idle is ewma with alpha 1: 1.0 * x + 0.0 * p == x for the
     # finite, nonnegative idle times the loop holds.
-    ewma = predictor in ("ewma", "last_idle")
     alpha = 1.0 if predictor == "last_idle" else config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
@@ -775,18 +792,18 @@ def run(
         horizon, and only its uncovered part is charged.
         """
         nonlocal snoops_served, snoop_pj
-        uniform, log, rate = snoop_rngs[c].random, math.log, snoop_rate
+        uniform, log, neg_rate = snoop_rngs[c].random, math.log, neg_snoop_rate
         floor, m = math.floor, _ROUND_NS
         window = snoop_window_ns[state]
         unclipped = t_stop + window <= t_end
         clear = snoop_clear_ns[c]
         fast = slow = slow_ns = 0
         while True:
-            # expovariate(rate), inlined and rounded as in
+            # expovariate(snoop_rate), inlined and rounded as in
             # _arrival_times.  A gap past any float (at very low rates)
             # cannot be rounded and ends the interval, as any gap
             # reaching t_stop does.
-            gap = -log(1.0 - uniform()) / rate * 1e9
+            gap = log(1.0 - uniform()) / neg_rate * 1e9
             try:
                 ts += (floor(gap + m - m) if gap < m else floor(gap)) or 1
             except OverflowError:
@@ -817,13 +834,13 @@ def run(
         ties).  zip pulls each owner after the previous arrival has
         been applied, so the queues are live.
         """
-        nonlocal popped
+        nonlocal limit
         for t in arrivals:
             c = 0
             for queue in queues:
                 while queue and queue[0] <= t:
                     queue.popleft()
-                    popped += 1
+                    limit += 1
                 if len(queue) < pack_cap:
                     break
                 c += 1
@@ -856,9 +873,9 @@ def run(
                 wakeups_aborted += 1
             while queue[0] <= t:
                 queue.popleft()
-                popped += 1
+                limit += 1
         else:
-            popped += len(queue)
+            limit += len(queue)
             queue.clear()
             if t > f:
                 # Resolve the idle period that began when the queue
@@ -866,14 +883,21 @@ def run(
                 # no prediction is NaN, so the table is read unguarded.
                 if clairvoyant:
                     # The first arrival after f, on any core, is at most
-                    # i and most often the one after c's latest.
+                    # i and most often the one after c's latest.  Item
+                    # i is after f (at the horizon, so is lookahead),
+                    # so a next one at or before f is before i.
                     k = last_arrival[c] + 1
-                    if k < i and arrivals[k] <= f:
+                    nxt = arrivals[k] if k < offered else lookahead
+                    if nxt <= f:
                         k = bisect_right(arrivals, f, k, i)
-                    state = picks[bisect_right(
-                        cuts_ns, (arrivals[k] if k < offered else lookahead) - f)]
+                        nxt = arrivals[k] if k < offered else lookahead
+                    state = picks[bisect_right(cuts_ns, nxt - f)]
                 elif only_state is None:
-                    state = picks[bisect_right(thresholds, pred_us[c])]
+                    # The prediction is read, then takes this period
+                    # in (at the horizon too, where nothing reads it).
+                    pred = pred_us[c]
+                    state = picks[bisect_right(thresholds, pred)]
+                    pred_us[c] = alpha * ((t - f) / 1000.0) + (1.0 - alpha) * pred
                 else:
                     state = only_state
                 if trace:
@@ -903,8 +927,6 @@ def run(
                     cut[c] += 1
                 if trace:
                     idle_intervals.append((names[state], t - f))
-                if ewma:
-                    pred_us[c] = alpha * ((t - f) / 1000.0) + (1.0 - alpha) * pred_us[c]
                 f = wake
             # else t == f: the queue drained just now, so the governor's
             # decision is dropped and service starts at once.
@@ -914,15 +936,18 @@ def run(
         queue.append(f)
         if f < t_end:
             record(f - t)
-        # i + 1 - popped bounds the backlog from above (other cores may
-        # hold completions at or before t); pop them all only when the
-        # bound could raise the peak.
-        if i + 1 - popped > peak_queue:
+        # i + 1 less the completions popped bounds the backlog from
+        # above (other cores may hold completions at or before t); pop
+        # them all only when the bound could raise the peak, that is
+        # when i >= limit.
+        if i >= limit:
             for queue in queues:
                 while queue and queue[0] <= t:
                     queue.popleft()
-                    popped += 1
-            peak_queue = max(peak_queue, i + 1 - popped)
+                    limit += 1
+            if i >= limit:
+                peak_queue += i + 1 - limit
+                limit = i + 1
 
     # Integer picojoules: C0 and transitions draw active power.  The
     # per-name tables of the report are built from the index tables here,

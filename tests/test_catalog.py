@@ -32,7 +32,6 @@ from cstatesim.fsm import entry_timeline, exit_timeline, reference_flow
 
 def test_default_catalog_is_complete_and_valid():
     cat = default_catalog()
-    cat.validate()
     assert set(cat.cstates) == set(CSTATE_NAMES)
     assert set(cat.pstates) == {"P1"}
 
@@ -133,9 +132,9 @@ def test_unknown_name_rejected():
     (lambda: PState("P1", 0), "P1: C0 power must be positive"),
     (lambda: CStateSpec("C1", 2.0, 2.0, 1440, -1, 4),
      "C1: hw latencies must be nonnegative"),
-    (lambda: Catalog(default_catalog().cstates, {}).validate(),
+    (lambda: Catalog(default_catalog().cstates, {}),
      "catalog P-states must be exactly P1 at C0's 4000 mW"),
-    (lambda: Catalog(default_catalog().cstates, {"P1": PState("P1", 3999)}).validate(),
+    (lambda: Catalog(default_catalog().cstates, {"P1": PState("P1", 3999)}),
      "catalog P-states must be exactly P1 at C0's 4000 mW"),
     # A zero C0 power in a file gives P1 no positive power.
     (lambda: loads_catalog("[C0]\npower_w = 0\n"), "P1: C0 power must be positive"),
@@ -150,7 +149,7 @@ def test_catalog_missing_state_rejected():
     cat = default_catalog()
     partial = {k: v for k, v in cat.cstates.items() if k != "C6"}
     with pytest.raises(ValidationError, match="C6"):
-        Catalog(partial, cat.pstates).validate()
+        Catalog(partial, cat.pstates)
 
 
 def test_catalog_broken_latency_pairing_rejected():
@@ -160,15 +159,14 @@ def test_catalog_broken_latency_pairing_rejected():
         cstates["C6A"], transition_time_us=5.0, target_residency_us=5.0
     )
     with pytest.raises(ValidationError, match="transition time"):
-        Catalog(cstates, cat.pstates).validate()
+        Catalog(cstates, cat.pstates)
 
 
 def test_power_order_violation_reported_not_raised():
     cat = default_catalog()
     cstates = dict(cat.cstates)
     cstates["C6A"] = dataclasses.replace(cstates["C6A"], power_mw=2000)
-    bad = Catalog(cstates, cat.pstates)
-    bad.validate()  # structurally fine
+    bad = Catalog(cstates, cat.pstates)  # structurally fine
     violations = bad.power_order_violations()
     assert len(violations) == 1
     assert "C6A" in violations[0] and "C1E" in violations[0]
@@ -406,7 +404,6 @@ def test_round_trip_carries_every_field():
     # the round trip starts from a catalog that differs in every field.
     base = default_catalog()
     cat = _every_field_changed(base)
-    cat.validate()
     assert cat.pstate("P1") != base.pstate("P1")
     for name, spec in cat.cstates.items():
         for f in dataclasses.fields(spec)[1:]:

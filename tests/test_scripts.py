@@ -91,7 +91,8 @@ def test_diff_results_sweeps_catch_a_run_that_writes_its_service_times(tmp_path)
     assert '"sweep": {' in first
     assert value.startswith(".document.results.points[")
     assert 1 <= int(header.split()[0]) <= sweeps
-    assert rows and all(row.split()[1].startswith(".document.results.points[*].")
+    assert rows and all(row.split()[1].startswith((".document.results.points[*].",
+                                                   ".full_precision[*]."))
                         for row in rows)
 
 
@@ -174,13 +175,32 @@ def test_diff_results_draws_values_past_2_52_ns():
 ])
 def test_diff_results_catches_a_fault_past_2_52_ns(tmp_path, old, new):
     # Each fault moves only values past 2**52 ns, by a few ns at most,
-    # which only the traces of the configs drawn there show.
+    # which only the traces of the configs drawn there show, and at
+    # times the full-precision energy and power; no document key.
     mutant = mutant_src(tmp_path, old, new)
     proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 40, "--seed", 1)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, _, _, *rows = proc.stdout.splitlines()
     assert huge_stream(json.loads(first.split(": ", 1)[1]))
-    assert [row.split()[1] for row in rows] == [".trace_sha256"]
+    paths = [row.split()[1] for row in rows]
+    assert ".trace_sha256" in paths
+    assert set(paths) <= {".trace_sha256", ".full_precision[*].energy_j",
+                          ".full_precision[*].avg_power_w"}
+
+
+def test_diff_results_compares_energy_and_power_at_full_precision(tmp_path):
+    # Dividing by 1e12 instead of multiplying by 1e-12 moves the energy
+    # by about one ulp at times: nothing that a document's 6 digits, a
+    # trace or a latency shows, so only the full-precision keys differ.
+    line = "    energy_j = energy_pj * 1e-12\n"
+    mutant = mutant_src(tmp_path, line, "    energy_j = energy_pj / 1e12\n")
+    proc = script("diff_results.py", ROOT / "src", mutant, "--configs", 40, "--seed", 3)
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    _, value, header, *rows = proc.stdout.splitlines()
+    assert value.startswith(".full_precision[")
+    differing = int(header.split()[0])
+    assert {row.split()[1]: int(row.split()[0]) for row in rows} == {
+        ".full_precision[*].energy_j": differing, ".full_precision[*].avg_power_w": differing}
 
 
 def write_runs(out_dir: Path, values: dict) -> None:

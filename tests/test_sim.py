@@ -26,13 +26,14 @@ import itertools
 import json
 import math
 import random
+import struct
 import sys
 import time
 from array import array
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cstatesim import fsm
@@ -158,14 +159,15 @@ class TestSelectState:
             select_state(self.GOV, 5.0, frozenset(), CATALOG)
 
     def test_equal_depth_resolves_to_first_name(self):
-        # C1E made a twin of C1 (same target residency and power): the
-        # first name wins whether the twins fit or are the fallback.
-        c1 = CATALOG["C1"]
-        twin = dataclasses.replace(c1, name="C1E")
-        catalog = Catalog(cstates={**CATALOG.cstates, "C1E": twin}, pstates=CATALOG.pstates)
-        for predicted_us in (0.0, c1.target_residency_us, 50.0):
-            assert select_state(self.GOV, predicted_us, frozenset({"C1E", "C1"}),
-                                catalog).name == "C1"
+        # C6AE made a twin of C1E (same latencies and power, so the
+        # agile pairing holds): the first name wins whether the twins
+        # fit or are the fallback.
+        c1e = CATALOG["C1E"]
+        twin = dataclasses.replace(c1e, name="C6AE")
+        catalog = Catalog(cstates={**CATALOG.cstates, "C6AE": twin}, pstates=CATALOG.pstates)
+        for predicted_us in (0.0, c1e.target_residency_us, 50.0):
+            assert select_state(self.GOV, predicted_us, frozenset({"C6AE", "C1E"}),
+                                catalog).name == "C1E"
 
     def test_matches_scan_over_every_menu(self):
         # The threshold table agrees with the definition: the deepest
@@ -264,6 +266,38 @@ class TestRoundNs:
         else:
             with pytest.raises(ValidationError, match=r"not below 2\*\*63 ns"):
                 streams.service_ns(inflation)
+
+
+def float_bits(x):
+    """x's IEEE-754 bytes, so that -0.0 and 0.0 differ."""
+    return struct.pack("<d", x)
+
+
+# Uniform draws in [0, 1), subnormals included.
+UNIFORM_DRAWS = st.floats(0.0, 1.0, exclude_max=True)
+
+
+class TestSignFlippedDraws:
+    """The samplers move expovariate's negation onto the rate, and the
+    lognormal acceptance test's onto its left side.  IEEE-754 division
+    rounds the same for either sign, so the draws keep their bits."""
+
+    @given(u=UNIFORM_DRAWS, rate=st.floats(1e-9, 1e12))
+    @example(u=0.0, rate=1.0)                   # -0.0 either way
+    @example(u=1.0 - 2.0 ** -53, rate=1e-9)     # the largest draw
+    @example(u=5e-324, rate=1e12)               # a subnormal draw
+    def test_exponential_draw_keeps_its_bits(self, u, rate):
+        x = math.log(1.0 - u)
+        assert float_bits(x / -rate) == float_bits(-x / rate)
+        assert float_bits(x / -rate * 1e9) == float_bits(-x / rate * 1e9)
+
+    @given(u1=UNIFORM_DRAWS, u2=UNIFORM_DRAWS)
+    @example(u1=0.0, u2=0.0)
+    @example(u1=1.0 - 2.0 ** -53, u2=1.0 - 2.0 ** -53)
+    def test_lognormal_acceptance_decides_as_normalvariate(self, u1, u2):
+        u2 = 1.0 - u2
+        z = sim_module._NV_MAGICCONST * (u1 - 0.5) / u2
+        assert (z * z / -4.0 >= math.log(u2)) == (z * z / 4.0 <= -math.log(u2))
 
 
 # ---------------------------------------------------------------------------
