@@ -8,28 +8,34 @@ in the change, back to back, each from the root of its checkout.  The
 parent runs first at the first seed, the change at the second, and so
 on.  Nothing is compiled beforehand, and the processes inherit this
 environment: with PYTHONDONTWRITEBYTECODE=1 every run imports cstatesim
-from source, as a fresh checkout does.  The result copies the runs leave
-in each checkout's perfbench/out/ are then summarised by bench_file.py
-into one bench file.  A run whose rounds fail a check (exit 1) still
-counts as a pair; its seed is printed, and listed in the bench file.
+from source, as a fresh checkout does.  A run whose rounds fail a check
+(exit 1) still counts as a pair; its seed is printed, and listed in the
+bench file.
+
+The bench file is one JSON document.  For each workload and end-to-end
+metric it holds each side's median and quartiles over its runs, the
+relative change of the median, and how many runs of the change beat the
+parent's run at the same seed.  The metrics, their units and which
+direction is better come from BENCHMARK.json at the root of this
+checkout.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --pairs N --seconds S \\
         --seed-base B --out BENCH.json [--note TEXT]
 
-Exit code 0 when the bench file was written, 1 when a run could not be
-made or left no result.
+Exit code 0 when the bench file was written, 1 when a root holds no
+perfbench/run.py, or a run could not be made or left no result.
 """
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-import bench_file
-
-BENCHMARK = json.loads((bench_file.ROOT / "BENCHMARK.json").read_text())
+ROOT = Path(__file__).resolve().parent.parent
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 def plan(parent: Path, change: Path, pairs: int, seconds: float, seed_base: int) -> list:
@@ -54,6 +60,62 @@ def run_command(command: list, cwd: Path) -> int:
     return subprocess.run(command, cwd=cwd, stdout=subprocess.DEVNULL).returncode
 
 
+def spread(values: list) -> dict:
+    """Median and quartiles (inclusive method; a lone value is all three)."""
+    if len(values) == 1:
+        q1 = median = q3 = values[0]
+    else:
+        q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
+
+
+def summarise(parent: dict, change: dict, metrics: list) -> dict:
+    """One workload's parent and change runs, metric by metric."""
+    seeds = sorted(set(parent) & set(change))
+    out = {
+        "seeds": seeds,
+        # Seeds with a failed round are kept in the pairs and named here.
+        "failed_seeds": {side: [s for s in seeds if runs[s]["failed"]]
+                         for side, runs in (("parent", parent), ("change", change))},
+        "rounds": {
+            side: {"attempted": sum(runs[s]["attempted"] for s in seeds),
+                   "failed": sum(runs[s]["failed"] for s in seeds),
+                   "all_correct": all(runs[s]["correct"] for s in seeds)}
+            for side, runs in (("parent", parent), ("change", change))
+        },
+        "metrics": {},
+    }
+    for metric in metrics:
+        name, lower = metric["name"], metric["better"] == "lower"
+        before = [parent[s]["metrics"][name]["value"] for s in seeds]
+        after = [change[s]["metrics"][name]["value"] for s in seeds]
+        p, c = spread(before), spread(after)
+        wins = sum((a < b) if lower else (a > b) for b, a in zip(before, after))
+        out["metrics"][name] = {
+            "unit": metric["unit"],
+            "better": metric["better"],
+            "bound": metric["bound"],
+            "parent": p,
+            "change": c,
+            "median_change": c["median"] / p["median"] - 1.0 if p["median"] else None,
+            "parent_quartile_distance": p["q3"] - p["q1"],
+            "change_wins": wins,
+            "pairs": len(seeds),
+        }
+    return out
+
+
+def bench_document(parent: dict, change: dict, note: str) -> dict:
+    """The bench file of two sides' runs, each {workload: {seed: result}}."""
+    return {
+        "note": note,
+        "workloads": {
+            w["name"]: summarise(parent[w["name"]], change[w["name"]], BENCHMARK["end_to_end"])
+            for w in BENCHMARK["workloads"]
+        },
+    }
+
+
 def run_pairs(parent: Path, change: Path, pairs: int, seconds: float, seed_base: int,
               note: str, runner=run_command) -> dict:
     """Make every run of plan() with runner(command, cwd) -> exit code; the bench file.
@@ -72,7 +134,7 @@ def run_pairs(parent: Path, change: Path, pairs: int, seconds: float, seed_base:
         if code not in (0, 1) or not result.is_file():
             raise RuntimeError(f"{side} {workload} seed {seed}: exit {code}, no result in {result}")
         results[side].setdefault(workload, {})[seed] = json.loads(result.read_text())
-    doc = bench_file.bench_document(results["parent"], results["change"], note)
+    doc = bench_document(results["parent"], results["change"], note)
     for workload, summary in doc["workloads"].items():
         failed = summary["failed_seeds"]
         for seed in sorted(set(failed["parent"]) | set(failed["change"])):
@@ -93,14 +155,18 @@ def main() -> int:
     args = parser.parse_args()
     if args.pairs < 1 or not args.seconds > 0 or args.seed_base < 0:
         parser.error("--pairs must be at least 1, --seconds positive, --seed-base nonnegative")
+    parent, change = args.parent_root.resolve(), args.change_root.resolve()
+    for root in (parent, change):
+        if not (root / "perfbench" / "run.py").is_file():
+            print(f"{root}: not a checkout, no perfbench/run.py", file=sys.stderr)
+            return 1
 
     try:
-        doc = run_pairs(args.parent_root.resolve(), args.change_root.resolve(), args.pairs,
-                        args.seconds, args.seed_base, args.note)
+        doc = run_pairs(parent, change, args.pairs, args.seconds, args.seed_base, args.note)
     except RuntimeError as e:
         print(e, file=sys.stderr)
         return 1
-    bench_file.write_bench_file(args.out, doc)
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 
 

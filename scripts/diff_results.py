@@ -180,13 +180,11 @@ def run_one(description: dict) -> dict:
     A drawn c0_power_w becomes the [C0] power of the default catalog,
     in whole milliwatts, and drawn latency_scales scale its idle states'
     hw latencies (rounded to whole ns) and target residencies; the
-    catalog is then read back through the catalog file reader.  It is
-    built with its P1 given, at C0's power, which every checkout accepts.
+    catalog is then read back through the catalog file reader.
     """
     from dataclasses import replace
 
-    from cstatesim.catalog import (Catalog, PState, default_catalog, dumps_catalog,
-                                   loads_catalog)
+    from cstatesim.catalog import Catalog, default_catalog, dumps_catalog, loads_catalog
     from cstatesim.errors import ParseError, ValidationError
     from cstatesim.reporting import sim_report_document, sweep_document
     from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
@@ -207,8 +205,7 @@ def run_one(description: dict) -> dict:
             cstates[name] = replace(spec, hw_entry_ns=round(spec.hw_entry_ns * entry),
                                     hw_exit_ns=round(spec.hw_exit_ns * exit_),
                                     target_residency_us=spec.target_residency_us * target)
-        p1 = PState("P1", cstates["C0"].power_mw)
-        catalog = loads_catalog(dumps_catalog(Catalog(cstates, {"P1": p1})))
+        catalog = loads_catalog(dumps_catalog(Catalog(cstates)))
     try:
         config = SimConfig(
             **{**kwargs,

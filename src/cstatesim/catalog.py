@@ -37,7 +37,6 @@ from .errors import ParseError, ValidationError, file_fields, read_ini, read_inp
 
 __all__ = [
     "CSTATE_NAMES",
-    "IDLE_STATES",
     "AGILE_STATES",
     "REPLACEMENTS",
     "POWER_DEPTH_ORDER",
@@ -51,14 +50,12 @@ __all__ = [
     "power_ratio_vs_active",
     "load_catalog",
     "loads_catalog",
-    "save_catalog",
     "dumps_catalog",
 ]
 
 # Canonical listing order: each agile state right after the state whose
 # latency class it shares.
 CSTATE_NAMES: Tuple[str, ...] = ("C0", "C1", "C6A", "C1E", "C6AE", "C6")
-IDLE_STATES: Tuple[str, ...] = ("C1", "C6A", "C1E", "C6AE", "C6")
 # Each agile deep idle state replaces the shallow state whose latency
 # class it shares.
 REPLACEMENTS = {"C1": "C6A", "C1E": "C6AE"}
@@ -66,8 +63,6 @@ AGILE_STATES = frozenset(REPLACEMENTS.values())
 # Shallow-to-deep by power draw; strictly decreasing in the default
 # catalog (note C6A undercuts C1E despite its shallower latency class).
 POWER_DEPTH_ORDER: Tuple[str, ...] = ("C0", "C1", "C1E", "C6A", "C6AE", "C6")
-
-PSTATE_NAMES: Tuple[str, ...] = ("P1",)
 
 
 @dataclass(frozen=True)
@@ -82,7 +77,7 @@ class PState:
     c0_power_mw: int
 
     def __post_init__(self):
-        if self.name not in PSTATE_NAMES:
+        if self.name != "P1":
             raise ValidationError(f"unknown P-state name {self.name!r}")
         # Powers stay below 2**63 mW, as service times stay below 2**63 ns.
         if not 0 < self.c0_power_mw < 2 ** 63:
@@ -304,11 +299,6 @@ def dumps_catalog(catalog: Catalog) -> str:
             out.write(f"{key} = {value}\n")
         out.write("\n")
     return out.getvalue()
-
-
-def save_catalog(catalog: Catalog, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(dumps_catalog(catalog))
 
 
 def loads_catalog(text: str) -> Catalog:

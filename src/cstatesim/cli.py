@@ -48,11 +48,11 @@ from .model import (
 from .reporting import (
     document_to_json,
     emit_plot_table,
-    estimate_document,
     format_timeline,
     load_residency_csv,
     load_sim_config,
     loads_residency_items,
+    make_document,
     save_document,
     sim_report_document,
     sweep_document,
@@ -111,13 +111,15 @@ def cmd_model_estimate(args) -> int:
     for name in sorted(est.per_state_w):
         print(f"  {name:<10} {est.per_state_w[name]:>10.6g} W")
     if args.out:
-        doc = estimate_document(
+        doc = make_document(
             "power_estimate",
+            None,
             {
                 "avg_power_w": est.avg_power_w,
                 "per_state_w": est.per_state_w,
                 "residency": profile.residency,
             },
+            None,
         )
         save_document(doc, args.out)
         print(f"wrote {args.out}")
@@ -134,8 +136,9 @@ def cmd_model_estimate_aw(args) -> int:
     print(f"agile estimate {est.avg_power_w:.6g} W")
     print(f"savings {sv.savings_fraction * 100.0:.1f}%")
     if args.out:
-        doc = estimate_document(
+        doc = make_document(
             "agile_power_estimate",
+            None,
             {
                 "avg_power_w": est.avg_power_w,
                 "baseline_w": sv.baseline_w,
@@ -143,6 +146,7 @@ def cmd_model_estimate_aw(args) -> int:
                 "per_state_w": est.per_state_w,
                 "perf": asdict(perf),
             },
+            None,
         )
         save_document(doc, args.out)
         print(f"wrote {args.out}")

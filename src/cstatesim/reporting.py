@@ -33,7 +33,6 @@ __all__ = [
     "make_document",
     "sim_report_document",
     "sweep_document",
-    "estimate_document",
     "document_to_json",
     "parse_document",
     "canonical_hash",
@@ -249,10 +248,6 @@ def sweep_document(points: Sequence[SweepPoint], base: SimConfig) -> dict:
         ],
     }
     return make_document("sweep", config_to_dict(base), results, base.seed)
-
-
-def estimate_document(kind: str, estimate_dict: dict) -> dict:
-    return make_document(kind, None, estimate_dict, None)
 
 
 def document_to_json(doc: dict) -> str:

@@ -136,7 +136,6 @@ __all__ = [
     "sweep",
     "select_state",
     "derive_subseed",
-    "percentile_us",
     "MAX_CORES",
 ]
 
@@ -358,21 +357,14 @@ class SimReport:
         return self.residency.transitions
 
 
-def percentile_us(sorted_ns: Sequence[int], pct: float) -> float:
-    """Nearest-rank percentile of a sorted latency list, in microseconds.
+def _rank_index(n: int, pct: float) -> int:
+    """Index of the nearest-rank percentile pct among n sorted values.
 
     The rank, ceil(pct / 100 * n), is computed in integers with pct in
     thousandths of a percent.  In floats, 99.9 / 100.0 rounds up to
     0.9990000000000001, which is one rank too high at most n that are
     multiples of 1000.
     """
-    if not sorted_ns:
-        return 0.0
-    return sorted_ns[_rank_index(len(sorted_ns), pct)] / 1000.0
-
-
-def _rank_index(n: int, pct: float) -> int:
-    """Index of the nearest-rank percentile pct among n sorted values."""
     return max(0, -(-round(pct * 1000) * n // 100_000) - 1)
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from cstatesim import fsm
-from cstatesim.catalog import default_catalog, dumps_catalog, loads_catalog, save_catalog
+from cstatesim.catalog import default_catalog, dumps_catalog, loads_catalog
 from cstatesim.cli import BUILTIN_VARIANTS, build_parser, main
 from cstatesim.demo import demo_sweep
 from cstatesim.model import PerfModel, upper_bound_savings

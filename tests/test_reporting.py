@@ -16,11 +16,11 @@ from cstatesim.reporting import (
     document_to_json,
     dumps_residency_csv,
     emit_plot_table,
-    estimate_document,
     format_timeline,
     load_sim_config,
     loads_residency_csv,
     loads_sim_config,
+    make_document,
     parse_document,
     sim_report_document,
     sweep_document,
@@ -192,14 +192,14 @@ class TestDocuments:
             assert key in results
 
     def test_floats_quantized_to_6_significant_digits(self):
-        doc = estimate_document(
-            "power_estimate", {"avg_power_w": 0.123456789, "deep": {"x": 1234567.89}}
+        doc = make_document(
+            "power_estimate", None, {"avg_power_w": 0.123456789, "deep": {"x": 1234567.89}}, None
         )
         assert doc["results"]["avg_power_w"] == 0.123457
         assert doc["results"]["deep"]["x"] == 1234570.0
 
     def test_quantization_leaves_bools_and_ints_alone(self):
-        doc = estimate_document("power_estimate", {"flag": True, "n": 123456789})
+        doc = make_document("power_estimate", None, {"flag": True, "n": 123456789}, None)
         assert doc["results"]["flag"] is True
         assert doc["results"]["n"] == 123456789
 
@@ -247,7 +247,7 @@ class TestDocuments:
         assert canonical_hash(a) == canonical_hash(b)
 
     def test_estimate_document_has_no_config(self):
-        doc = estimate_document("power_estimate", {"avg_power_w": 1.0})
+        doc = make_document("power_estimate", None, {"avg_power_w": 1.0}, None)
         assert doc["config"] is None
         assert doc["provenance"]["seed"] is None
 

@@ -1,10 +1,12 @@
 """Smoke tests of the comparison tools in scripts/.
 
-diff_results.py and bench_file.py back every claim that a change keeps
-reports byte-identical or makes a workload faster, so each is run here
-as a command, the way it is used on two checkouts.  bench_pairs.py,
-which makes the benchmark runs, is run with a stub in place of the
-benchmark.  The benchmark's tracer is checked against the names it wraps.
+diff_results.py and bench_pairs.py back every claim that a change keeps
+reports byte-identical or makes a workload faster.  diff_results.py is
+run here as a command, the way it is used on two checkouts.
+bench_pairs.py, which makes the benchmark runs and writes the bench
+file, is run with a stub in place of the benchmark, and its summary on
+in-memory runs.  The benchmark's set-up probe is run on this checkout,
+and its tracer is checked against the names it wraps.
 """
 
 import importlib.util
@@ -203,29 +205,24 @@ def test_diff_results_compares_energy_and_power_at_full_precision(tmp_path):
         ".full_precision[*].energy_j": differing, ".full_precision[*].avg_power_w": differing}
 
 
-def write_runs(out_dir: Path, values: dict) -> None:
-    """perfbench/out-style result copies: every metric of a run at seed s is values[s]."""
-    out_dir.mkdir()
-    for workload in BENCHMARK["workloads"]:
-        for seed, value in values.items():
-            doc = {"correct": True, "attempted": 6, "failed": 0,
-                   "metrics": {m["name"]: {"value": value, "unit": m["unit"]}
-                               for m in BENCHMARK["end_to_end"]}}
-            (out_dir / f"{workload['name']}-seed{seed}-trace0.json").write_text(json.dumps(doc))
-        # A traced copy is not an end-to-end run and is skipped.
-        (out_dir / f"{workload['name']}-seed1-trace1.json").write_text("{}")
+def bench_runs(values: dict) -> dict:
+    """Result documents of every workload: every metric of a run at seed s is values[s]."""
+    return {w["name"]: {seed: {"correct": True, "attempted": 6, "failed": 0,
+                               "metrics": {m["name"]: {"value": value, "unit": m["unit"]}
+                                           for m in BENCHMARK["end_to_end"]}}
+                        for seed, value in values.items()}
+            for w in BENCHMARK["workloads"]}
 
 
-def test_bench_file_medians_and_paired_wins(tmp_path):
+def test_bench_pairs_medians_and_paired_wins(monkeypatch):
     # The change reads lower than the parent at four of the five paired
     # seeds; seed 6 has no parent run, so it is not a pair.
-    write_runs(tmp_path / "parent", {s: 10.0 + s for s in range(1, 6)})
-    write_runs(tmp_path / "change", {1: 10.5, 2: 11.5, 3: 14.0, 4: 13.5, 5: 14.5, 6: 0.0})
-    out = tmp_path / "BENCH.json"
-    proc = script("bench_file.py", tmp_path / "parent", tmp_path / "change",
-                  "--out", out, "--note", "synthetic")
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads(out.read_text())
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    doc = bench_pairs.bench_document(
+        bench_runs({s: 10.0 + s for s in range(1, 6)}),
+        bench_runs({1: 10.5, 2: 11.5, 3: 14.0, 4: 13.5, 5: 14.5, 6: 0.0}), "synthetic")
     assert doc["note"] == "synthetic"
     assert sorted(doc["workloads"]) == sorted(w["name"] for w in BENCHMARK["workloads"])
     for summary in doc["workloads"].values():
@@ -242,14 +239,14 @@ def test_bench_file_medians_and_paired_wins(tmp_path):
             assert (m["pairs"], m["bound"]) == (5, metric["bound"])
 
 
-def test_bench_file_needs_a_pair_for_every_workload(tmp_path):
-    write_runs(tmp_path / "parent", {1: 1.0})
-    (tmp_path / "change").mkdir()
-    proc = script("bench_file.py", tmp_path / "parent", tmp_path / "change",
-                  "--out", tmp_path / "BENCH.json")
+def test_bench_pairs_refuses_a_root_that_is_not_a_checkout(tmp_path):
+    missing = tmp_path / "nonexistent"
+    out = tmp_path / "BENCH.json"
+    proc = script("bench_pairs.py", missing, ROOT, "--pairs", 1, "--seconds", 1,
+                  "--seed-base", 0, "--out", out)
     assert proc.returncode == 1
-    assert proc.stderr.startswith("no paired runs for")
-    assert not (tmp_path / "BENCH.json").exists()
+    assert str(missing) in proc.stderr and "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 def test_bench_pairs_alternates_sides_on_consecutive_seeds(tmp_path, monkeypatch, capsys):
@@ -301,6 +298,17 @@ def test_bench_pairs_stops_at_a_run_that_leaves_no_result(tmp_path, monkeypatch)
     with pytest.raises(RuntimeError, match="exit 2"):
         bench_pairs.run_pairs(tmp_path, tmp_path, pairs=1, seconds=1.0, seed_base=0, note="",
                               runner=lambda command, cwd: 2)
+
+
+def test_perfbench_set_up_probe_runs_on_this_checkout():
+    # The set-up probe reads cstatesim.default_catalog at package level,
+    # so dropping it from the package fails here rather than in every
+    # benchmark run.
+    proc = subprocess.run(
+        [sys.executable, "perfbench/setup_probe.py", "--workload", "sim-steady", "--seed", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert {"import_s", "setup_s"} <= set(json.loads(proc.stdout.splitlines()[-1]))
 
 
 def test_perfbench_tracer_resolves_every_wrapped_name(monkeypatch):

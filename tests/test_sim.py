@@ -56,9 +56,9 @@ from cstatesim.sim import (
     _arrival_times,
     _cut_ns,
     _draw_streams,
+    _rank_index,
     _service_seconds,
     derive_subseed,
-    percentile_us,
     run,
     select_state,
     sweep,
@@ -631,7 +631,7 @@ class TestLoadBehaviour:
         # float division p99.9 read one rank high at n = 1000.
         for n in range(1, 5001):
             rank = math.ceil(Fraction(pct) / 100 * n)
-            assert percentile_us(range(1000, 1000 * n + 1, 1000), float(pct)) == rank, n
+            assert _rank_index(n, float(pct)) == rank - 1, n
 
     def test_completes_offered_load_when_unsaturated(self):
         report = run(loaded_config())
