@@ -53,7 +53,6 @@ from .reporting import (
     load_sim_config,
     loads_residency_items,
     make_document,
-    save_document,
     sim_report_document,
     sweep_document,
     timeline_csv,
@@ -62,13 +61,20 @@ from .sim import SimReport, SweepPoint, VariantSpec, run, sweep
 
 # Idle-state menus available by name to `sim sweep --variants`; config
 # files can define more via [variant:<name>] sections.
-BUILTIN_VARIANTS: Dict[str, VariantSpec] = {
-    "baseline": VariantSpec("baseline", frozenset({"C0", "C1", "C1E", "C6"})),
-    "no_c6": VariantSpec("no_c6", frozenset({"C0", "C1", "C1E"})),
-    "no_c6_no_c1e": VariantSpec("no_c6_no_c1e", frozenset({"C0", "C1"})),
-    "agile": VariantSpec("agile", frozenset({"C0", "C6A", "C6AE", "C6"})),
-    "agile_no_c6_no_c1e": VariantSpec("agile_no_c6_no_c1e", frozenset({"C0", "C6A"})),
-}
+BUILTIN_VARIANTS: Dict[str, VariantSpec] = {v.name: v for v in (
+    VariantSpec("baseline", frozenset({"C0", "C1", "C1E", "C6"})),
+    VariantSpec("no_c6", frozenset({"C0", "C1", "C1E"})),
+    VariantSpec("no_c6_no_c1e", frozenset({"C0", "C1"})),
+    VariantSpec("agile", frozenset({"C0", "C6A", "C6AE", "C6"})),
+    VariantSpec("agile_no_c6_no_c1e", frozenset({"C0", "C6A"})),
+)}
+
+
+def _write(path: str, text: str) -> None:
+    """Write one output file and say so on stdout."""
+    with open(path, "w") as f:
+        f.write(text)
+    print(f"wrote {path}")
 
 
 def _profile_from_args(args, duration_s: Optional[float] = None) -> ResidencyProfile:
@@ -121,8 +127,7 @@ def cmd_model_estimate(args) -> int:
             },
             None,
         )
-        save_document(doc, args.out)
-        print(f"wrote {args.out}")
+        _write(args.out, document_to_json(doc))
     return 0
 
 
@@ -148,8 +153,7 @@ def cmd_model_estimate_aw(args) -> int:
             },
             None,
         )
-        save_document(doc, args.out)
-        print(f"wrote {args.out}")
+        _write(args.out, document_to_json(doc))
     return 0
 
 
@@ -186,28 +190,10 @@ def cmd_sim_run(args) -> int:
     report = run(parsed.config, catalog=catalog, perf=parsed.perf)
     _print_report(report)
     if args.out:
-        save_document(sim_report_document(report), args.out)
-        print(f"wrote {args.out}")
+        _write(args.out, document_to_json(sim_report_document(report)))
     if args.plot:
-        table = emit_plot_table([SweepPoint("run", report)])
-        with open(args.plot, "w") as f:
-            f.write(table)
-        print(f"wrote {args.plot}")
+        _write(args.plot, emit_plot_table([SweepPoint("run", report)]))
     return 0
-
-
-def _resolve_variants(names: List[str], parsed_variants: Dict[str, VariantSpec],
-                      parser: argparse.ArgumentParser) -> List[VariantSpec]:
-    out = []
-    for name in names:
-        if name in parsed_variants:
-            out.append(parsed_variants[name])
-        elif name in BUILTIN_VARIANTS:
-            out.append(BUILTIN_VARIANTS[name])
-        else:
-            known = sorted(set(parsed_variants) | set(BUILTIN_VARIANTS))
-            parser.error(f"unknown variant {name!r}; known: {', '.join(known)}")
-    return out
 
 
 def cmd_sim_sweep(args, parser) -> int:
@@ -222,7 +208,12 @@ def cmd_sim_sweep(args, parser) -> int:
     names = [x.strip() for x in args.variants.split(",") if x.strip()]
     if not names:
         parser.error("--variants needs a comma-separated list of names")
-    variants = _resolve_variants(names, parsed.variants, parser)
+    # A config file's [variant:<name>] section shadows the built-in one.
+    known = {**BUILTIN_VARIANTS, **parsed.variants}
+    for name in names:
+        if name not in known:
+            parser.error(f"unknown variant {name!r}; known: {', '.join(sorted(known))}")
+    variants = [known[name] for name in names]
     if args.jobs < 1:
         parser.error(f"--jobs must be at least 1, got {args.jobs}")
 
@@ -231,12 +222,9 @@ def cmd_sim_sweep(args, parser) -> int:
     table = emit_plot_table(points)
     print(table, end="")
     if args.out:
-        save_document(sweep_document(points, parsed.config), args.out)
-        print(f"wrote {args.out}")
+        _write(args.out, document_to_json(sweep_document(points, parsed.config)))
     if args.plot:
-        with open(args.plot, "w") as f:
-            f.write(table)
-        print(f"wrote {args.plot}")
+        _write(args.plot, table)
     return 0
 
 
@@ -284,9 +272,7 @@ def cmd_fsm_trace(args, parser) -> int:
         timeline = fsm.reference_flow(variant, flow, args.mhz)
     print(format_timeline(timeline), end="")
     if args.csv:
-        with open(args.csv, "w") as f:
-            f.write(timeline_csv(timeline))
-        print(f"wrote {args.csv}")
+        _write(args.csv, timeline_csv(timeline))
     return 0
 
 

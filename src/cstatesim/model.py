@@ -276,10 +276,6 @@ def avg_power_aw(
             REPLACEMENTS.get(name, name): frac
             for name, frac in scaled.residency.items()
         },
-        transitions={
-            REPLACEMENTS.get(name, name): count
-            for name, count in scaled.transitions.items()
-        },
     )
     est = avg_power(renamed, catalog)
     if baseline > 0:

@@ -29,7 +29,6 @@ __all__ = [
     "loads_residency_csv",
     "dumps_residency_csv",
     "loads_residency_items",
-    "save_document",
     "make_document",
     "sim_report_document",
     "sweep_document",
@@ -275,11 +274,6 @@ def canonical_hash(doc: dict) -> str:
         doc = {**doc, "provenance": {k: v for k, v in prov.items() if k != "timestamp"}}
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def save_document(doc: dict, path: str) -> None:
-    with open(path, "w") as f:
-        f.write(document_to_json(doc))
 
 
 # ---------------------------------------------------------------------------

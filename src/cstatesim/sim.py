@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
 import random
 import sys
 from array import array
@@ -1068,8 +1069,9 @@ def _paired_sweep(
     load-major, variants in the order given, and carry the average-power
     savings, (first - variant) / first, and the mean/p99 latency deltas
     against the first variant at the same load.  With jobs > 1, loads run
-    in parallel processes, at most one per load, and the process pool is
-    imported only then (a serial sweep never loads multiprocessing).
+    in parallel processes, at most one per load and one per CPU this
+    process may run on, and the process pool is imported only when it
+    has two workers or more (a serial sweep never loads multiprocessing).
     """
     if not configs:
         raise ValidationError("qps_list must not be empty")
@@ -1078,8 +1080,11 @@ def _paired_sweep(
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     # The pool starts all its workers at the first submit, so a worker
-    # beyond the number of loads would be started for nothing.
-    jobs = min(jobs, len(configs))
+    # beyond the number of loads would be started for nothing, and one
+    # beyond the usable CPUs would only wait for a turn on them.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(jobs, len(configs), cpus)
 
     tasks = [(config, variants, catalog, perf) for config in configs]
     if jobs == 1:

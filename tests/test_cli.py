@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from cstatesim import fsm
+from cstatesim import __version__, fsm
 from cstatesim.catalog import default_catalog, dumps_catalog, loads_catalog
 from cstatesim.cli import BUILTIN_VARIANTS, build_parser, main
 from cstatesim.demo import demo_sweep
@@ -291,6 +292,17 @@ class TestSimCli:
         )
         assert code == 0
         assert any(line.startswith("custom_pair,") for line in out.splitlines())
+
+    def test_sweep_config_variant_shadows_the_builtin(self, capsys, tmp_path):
+        # The file's agile is {C0, C1}, so it runs as no_c6_no_c1e does.
+        path = tmp_path / "shadow.ini"
+        path.write_text(SIM_INI + "\n[variant:agile]\ncstates = C0, C1\n")
+        code, out, _ = run_cli(capsys, "sim", "sweep", "--config", str(path),
+                               "--qps", "1000", "--variants", "no_c6_no_c1e,agile")
+        assert code == 0
+        first, shadowed = [line.split(",", 1) for line in out.splitlines()[1:]]
+        assert (first[0], shadowed[0]) == ("no_c6_no_c1e", "agile")
+        assert shadowed[1] == first[1]
 
     def test_sweep_unknown_variant_is_usage_error(self, capsys, sim_config):
         with pytest.raises(SystemExit) as exc:
@@ -856,6 +868,14 @@ class TestParserPlumbing:
             main(["--version"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith("cstatesim ")
+
+    def test_pyproject_reads_the_package_version(self):
+        from setuptools.config.pyprojecttoml import read_configuration
+        with warnings.catch_warnings():
+            # setuptools 65 warns that any [tool.setuptools] table is beta.
+            warnings.filterwarnings("ignore", message=r"Support for .* is still \*beta\*")
+            config = read_configuration(Path(__file__).resolve().parents[1] / "pyproject.toml")
+        assert config["project"]["version"] == __version__
 
     def test_no_command_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:

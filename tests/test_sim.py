@@ -25,6 +25,7 @@ import hashlib
 import itertools
 import json
 import math
+import os
 import random
 import struct
 import sys
@@ -638,9 +639,9 @@ class TestLoadBehaviour:
         assert report.requests_completed == report.requests_offered
         assert not report.saturated
 
-    def test_turbo_override_raises_power(self):
-        # A turbo C0 figure comes in as the catalog's C0 power; it moves
-        # the energy only.
+    def test_c0_power_moves_only_the_energy(self):
+        # The catalog's C0 power prices active time and transitions; it
+        # changes no decision, residency or latency.
         hot = run(loaded_config(), catalog=c0_catalog(11_000))
         cool = run(loaded_config())
         assert hot.avg_power_w > cool.avg_power_w
@@ -996,6 +997,27 @@ class TestPredictors:
         fallbacks = sum(1 for _, s in report.trace.decisions if s == shallowest.name)
         assert report.wakeups_aborted <= fallbacks
 
+    @pytest.mark.parametrize("process", sim_module._ARRIVAL_PROCESSES)
+    @pytest.mark.parametrize("dispatch", sim_module._DISPATCH_POLICIES)
+    @pytest.mark.parametrize("menu", [("C0", "C1"), ("C0", "C6A"), ("C0", "C6")])
+    def test_one_idle_state_menu_makes_the_predictor_moot(self, menu, dispatch, process):
+        # With one idle state every decision picks it, so run makes no
+        # prediction (its only_state shortcut): each predictor has to
+        # give the same report, trace included.
+        snoop = SnoopSpec(rate_per_core_hz=20_000.0 if "C6A" in menu else 0.0)
+        reports = [
+            run(SimConfig(cores=2, duration_s=0.01, seed=29,
+                          arrival=ArrivalSpec(process, rate_qps=20_000.0),
+                          service=ServiceSpec("exponential", 20.0), dispatch=dispatch,
+                          governor=governor, cstates_enabled=frozenset(menu), snoop=snoop),
+                trace=True)
+            for governor in (GovernorPolicy("clairvoyant"), GovernorPolicy("ewma", 0.3),
+                             GovernorPolicy("ewma", 1.0), GovernorPolicy("last_idle"))
+        ]
+        assert reports[0].requests_completed > 0
+        for report in reports[1:]:
+            assert dataclasses.replace(report, config=reports[0].config) == reports[0]
+
 
 # ---------------------------------------------------------------------------
 # tracing
@@ -1184,10 +1206,10 @@ class TestSweep:
         with pytest.raises(ValidationError, match="qps_list"):
             demo_sweep(loads_qps=[])
 
-    def test_pool_sized_at_most_one_worker_per_load(self, monkeypatch):
-        # The pool starts all its workers at the first submit, so it is
-        # sized by the loads.  The recorder runs the loads in this
-        # process: no worker is started.
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        """The worker counts of the pools a sweep asks for.  The recorder
+        runs the loads in this process: no worker is started."""
         sizes = []
 
         class RecordingPool:
@@ -1204,11 +1226,38 @@ class TestSweep:
                 return map(fn, tasks)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        return sizes
+
+    def test_pool_sized_at_most_one_worker_per_load(self, monkeypatch, pool_sizes):
+        # The pool starts all its workers at the first submit, so it is
+        # sized by the loads (on 64 usable CPUs, so the CPUs do not cap it).
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
         serial = sweep(self.base(), [1000.0, 3000.0], self.VARIANTS)
         assert sweep(self.base(), [1000.0, 3000.0], self.VARIANTS, jobs=64) == serial
-        assert sizes == [2]
+        assert pool_sizes == [2]
         sweep(self.base(), [1000.0], self.VARIANTS, jobs=64)  # one load runs serially
-        assert sizes == [2]
+        assert pool_sizes == [2]
+
+    def test_pool_sized_at_most_one_worker_per_usable_cpu(self, monkeypatch, pool_sizes):
+        loads = [1000.0, 2000.0, 3000.0, 4000.0]
+        serial = sweep(self.base(), loads, self.VARIANTS)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7}, raising=False)
+        assert sweep(self.base(), loads, self.VARIANTS, jobs=64) == serial
+        assert pool_sizes == [3]
+        # One usable CPU runs serially, with no pool.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3})
+        assert sweep(self.base(), loads, self.VARIANTS, jobs=64) == serial
+        assert pool_sizes == [3]
+        # Without sched_getaffinity the CPU count caps it; an unknown
+        # count is one CPU.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sweep(self.base(), loads, self.VARIANTS, jobs=64) == serial
+        assert pool_sizes == [3, 2]
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert sweep(self.base(), loads, self.VARIANTS, jobs=64) == serial
+        assert pool_sizes == [3, 2]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_rejected(self, jobs):
