@@ -14,16 +14,17 @@ stream.  Service is FIFO and non-preemptive, so a request's completion
 time is fixed when it arrives, and each core carries only the time its
 queued work completes.  An idle period starts there and is resolved in
 closed form by the core's next arrival (or by the horizon): the
-governor's decision, then either an entry the arrival aborts (the exit
-follows the entry's end) or a residency the arrival ends (the exit
-follows the arrival).  Snoops never move a core out of its state, so
-they are drawn lazily: when a resident agile interval ends, the core's
-own Poisson snoop stream is drawn across it, which is exact by
-memorylessness.  A snoop window that starts at or after the end of the
-core's previous one, in an interval that ends at least one window
-before the horizon, is only added to a nanosecond total charged once
-per interval; windows that overlap or clip at the horizon are charged
-one by one, for their uncovered part.
+governor's decision, then either a residency from the entry's end that
+the arrival ends or the horizon cuts (the exit follows the arrival), or
+else an entry the arrival aborts (the exit follows the entry's end).
+Snoops never move a core out of its state, so they are drawn lazily:
+when a resident agile interval ends, _serve_snoops draws the core's own
+Poisson snoop stream across it, which is exact by memorylessness.  A
+snoop window that starts at or after the end of the core's previous
+one, in an interval that ends at least one window before the horizon,
+is only added to a nanosecond total charged once per interval; windows
+that overlap or clip at the horizon are charged one by one, for their
+uncovered part.
 
 The recursion is one loop over (index, owner, arrival time, service
 time).  Owners come from an iterator chosen once per run by the
@@ -34,7 +35,7 @@ pack_lowest_index a generator over the live completion queues, which
 zip resumes after the previous arrival has been applied.  The loop's
 last items are the horizon's decisions: (offered, core, t_end, 0), in
 core order, for each core whose queue drains before t_end.  They pass
-the arrivals' one decision site and stop at the entry and residency.
+the arrivals' one decision and resolution site, and stop after it.
 The clairvoyant oracle reads the arrival after the core's latest one,
 and bisects only when that one is not after the idle period's start.
 Idle states are indices into the sorted menu (C0 is 0): entry and exit
@@ -87,12 +88,12 @@ move expovariate's negation onto the rate, negated once per stream:
 IEEE-754 division rounds the same for either sign, so
 log(1 - u) / -rate is -log(1 - u) / rate to the bit, -0.0 included;
 and lognormvariate's acceptance test z * z / 4 <= -log(u2) is written
-z * z / -4 >= log(u2), which decides the same.  Poisson gaps are drawn
-a chunk at a time, with expovariate's draws and arithmetic.  Drawn
-gaps and service times become whole ns as round() makes them, ties to
-even, without a call to it: adding and then subtracting 2**52 rounds a
-float below 2**52 to a whole number, and floor() makes that an int; a
-float at or above 2**52 is already whole (_ROUND_NS).
+z * z / -4 >= log(u2), which decides the same.  Poisson gaps and
+exponential and lognormal service times are drawn a chunk at a time.
+Drawn gaps and service times become whole ns as round() makes them,
+ties to even, without a call to it: adding and then subtracting 2**52
+rounds a float below 2**52 to a whole number, and floor() makes that
+an int; a float at or above 2**52 is already whole (_ROUND_NS).
 
 Energy is integrated exactly: every segment contributes integer
 milliwatts times integer nanoseconds (picojoules), so the sum over the
@@ -115,7 +116,7 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
-from itertools import accumulate, chain, count, cycle, islice, repeat
+from itertools import accumulate, chain, count, cycle, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
@@ -464,8 +465,8 @@ def select_state(
 
 # Stream arrays are filled a chunk at a time from list comprehensions:
 # faster than from a generator, and no temporary list holds every item.
-# The lognormal draw, a rejection loop, is the exception: it comes from a
-# generator, as fast there as an explicit loop.
+# The lognormal draw, a rejection loop, fills its chunk with the tries
+# that are accepted.
 _CHUNK = 4096
 
 # random.NV_MAGICCONST, the ratio-of-uniforms bound of the normal draw.
@@ -552,7 +553,8 @@ def _service_seconds(spec: ServiceSpec, rng: random.Random, n: int) -> array:
     the same draws: exponential as rng.expovariate, one uniform draw
     each; lognormal as rng.lognormvariate, the Kinderman-Monahan loop of
     random.normalvariate (two uniform draws per try, about 1.37 tries
-    per sample) without a method call per sample.
+    per sample, its acceptance test negated on both sides), then exp,
+    without a method call per sample.
     """
     if spec.dist == "fixed":
         return array("d", [spec.mean_us * 1e-6]) * n
@@ -565,26 +567,18 @@ def _service_seconds(spec: ServiceSpec, rng: random.Random, n: int) -> array:
                               for _ in range(min(_CHUNK, n - lo))])
         return seconds
     # Choose mu so the distribution mean equals mean_us.
-    mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
-    # islice stops at the n-th sample, so no draw is made and dropped.
-    return array("d", islice(_lognormal(rng.random, mu, spec.sigma), n))
-
-
-def _lognormal(uniform, mu: float, sigma: float):
-    """Endless rng.lognormvariate(mu, sigma) samples from uniform draws.
-
-    The Kinderman-Monahan loop of random.normalvariate, with its draws
-    and arithmetic (its acceptance test negated on both sides), then
-    exp.  It reads only locals, which are faster than closure cells and
-    globals.
-    """
-    log, exp, magic = math.log, math.exp, _NV_MAGICCONST
-    while True:
-        u1 = uniform()
-        u2 = 1.0 - uniform()
-        z = magic * (u1 - 0.5) / u2
-        if z * z / -4.0 >= log(u2):
-            yield exp(mu + z * sigma)
+    sigma = spec.sigma
+    mu = math.log(spec.mean_us * 1e-6) - sigma ** 2 / 2.0
+    uniform, log, exp, magic = rng.random, math.log, math.exp, _NV_MAGICCONST
+    seconds = array("d")
+    # A try yields at most one sample, and a pass makes no more tries than
+    # samples are missing, so no draw is made and dropped.
+    while len(seconds) < n:
+        seconds.fromlist([exp(mu + z * sigma)
+                          for _ in range(min(_CHUNK, n - len(seconds)))
+                          if (z := magic * (uniform() - 0.5) / (u2 := 1.0 - uniform()))
+                          * z / -4.0 >= log(u2)])
+    return seconds
 
 
 @dataclass(frozen=True)
@@ -658,6 +652,47 @@ def _snoop_window_ns(name: str, service_ns: int) -> int:
     return fsm.snoop_timeline(name, service_ns=service_ns).total_ns + service_ns
 
 
+def _serve_snoops(uniform, neg_rate: float, ts: int, t_stop: int, clear: int,
+                  window: int, t_end: int) -> Tuple[int, int, int]:
+    """(snoops served, ns charged, new clear) of a core resident over [ts, t_stop).
+
+    uniform is the core's snoop stream's random method, neg_rate the
+    negated rate in Hz, and clear the end of the core's previous window.
+    A window that starts at or after clear, in an interval whose every
+    window ends by the horizon (t_stop + window <= t_end), is counted and
+    charged whole.  Any other window overlaps the previous one or clips
+    at the horizon, and only its uncovered part is charged.
+    """
+    log, floor, m = math.log, math.floor, _ROUND_NS
+    unclipped = t_stop + window <= t_end
+    fast = slow = slow_ns = 0
+    while True:
+        # expovariate(-neg_rate), inlined and rounded as in
+        # _arrival_times.  A gap past any float (at very low rates)
+        # cannot be rounded and ends the interval, as any gap reaching
+        # t_stop does.
+        gap = log(1.0 - uniform()) / neg_rate * 1e9
+        try:
+            ts += (floor(gap + m - m) if gap < m else floor(gap)) or 1
+        except OverflowError:
+            break
+        if ts >= t_stop:
+            break
+        if ts >= clear and unclipped:
+            fast += 1
+            clear = ts + window
+            continue
+        slow += 1
+        end = ts + window
+        if end > t_end:
+            end = t_end
+        start = ts if ts > clear else clear
+        if end > start:
+            slow_ns += end - start
+            clear = end
+    return fast + slow, fast * window + slow_ns, clear
+
+
 def run(
     config: SimConfig,
     catalog: Optional[Catalog] = None,
@@ -706,7 +741,7 @@ def run(
     # exactly as in that state) instead of the resident state's power.
     # Only the states flagged in snooped are snooped.
     snoop_rate = config.snoop.rate_per_core_hz
-    neg_snoop_rate = -snoop_rate  # serve_snoops' gaps divide by it
+    neg_snoop_rate = -snoop_rate  # _serve_snoops' gaps divide by it
     snooped = [False] * n_states
     snoop_window_ns = [0] * n_states
     snoop_delta_mw = [0] * n_states
@@ -739,7 +774,8 @@ def run(
     offered = len(arrivals)
     services = streams.service_ns(inflation)
     del streams  # keep only what the loop reads: a run's own service_s is freed
-    snoop_rngs = [stream("snoop", i) for i in range(config.cores)] if any(snooped) else []
+    snoop_uniforms = ([stream("snoop", i).random for i in range(config.cores)]
+                      if any(snooped) else [])
 
     # Per-core state.  A core's queued work completes at free[c]; what
     # happened before that is settled, except for an idle period that
@@ -773,51 +809,6 @@ def run(
     alpha = 1.0 if predictor == "last_idle" else config.governor.ewma_alpha
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
-
-    def serve_snoops(c: int, state: int, ts: int, t_stop: int) -> None:
-        """Draw and charge core c's snoops while resident over [ts, t_stop).
-
-        A window that starts at or after the end of the core's previous
-        one (clear), in an interval whose every window ends by the
-        horizon (t_stop + window <= t_end), takes the fast path: it is
-        counted, and the interval's fast windows are charged at once.
-        Any other window overlaps the previous one or clips at the
-        horizon, and only its uncovered part is charged.
-        """
-        nonlocal snoops_served, snoop_pj
-        uniform, log, neg_rate = snoop_rngs[c].random, math.log, neg_snoop_rate
-        floor, m = math.floor, _ROUND_NS
-        window = snoop_window_ns[state]
-        unclipped = t_stop + window <= t_end
-        clear = snoop_clear_ns[c]
-        fast = slow = slow_ns = 0
-        while True:
-            # expovariate(snoop_rate), inlined and rounded as in
-            # _arrival_times.  A gap past any float (at very low rates)
-            # cannot be rounded and ends the interval, as any gap
-            # reaching t_stop does.
-            gap = log(1.0 - uniform()) / neg_rate * 1e9
-            try:
-                ts += (floor(gap + m - m) if gap < m else floor(gap)) or 1
-            except OverflowError:
-                break
-            if ts >= t_stop:
-                break
-            if ts >= clear and unclipped:
-                fast += 1
-                clear = ts + window
-                continue
-            slow += 1
-            end = ts + window
-            if end > t_end:
-                end = t_end
-            start = ts if ts > clear else clear
-            if end > start:
-                slow_ns += end - start
-                clear = end
-        snoops_served += fast + slow
-        snoop_pj += snoop_delta_mw[state] * (fast * window + slow_ns)
-        snoop_clear_ns[c] = clear
 
     def pack_lowest_index():
         """Owners under pack_lowest_index, one per arrival.
@@ -897,27 +888,30 @@ def run(
                     decisions.append((c, names[state]))
                 entries[c][state] += 1
                 e = f + entry_ns[state]
-                if t == t_end:  # the horizon: no arrival, no exit
-                    transition_ns[c] += min(e, t_end) - e - exit_ns[state]
-                    cut[c] += 1
-                    if e < t_end:
-                        resident_ns[c][state] += t_end - e
-                        if snooped[state]:
-                            serve_snoops(c, state, e, t_end)
-                    continue
-                # The arrival aborts the entry or ends the residency.
-                if t < e:
-                    wakeups_aborted += 1
-                    abort_until[c] = e
-                    wake = e + exit_ns[state]
-                else:
+                if t >= e:
+                    # Resident from e until the arrival or the horizon.  At
+                    # the horizon with e == t_end, one snoop gap is drawn
+                    # over the empty interval, and nothing reads it.
                     resident_ns[c][state] += t - e
                     if snooped[state]:
-                        serve_snoops(c, state, e, t)
+                        served, charged_ns, snoop_clear_ns[c] = _serve_snoops(
+                            snoop_uniforms[c], neg_snoop_rate, e, t, snoop_clear_ns[c],
+                            snoop_window_ns[state], t_end)
+                        snoops_served += served
+                        snoop_pj += snoop_delta_mw[state] * charged_ns
                     wake = t + exit_ns[state]
-                if wake >= t_end:  # the horizon cuts the exit short: no C0 entry
+                else:
+                    wake = e + exit_ns[state]
+                    if t < t_end:  # the arrival aborts the entry
+                        wakeups_aborted += 1
+                        abort_until[c] = e
+                # The horizon cuts the exit short: no C0 entry.  It cuts
+                # every period it resolves, and serves nothing.
+                if wake >= t_end:
                     transition_ns[c] -= wake - t_end
                     cut[c] += 1
+                if t == t_end:
+                    continue
                 if trace:
                     idle_intervals.append((names[state], t - f))
                 f = wake

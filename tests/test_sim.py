@@ -58,6 +58,7 @@ from cstatesim.sim import (
     _cut_ns,
     _draw_streams,
     _rank_index,
+    _serve_snoops,
     _service_seconds,
     derive_subseed,
     run,
@@ -335,14 +336,61 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", [0, 5, 2**63 - 1])
     def test_lognormal_service_draws_are_the_stdlib_draws(self, seed, sigma):
         # The inlined sampler gives random.lognormvariate's numbers from
-        # the same draws, across a chunk boundary, and makes no extra draw.
+        # the same draws, across a chunk boundary, and makes no extra draw
+        # (none at all for a run with no arrivals).
         spec = ServiceSpec("lognormal", 20.0, sigma=sigma)
         mu = math.log(spec.mean_us * 1e-6) - spec.sigma ** 2 / 2.0
-        for n in (1, sim_module._CHUNK + 1, 2 * sim_module._CHUNK + 3):
+        for n in (0, 1, sim_module._CHUNK + 1, 2 * sim_module._CHUNK + 3):
             ours, ref = random.Random(seed), random.Random(seed)
             assert list(_service_seconds(spec, ours, n)) == [
                 ref.lognormvariate(mu, sigma) for _ in range(n)]
             assert ours.getstate() == ref.getstate()
+
+    @pytest.mark.parametrize("mean_us", [20.0, 0.001, 3e12])
+    def test_exponential_service_draws_are_the_stdlib_draws(self, mean_us):
+        # One expovariate draw per request, bit for bit, across a chunk
+        # boundary, and no extra draw.
+        spec = ServiceSpec("exponential", mean_us)
+        for n in (1, sim_module._CHUNK + 1):
+            ours, ref = random.Random(4), random.Random(4)
+            assert [float_bits(x) for x in _service_seconds(spec, ours, n)] == [
+                float_bits(ref.expovariate(1 / (mean_us * 1e-6))) for _ in range(n)]
+            assert ours.getstate() == ref.getstate()
+
+    @staticmethod
+    def reference_bursty_times(seed, spec, t_end):
+        """Bursty arrivals before t_end and the lookahead, one expovariate
+        draw for the first on phase, each gap, and each off and on phase."""
+        rng = random.Random(seed)
+
+        def draw(rate):
+            return max(1, round(rng.expovariate(rate) * 1e9))
+
+        on_s, off_s = spec.burst_on_ms * 1e-3, spec.burst_off_ms * 1e-3
+        on_rate = spec.rate_qps * (on_s + off_s) / on_s
+        t, on_end, times = 0, draw(1.0 / on_s), []
+        while True:
+            cand = t + draw(on_rate)
+            if cand <= on_end:
+                if cand >= t_end:
+                    return times, cand
+                t = cand
+                times.append(t)
+            else:  # the gap overruns the on phase: an off phase, then an on phase
+                t = on_end + draw(1.0 / off_s)
+                on_end = t + draw(1.0 / on_s)
+
+    @pytest.mark.parametrize("rate_qps, on_ms, off_ms", [
+        (40_000.0, 1.0, 1.0), (1_000.0, 0.05, 2.0), (500_000.0, 2.0, 0.1)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bursty_arrival_draws_are_the_stdlib_draws(self, seed, rate_qps, on_ms, off_ms):
+        # About 4000 arrivals each: many on/off cycles, and gaps that
+        # overrun an on phase.
+        spec = ArrivalSpec("bursty", rate_qps, burst_on_ms=on_ms, burst_off_ms=off_ms)
+        t_end = round(4000 / rate_qps * 1e9)
+        times, lookahead = self.reference_bursty_times(seed, spec, t_end)
+        got, got_lookahead = _arrival_times(spec, random.Random(seed), t_end)
+        assert (list(got), got_lookahead) == (times, lookahead)
 
     @staticmethod
     def reference_poisson_times(seed, rate, n):
@@ -797,6 +845,65 @@ class TestSnoops:
         delta_mw = CATALOG["C1"].power_mw - CATALOG["C6A"].power_mw
         excess_pj = delta_mw * (len(times) * window - overlap - clipped)
         assert (on.energy_j - off.energy_j) * 1e12 == pytest.approx(excess_pj, rel=1e-9)
+
+    @staticmethod
+    def reference_snoops(rng, rate, ts, t_stop, clear, window, t_end):
+        """(served, charged ns, clear) over [ts, t_stop), one expovariate
+        draw per gap, each snoop charged for its window's uncovered part."""
+        served = charged_ns = 0
+        while True:
+            try:
+                ts += max(1, round(rng.expovariate(rate) * 1e9))
+            except OverflowError:  # a gap past any float ends the interval
+                break
+            if ts >= t_stop:
+                break
+            served += 1
+            end, start = min(ts + window, t_end), max(ts, clear)
+            if end > start:
+                charged_ns += end - start
+                clear = end
+        return served, charged_ns, clear
+
+    def snoop_mismatches(self, cases):
+        """The cases (seed, rate, ts, t_stop, clear, window, t_end) where
+        _serve_snoops differs from the reference."""
+        return [(seed, rate, *interval) for seed, rate, *interval in cases
+                if _serve_snoops(random.Random(seed).random, -rate, *interval)
+                != self.reference_snoops(random.Random(seed), rate, *interval)]
+
+    def test_dense_snoops_are_the_stdlib_draws(self):
+        # 10^5 to 10^7.2 Hz against windows of 1 to 120 ns, so windows
+        # overlap, with the horizon at the interval's end, inside the
+        # last window's reach, just past it, and far past it.  clear may
+        # reach into the interval.
+        cases = []
+        for k in range(300):
+            pick = random.Random(f"case {k}")
+            rate, window = 10 ** pick.uniform(5.0, 7.2), pick.randint(1, 120)
+            ts = pick.randrange(10 ** 6)
+            t_stop, clear = ts + pick.randint(1, 20_000), pick.randint(0, ts + window)
+            for t_end in (t_stop, t_stop + 1, t_stop + window - 1, t_stop + window,
+                          t_stop + 10 ** 9):
+                cases.append((k, rate, ts, t_stop, clear, window, t_end))
+        assert self.snoop_mismatches(cases) == []
+
+    def test_snoop_gaps_past_2_52_ns_are_the_stdlib_draws(self):
+        # At 10^-8 to 10^-6.5 Hz most gaps are past 2**52 ns, where they
+        # are rounded without the fast form.  The interval ends at the
+        # first snoop (not served) or 1 ns after it (served), so a gap
+        # 1 ns off changes the count.  At 1e-300 Hz every gap overflows.
+        cases = []
+        for k in range(200):
+            pick = random.Random(f"case {k}")
+            rate, window = 10 ** pick.uniform(-8.0, -6.5), pick.randint(1, 120)
+            ts = pick.randrange(10 ** 6)
+            first = ts + max(1, round(random.Random(k).expovariate(rate) * 1e9))
+            for t_stop in (first, first + 1):
+                cases += [(k, rate, ts, t_stop, ts, window, t_stop + window),
+                          (k, rate, ts, t_stop, ts, window, t_stop)]
+        cases.append((0, 1e-300, 0, 2 ** 62, 0, 60, 2 ** 62))
+        assert self.snoop_mismatches(cases) == []
 
     def test_unbounded_snoop_rate_rejected_at_once(self):
         # 1e10 Hz against a 60 ns window: 600 snoops due per window.  The
@@ -1358,7 +1465,7 @@ GOLDEN = [
      "17d3c85b499f59da8829b9acc15d8bfdeb0651a68009ccc9c78b40c08ad2164a"),
     # 5 MHz snoops with a 60 ns window: about a quarter of the windows
     # overlap the one before, and some clip at the horizon, so both
-    # charging paths of serve_snoops run (18,618 snoops served).
+    # charging paths of _serve_snoops run (18,618 snoops served).
     (dict(cores=2, duration_s=0.002, seed=27, arrival=ArrivalSpec("poisson", 5_000.0),
           service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
           governor=GovernorPolicy("clairvoyant"),
