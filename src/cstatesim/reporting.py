@@ -13,8 +13,8 @@ import csv
 import hashlib
 import io
 import json
+import time
 from dataclasses import asdict, dataclass, field, is_dataclass
-from datetime import datetime, timezone
 from typing import Dict, List, Optional, Sequence
 
 from . import __version__
@@ -203,7 +203,7 @@ def make_document(kind: str, config: Optional[dict], results: dict,
             "seed": seed,
             "tool": "cstatesim",
             "tool_version": __version__,
-            "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
         },
     }
 

@@ -31,8 +31,8 @@ time).  Owners come from an iterator chosen once per run by the
 dispatch policy: a cycle over the cores for round_robin; a lazy map of
 the dispatch stream's randrange for random, one draw per arrival in
 arrival order, as a per-arrival call would make; and for
-pack_lowest_index a generator over the live completion queues, which
-zip resumes after the previous arrival has been applied.  The loop's
+pack_lowest_index _pack_owners, a generator over the live completion
+queues that pops them only when every core is at its cap.  The loop's
 last items are the horizon's decisions: (offered, core, t_end, 0), in
 core order, for each core whose queue drains before t_end.  They pass
 the arrivals' one decision and resolution site, and stop after it.
@@ -55,10 +55,10 @@ per-core residency and entry tables; every entry and exit adds
 entry_ns + exit_ns of transition time, so the transition bucket and
 the C0 entries are settled once after the loop, from the entry counts
 and the horizon's cuts, and so is the network RTT, with the per-name
-tables.  The peak backlog costs one compare per arrival: limit is the
-completions popped so far plus peak_queue, so arrival i can raise the
-peak only when i >= limit, and only then are the other cores' queues
-drained up to its time.
+tables.  The peak backlog costs one compare per arrival: limit is at
+most the completions popped so far plus peak_queue, so arrival i can
+raise the peak only when i >= limit, and only then are all the queues
+drained up to its time and the backlog read from their lengths.
 Latencies stay Python ints: the loop appends each to a plain list, which
 is sorted in place after the loop, once the run has dropped its own
 stream arrays.  That list, one int per completed request, is the
@@ -693,6 +693,32 @@ def _serve_snoops(uniform, neg_rate: float, ts: int, t_stop: int, clear: int,
     return fast + slow, fast * window + slow_ns, clear
 
 
+def _pack_owners(arrivals, queues, cap: int):
+    """Owners under pack_lowest_index, one per arrival time.
+
+    Fill the lowest-indexed core up to cap queued requests, then spill;
+    when no core has room, the shortest queue wins (lowest index among
+    ties).  queues hold the cores' completion times, ascending, some
+    perhaps at or before t, so a core has room when len(queue) < cap or
+    queue[-cap] <= t; only when none has room (each queue then ends in
+    cap completions after t) are the queues popped up to t.  zip pulls
+    each owner after the previous arrival is applied: the queues are live.
+    """
+    for t in arrivals:
+        c = 0
+        for queue in queues:
+            if len(queue) < cap or queue[-cap] <= t:
+                break
+            c += 1
+        else:
+            for queue in queues:
+                while queue[0] <= t:
+                    queue.popleft()
+            lengths = [len(queue) for queue in queues]
+            c = lengths.index(min(lengths))
+        yield c
+
+
 def run(
     config: SimConfig,
     catalog: Optional[Catalog] = None,
@@ -739,10 +765,10 @@ def run(
     # Snoop window: cache wake + service + re-entry, charged at the
     # power of the state's shallow twin (its cache subsystem is awake
     # exactly as in that state) instead of the resident state's power.
-    # Only the states flagged in snooped are snooped.
+    # Only states with a window are snooped: every agile window is at
+    # least the 10 ns cache wake and re-entry.
     snoop_rate = config.snoop.rate_per_core_hz
     neg_snoop_rate = -snoop_rate  # _serve_snoops' gaps divide by it
-    snooped = [False] * n_states
     snoop_window_ns = [0] * n_states
     snoop_delta_mw = [0] * n_states
     for j, name in enumerate(names):
@@ -756,13 +782,9 @@ def run(
                 f"snoop rate {snoop_rate:g} Hz times the {window} ns {name} "
                 f"snoop window is not below 1"
             )
-        snooped[j] = True
         snoop_window_ns[j] = window
         twin = catalog[_SNOOP_POWER_TWIN[name]].power_mw
         snoop_delta_mw[j] = max(0, twin - catalog[name].power_mw)
-
-    def stream(*name) -> random.Random:
-        return random.Random(derive_subseed(config.seed, *name))
 
     if streams is None:
         streams = _draw_streams(config)
@@ -774,8 +796,8 @@ def run(
     offered = len(arrivals)
     services = streams.service_ns(inflation)
     del streams  # keep only what the loop reads: a run's own service_s is freed
-    snoop_uniforms = ([stream("snoop", i).random for i in range(config.cores)]
-                      if any(snooped) else [])
+    snoop_uniforms = ([random.Random(derive_subseed(config.seed, "snoop", i)).random
+                       for i in range(config.cores)] if any(snoop_window_ns) else [])
 
     # Per-core state.  A core's queued work completes at free[c]; what
     # happened before that is settled, except for an idle period that
@@ -796,8 +818,8 @@ def run(
     latencies_ns: List[int] = []
     rtt_ns = round(config.network_rtt_us * 1000)
     wakeups_aborted = snoops_served = snoop_pj = peak_queue = 0
-    # Completions popped so far, plus peak_queue: an arrival can raise
-    # the peak only when its index reaches it.
+    # At most the completions popped so far, plus peak_queue: an arrival
+    # can raise the peak only when its index reaches it.
     limit = 0
     # With one idle state on the menu no prediction can change the
     # choice, so none is made.
@@ -810,37 +832,15 @@ def run(
     idle_intervals: List[Tuple[str, int]] = []
     decisions: List[Tuple[int, str]] = []
 
-    def pack_lowest_index():
-        """Owners under pack_lowest_index, one per arrival.
-
-        Fill the lowest-indexed core up to the cap, then spill; when
-        everything is at the cap, least loaded wins (lowest index among
-        ties).  zip pulls each owner after the previous arrival has
-        been applied, so the queues are live.
-        """
-        nonlocal limit
-        for t in arrivals:
-            c = 0
-            for queue in queues:
-                while queue and queue[0] <= t:
-                    queue.popleft()
-                    limit += 1
-                if len(queue) < pack_cap:
-                    break
-                c += 1
-            else:
-                c = min(range(n_cores), key=lambda k: len(queues[k]))
-            yield c
-
     # Each arrival's core, produced as zip pulls it: random dispatch
     # takes one draw per arrival, in arrival order.
     if config.dispatch == "round_robin":
         owners = cycle(range(n_cores))
     elif config.dispatch == "random":
-        owners = map(stream("dispatch").randrange, repeat(n_cores))
+        owners = map(random.Random(derive_subseed(config.seed, "dispatch")).randrange,
+                     repeat(n_cores))
     else:
-        pack_cap = config.pack_queue_cap
-        owners = pack_lowest_index()
+        owners = _pack_owners(arrivals, queues, config.pack_queue_cap)
 
     # Last, each core whose queue drains before the horizon decides once
     # more, at an item (offered, c, t_end, 0), read after every arrival.
@@ -893,7 +893,7 @@ def run(
                     # the horizon with e == t_end, one snoop gap is drawn
                     # over the empty interval, and nothing reads it.
                     resident_ns[c][state] += t - e
-                    if snooped[state]:
+                    if snoop_window_ns[state]:
                         served, charged_ns, snoop_clear_ns[c] = _serve_snoops(
                             snoop_uniforms[c], neg_snoop_rate, e, t, snoop_clear_ns[c],
                             snoop_window_ns[state], t_end)
@@ -924,17 +924,17 @@ def run(
         if f < t_end:
             record(f - t)
         # i + 1 less the completions popped bounds the backlog from
-        # above (other cores may hold completions at or before t); pop
-        # them all only when the bound could raise the peak, that is
-        # when i >= limit.
+        # above; only when it could raise the peak (i >= limit) are the
+        # queues popped up to t and the backlog read from their lengths.
+        # A pop that limit does not count only leaves it low.
         if i >= limit:
             for queue in queues:
                 while queue and queue[0] <= t:
                     queue.popleft()
-                    limit += 1
-            if i >= limit:
-                peak_queue += i + 1 - limit
-                limit = i + 1
+            in_system = sum(map(len, queues))
+            if in_system > peak_queue:
+                peak_queue = in_system
+            limit = i + 1 - in_system + peak_queue
 
     # Integer picojoules: C0 and transitions draw active power.  The
     # per-name tables of the report are built from the index tables here,

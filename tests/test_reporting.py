@@ -2,6 +2,7 @@
 timeline rendering, and the INI simulation config."""
 
 import json
+import re
 import warnings
 from dataclasses import MISSING, fields
 
@@ -190,6 +191,12 @@ class TestDocuments:
             "peak_queue",
         ):
             assert key in results
+
+    def test_timestamp_is_utc_to_the_second(self):
+        # The form docs/formats.md shows: ISO 8601, whole seconds, UTC.
+        doc = sim_report_document(small_report())
+        assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00",
+                            doc["provenance"]["timestamp"])
 
     def test_floats_quantized_to_6_significant_digits(self):
         doc = make_document(

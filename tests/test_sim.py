@@ -31,6 +31,7 @@ import struct
 import sys
 import time
 from array import array
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -57,6 +58,7 @@ from cstatesim.sim import (
     _arrival_times,
     _cut_ns,
     _draw_streams,
+    _pack_owners,
     _rank_index,
     _serve_snoops,
     _service_seconds,
@@ -774,6 +776,37 @@ class TestDispatch:
         )
         assert all(p.residency["C0"] > 0.0 for p in report.per_core)
 
+    @staticmethod
+    def popping_pack_owner(queues, cap, t):
+        """The pack rule on popped queues: pop each scanned queue up to t,
+        then test len < cap; when no core has room, the shortest queue."""
+        for c, queue in enumerate(queues):
+            while queue and queue[0] <= t:
+                queue.popleft()
+            if len(queue) < cap:
+                return c
+        lengths = [len(queue) for queue in queues]
+        return lengths.index(min(lengths))
+
+    def test_pack_owners_match_popping_each_scanned_queue(self):
+        # _pack_owners pops nothing until every core is at the cap, so
+        # its queues keep completions the reference has popped.  Arrivals
+        # and completions share one small range of whole times, so they
+        # tie often, and completions tie with each other.
+        for seed in range(200):
+            rng = random.Random(seed)
+            n_cores, cap = rng.randint(1, 5), rng.randint(1, 4)
+            arrivals = sorted(rng.sample(range(1, 60), rng.randint(1, 59)))
+            queues = [deque() for _ in range(n_cores)]
+            reference = [deque() for _ in range(n_cores)]
+            for t, c in zip(arrivals, _pack_owners(arrivals, queues, cap)):
+                assert c == self.popping_pack_owner(reference, cap, t), (seed, t)
+                done = t + rng.randint(1, 12)
+                if reference[c] and reference[c][-1] > done:
+                    done = reference[c][-1]  # completions stay ascending
+                queues[c].append(done)
+                reference[c].append(done)
+
 
 # ---------------------------------------------------------------------------
 # snoops
@@ -1001,6 +1034,19 @@ class TestTieRules:
                                           (0, "C6A")]
         assert report.trace.idle_intervals == [("C6A", 10_000), ("C6A", 20_000),
                                                ("C6A", 10_000), ("C6A", 10_000)]
+
+    def test_arrival_as_an_aborted_entry_completes_is_not_aborted(self):
+        # Menu {C0, C1E} (5000 ns entry, 5000 ns exit), 3000 ns of work
+        # every 4000 ns on 1 core, horizon 80000.  The core goes idle at
+        # 0, 31000 and 59000, and the arrivals at 4000, 32000 and 60000
+        # abort those entries, which would complete at 5000, 36000 and
+        # 64000.  The arrivals at 36000 and 64000 come exactly then: the
+        # core is already waking up, so they are not aborted wake-ups.
+        config = SimConfig(cores=1, duration_s=80e-6, seed=1,
+                           arrival=ArrivalSpec("periodic", 250_000.0),
+                           service=ServiceSpec("fixed", 3.0),
+                           cstates_enabled=frozenset({"C0", "C1E"}))
+        assert run(config).wakeups_aborted == 3
 
     def test_each_arrival_inside_an_aborted_entry_counts(self):
         # Menu {C0, C6}: 87000 ns entry, 30000 ns exit; 1000 ns of work
