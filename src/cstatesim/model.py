@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional
+from typing import Dict, Optional
 
 from .catalog import AGILE_STATES, CSTATE_NAMES, REPLACEMENTS, Catalog
 from .errors import ValidationError

@@ -15,11 +15,11 @@ import io
 import json
 import time
 from dataclasses import asdict, dataclass, field, is_dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from . import __version__
 from .catalog import CSTATE_NAMES
-from .errors import ParseError, ValidationError, file_fields, read_ini, read_input, read_section
+from .errors import ParseError, file_fields, read_ini, read_input, read_section
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
 from .sim import SimConfig, SimReport, SweepPoint, VariantSpec
 

@@ -31,8 +31,8 @@ time).  Owners come from an iterator chosen once per run by the
 dispatch policy: a cycle over the cores for round_robin; a lazy map of
 the dispatch stream's randrange for random, one draw per arrival in
 arrival order, as a per-arrival call would make; and for
-pack_lowest_index _pack_owners, a generator over the live completion
-queues that pops them only when every core is at its cap.  The loop's
+pack_lowest_index _pack_owners, a generator that reads the live
+completion queues and writes none.  The loop's
 last items are the horizon's decisions: (offered, core, t_end, 0), in
 core order, for each core whose queue drains before t_end.  They pass
 the arrivals' one decision and resolution site, and stop after it.
@@ -55,10 +55,10 @@ per-core residency and entry tables; every entry and exit adds
 entry_ns + exit_ns of transition time, so the transition bucket and
 the C0 entries are settled once after the loop, from the entry counts
 and the horizon's cuts, and so is the network RTT, with the per-name
-tables.  The peak backlog costs one compare per arrival: limit is at
-most the completions popped so far plus peak_queue, so arrival i can
-raise the peak only when i >= limit, and only then are all the queues
-drained up to its time and the backlog read from their lengths.
+tables.  The peak backlog costs one compare per arrival: limit is the
+completions removed so far plus peak_queue (they leave the queues only
+where it counts them), so arrival i can raise the peak only when
+i >= limit, and only then are all the queues drained up to its time.
 Latencies stay Python ints: the loop appends each to a plain list, which
 is sorted in place after the loop, once the run has dropped its own
 stream arrays.  That list, one int per completed request, is the
@@ -697,12 +697,12 @@ def _pack_owners(arrivals, queues, cap: int):
     """Owners under pack_lowest_index, one per arrival time.
 
     Fill the lowest-indexed core up to cap queued requests, then spill;
-    when no core has room, the shortest queue wins (lowest index among
-    ties).  queues hold the cores' completion times, ascending, some
-    perhaps at or before t, so a core has room when len(queue) < cap or
-    queue[-cap] <= t; only when none has room (each queue then ends in
-    cap completions after t) are the queues popped up to t.  zip pulls
-    each owner after the previous arrival is applied: the queues are live.
+    when no core has room, the fewest completions after t wins (lowest
+    index among ties).  queues hold the cores' completion times,
+    ascending, some perhaps at or before t: a core has room when
+    len(queue) < cap or queue[-cap] <= t.  They are only read; run
+    removes completions and counts them.  zip pulls each owner after
+    the previous arrival is applied: the queues are live.
     """
     for t in arrivals:
         c = 0
@@ -711,11 +711,8 @@ def _pack_owners(arrivals, queues, cap: int):
                 break
             c += 1
         else:
-            for queue in queues:
-                while queue[0] <= t:
-                    queue.popleft()
-            lengths = [len(queue) for queue in queues]
-            c = lengths.index(min(lengths))
+            waiting = [len(queue) - bisect_right(queue, t) for queue in queues]
+            c = waiting.index(min(waiting))
         yield c
 
 
@@ -818,8 +815,8 @@ def run(
     latencies_ns: List[int] = []
     rtt_ns = round(config.network_rtt_us * 1000)
     wakeups_aborted = snoops_served = snoop_pj = peak_queue = 0
-    # At most the completions popped so far, plus peak_queue: an arrival
-    # can raise the peak only when its index reaches it.
+    # The completions removed from the queues so far, plus peak_queue:
+    # an arrival can raise the peak only when its index reaches it.
     limit = 0
     # With one idle state on the menu no prediction can change the
     # choice, so none is made.
@@ -855,9 +852,6 @@ def run(
             # aborted wake-up.
             if t < abort_until[c]:
                 wakeups_aborted += 1
-            while queue[0] <= t:
-                queue.popleft()
-                limit += 1
         else:
             limit += len(queue)
             queue.clear()
@@ -923,18 +917,18 @@ def run(
         queue.append(f)
         if f < t_end:
             record(f - t)
-        # i + 1 less the completions popped bounds the backlog from
-        # above; only when it could raise the peak (i >= limit) are the
-        # queues popped up to t and the backlog read from their lengths.
-        # A pop that limit does not count only leaves it low.
+        # i + 1 less the completions removed bounds the backlog from
+        # above (the queues may still hold completions at or before t);
+        # pop them all only when the bound could raise the peak, that is
+        # when i >= limit.
         if i >= limit:
             for queue in queues:
                 while queue and queue[0] <= t:
                     queue.popleft()
-            in_system = sum(map(len, queues))
-            if in_system > peak_queue:
-                peak_queue = in_system
-            limit = i + 1 - in_system + peak_queue
+                    limit += 1
+            if i >= limit:
+                peak_queue += i + 1 - limit
+                limit = i + 1
 
     # Integer picojoules: C0 and transitions draw active power.  The
     # per-name tables of the report are built from the index tables here,

@@ -22,6 +22,7 @@ Hand-derived expectations used below:
 import concurrent.futures
 import dataclasses
 import hashlib
+import heapq
 import itertools
 import json
 import math
@@ -789,23 +790,81 @@ class TestDispatch:
         return lengths.index(min(lengths))
 
     def test_pack_owners_match_popping_each_scanned_queue(self):
-        # _pack_owners pops nothing until every core is at the cap, so
-        # its queues keep completions the reference has popped.  Arrivals
-        # and completions share one small range of whole times, so they
-        # tie often, and completions tie with each other.
+        # _pack_owners only reads its queues, so they keep completions
+        # the reference has popped, and each owner leaves them as they
+        # were.  Arrivals and completions share one small range of whole
+        # times, so they tie often, and completions tie with each other.
         for seed in range(200):
             rng = random.Random(seed)
             n_cores, cap = rng.randint(1, 5), rng.randint(1, 4)
             arrivals = sorted(rng.sample(range(1, 60), rng.randint(1, 59)))
             queues = [deque() for _ in range(n_cores)]
             reference = [deque() for _ in range(n_cores)]
-            for t, c in zip(arrivals, _pack_owners(arrivals, queues, cap)):
+            owners = _pack_owners(arrivals, queues, cap)
+            for t in arrivals:
+                before = [list(queue) for queue in queues]
+                c = next(owners)
+                assert [list(queue) for queue in queues] == before, (seed, t)  # only read
                 assert c == self.popping_pack_owner(reference, cap, t), (seed, t)
                 done = t + rng.randint(1, 12)
                 if reference[c] and reference[c][-1] > done:
                     done = reference[c][-1]  # completions stay ascending
                 queues[c].append(done)
                 reference[c].append(done)
+
+    def test_peak_queue_and_completions_match_an_independent_count(self):
+        # With no entry or exit latency each core is a plain FIFO queue:
+        # a request completes at max(arrival, previous completion) +
+        # service.  The peak is then counted with one heap of the
+        # completions of every core: the most requests that arrived by
+        # an arrival's time and complete after it.  Queues build up near
+        # the top utilizations and in bursts, where the engine drains.
+        zero = Catalog({name: dataclasses.replace(spec, hw_entry_ns=0, hw_exit_ns=0)
+                        for name, spec in CATALOG.cstates.items()})
+        menus = [frozenset({"C0", "C1"}), frozenset({"C0", "C1", "C1E", "C6"})]
+        for seed in range(150):
+            rng = random.Random(seed)
+            cores = rng.randint(1, 4)
+            mean_us = rng.uniform(2.0, 20.0)
+            rate_qps = rng.uniform(0.3, 0.97) * cores / mean_us * 1e6
+            config = SimConfig(
+                cores=cores,
+                duration_s=rng.randint(100, 600) / rate_qps,
+                seed=seed,
+                arrival=ArrivalSpec(rng.choice(["poisson", "periodic", "bursty"]), rate_qps,
+                                    burst_on_ms=rng.uniform(0.02, 0.5),
+                                    burst_off_ms=rng.uniform(0.02, 0.5)),
+                service=ServiceSpec(rng.choice(["fixed", "exponential", "lognormal"]), mean_us,
+                                    sigma=rng.uniform(0.2, 1.5)),
+                dispatch=rng.choice(["round_robin", "random", "pack_lowest_index"]),
+                cstates_enabled=rng.choice(menus),
+                pack_queue_cap=rng.randint(1, 4),
+            )
+            streams = _draw_streams(config)
+            t_end = round(config.duration_s * 1e9)
+            dispatch = random.Random(derive_subseed(seed, "dispatch")).randrange
+            turns = itertools.cycle(range(cores))
+            free = [0] * cores
+            queues = [deque() for _ in range(cores)]
+            pending = []
+            peak = completed = 0
+            for t, service_ns in zip(streams.arrivals, streams.service_ns(1.0)):
+                if config.dispatch == "round_robin":
+                    c = next(turns)
+                elif config.dispatch == "random":
+                    c = dispatch(cores)
+                else:
+                    c = self.popping_pack_owner(queues, config.pack_queue_cap, t)
+                done = free[c] = max(t, free[c]) + service_ns
+                queues[c].append(done)
+                heapq.heappush(pending, done)
+                while pending[0] <= t:
+                    heapq.heappop(pending)
+                peak = max(peak, len(pending))
+                completed += done < t_end
+            report = run(config, catalog=zero, streams=streams)
+            assert (report.peak_queue, report.requests_completed, report.requests_offered) == (
+                peak, completed, len(streams.arrivals)), (seed, config)
 
 
 # ---------------------------------------------------------------------------
