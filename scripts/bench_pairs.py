@@ -14,10 +14,10 @@ bench file.
 
 The bench file is one JSON document.  For each workload and end-to-end
 metric it holds each side's median and quartiles over its runs, the
-relative change of the median, and how many runs of the change beat the
-parent's run at the same seed.  The metrics, their units and which
-direction is better come from BENCHMARK.json at the root of this
-checkout.
+relative change of the median, how many runs of the change beat the
+parent's run at the same seed, and a verdict (see verdict()).  The
+metrics, their units, their bounds and which direction is better come
+from BENCHMARK.json at the root of this checkout.
 
 Usage:
     python3 scripts/bench_pairs.py PARENT_ROOT CHANGE_ROOT --pairs N --seconds S \\
@@ -69,6 +69,32 @@ def spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3, "runs": len(values)}
 
 
+def verdict(before: list, after: list, wins: int, lower: bool, bound: float) -> str:
+    """How the change's runs read against the parent's, run i of each a pair.
+
+    The first rule that holds:
+      "gain": the change wins at least 0.9 of the pairs (wins, ties
+        counting for neither), and its median beats the parent's by
+        more than the parent's quartile distance;
+      "worse": its median is worse than the parent's by more than bound
+        times the parent's median (a bound is a fraction);
+      "unresolved": the parent's quartile distance exceeds that
+        allowance, and not every change run beats every parent run;
+      "no_regression".
+    """
+    sign = 1 if lower else -1  # sign * (parent - change) > 0: the change reads better
+    p, c = spread(before), spread(after)
+    gained = sign * (p["median"] - c["median"])
+    distance, allowance = p["q3"] - p["q1"], bound * abs(p["median"])
+    if wins >= 0.9 * len(before) and gained > distance:
+        return "gain"
+    if -gained > allowance:
+        return "worse"
+    if distance > allowance and not min(sign * b for b in before) > max(sign * a for a in after):
+        return "unresolved"
+    return "no_regression"
+
+
 def summarise(parent: dict, change: dict, metrics: list) -> dict:
     """One workload's parent and change runs, metric by metric."""
     seeds = sorted(set(parent) & set(change))
@@ -101,6 +127,7 @@ def summarise(parent: dict, change: dict, metrics: list) -> dict:
             "parent_quartile_distance": p["q3"] - p["q1"],
             "change_wins": wins,
             "pairs": len(seeds),
+            "verdict": verdict(before, after, wins, lower, metric["bound"]),
         }
     return out
 

@@ -317,7 +317,7 @@ def loads_catalog(text: str) -> Catalog:
         base = specs.get(section)
         if base is None:
             raise ParseError(f"unknown section [{section}]")
-        specs[section] = read_section(cp[section], section, CStateSpec, base, name=section)
+        specs[section] = read_section(cp, section, CStateSpec, base, name=section)
     return Catalog(specs)
 
 

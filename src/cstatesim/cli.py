@@ -310,7 +310,7 @@ def cmd_validate(args) -> int:
 
     # Each agile state's power within the sum of its component budget.
     budget = default_budget()
-    for variant in ("C6A", "C6AE"):
+    for variant in sorted(AGILE_STATES):
         lo, hi = budget_total(budget, variant)
         power_mw = catalog[variant].power_mw
         check(
@@ -321,18 +321,18 @@ def cmd_validate(args) -> int:
 
     # Idle-to-active power ratios for the agile states.
     p1 = catalog.pstate("P1")
-    for name, lo, hi in (("C6A", 0.05, 0.08), ("C6AE", 0.05, 0.08)):
+    for name in sorted(AGILE_STATES):
         ratio = power_ratio_vs_active(catalog[name], p1)
         check(
             f"{name}/C0(P1) power ratio in [5%, 8%]",
-            lo <= ratio <= hi,
+            0.05 <= ratio <= 0.08,
             f"got {ratio:.4f}",
         )
 
     # Hardware latency bounds (the built-in figures are the totals of
     # the controller flows at the default 500 MHz clock).
     c6, c1 = catalog["C6"], catalog["C1"]
-    for name in ("C6A", "C6AE"):
+    for name in sorted(AGILE_STATES):
         agile = catalog[name]
         check(f"{name} entry <= 20 ns", agile.hw_entry_ns <= 20, f"got {agile.hw_entry_ns} ns")
         check(f"{name} exit <= 85 ns", agile.hw_exit_ns <= 85, f"got {agile.hw_exit_ns} ns")
@@ -341,7 +341,7 @@ def cmd_validate(args) -> int:
     check("C1 reference entry <= 10 ns", c1.hw_entry_ns <= 10, f"got {c1.hw_entry_ns} ns")
 
     # Transition speedup of each agile state over full deep idle.
-    for name in ("C6A", "C6AE"):
+    for name in sorted(AGILE_STATES):
         agile_hw = catalog[name].hw_total_ns
         ratio = c6.transition_time_us * 1000.0 / agile_hw if agile_hw else math.inf
         check(
@@ -444,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     fsm_sub = fsmp.add_subparsers(dest="fsm_command", required=True)
     trace = fsm_sub.add_parser("trace", help="print one flow's steps")
     trace.add_argument("--flow", required=True, choices=["entry", "exit", "snoop"])
-    trace.add_argument("--variant", required=True, choices=["C6A", "C6AE", "C1", "C6"])
+    trace.add_argument("--variant", required=True, choices=[*sorted(AGILE_STATES), "C1", "C6"])
     trace.add_argument("--mhz", type=int, default=fsm.DEFAULT_CONTROLLER_MHZ,
                        help="controller clock (default %(default)s)")
     stagger = fsm.StaggerPlan()

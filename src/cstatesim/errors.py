@@ -3,15 +3,15 @@
 Everything user-facing raises one of these two, so the CLI can map
 domain errors to exit code 1 and malformed input files to helpful
 messages with line numbers.  The INI files (catalog and sim config)
-share one reader: read_ini for the sections, read_section for the keys
-of one section, so both follow one key rule with one set of messages.
+share one reader: read_ini for the sections, read_section for a spec's
+keys and its spec fields' sections: one key rule, one set of messages.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import MISSING, Field, fields
+from dataclasses import MISSING, Field, fields, is_dataclass
 from functools import lru_cache
 from typing import Tuple, get_type_hints
 
@@ -100,15 +100,21 @@ _READERS = {
 }
 
 
-def read_section(sec, section: str, cls, base=None, **given):
-    """cls from one INI section, key by key from its fields.
+def read_section(cp, section: str, cls, base=None, **given):
+    """cls from the INI section of cp named section, key by key from its fields.
 
-    Every field that is not given is a key, parsed by the field's type.
-    An absent or empty key keeps its base value: base's attribute, or
-    with no base the dataclass default; a field with neither is a
-    missing key.  An empty state list is read as empty: an empty menu
-    is an error, not the default menu.
+    A field whose type is a spec dataclass is read the same way from the
+    section named after it, so it is not a key.  Every other field that
+    is not given is a key, parsed by the field's type; an absent section
+    has no keys.  An absent or empty key keeps its base value: base's
+    attribute, or with no base the dataclass default; a field with
+    neither is a missing key.  An empty state list is read as empty: an
+    empty menu is an error, not the default menu.
     """
+    for f, _, hint in file_fields(cls):
+        if is_dataclass(hint) and f.name not in given:
+            given[f.name] = read_section(cp, f.name, hint)
+    sec = cp[section] if section in cp else {}
     keys = [t for t in file_fields(cls) if t[0].name not in given]
     unknown = sorted(set(sec) - {key for _, key, _ in keys})
     if unknown:

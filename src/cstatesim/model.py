@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from .catalog import AGILE_STATES, CSTATE_NAMES, REPLACEMENTS, Catalog
 from .errors import ValidationError
@@ -157,6 +157,13 @@ def avg_power(profile: ResidencyProfile, catalog: Catalog) -> PowerEstimate:
     return PowerEstimate(avg_power_w=sum(per_state.values()), per_state_w=per_state)
 
 
+def _require_states(profile: ResidencyProfile, allowed: Set[str], what: str) -> None:
+    """Reject a profile with states outside allowed; what fills in the allowed list at {}."""
+    extra = set(profile.residency) - allowed
+    if extra:
+        raise ValidationError(f"{what.format(sorted(allowed))}; got extra states {sorted(extra)}")
+
+
 def upper_bound_savings(profile: ResidencyProfile, catalog: Catalog) -> float:
     """Best-case savings fraction from an ideal C1 replacement.
 
@@ -166,13 +173,8 @@ def upper_bound_savings(profile: ResidencyProfile, catalog: Catalog) -> float:
     bucket that simulated profiles carry, charged at C0 power; anything
     else is rejected.
     """
-    allowed = {"C0", "C1", "C6", TRANSITION_BUCKET}
-    extra = set(profile.residency) - allowed
-    if extra:
-        raise ValidationError(
-            f"upper-bound savings is defined on {sorted(allowed)} profiles; "
-            f"got extra states {sorted(extra)}"
-        )
+    _require_states(profile, {"C0", "C1", "C6", TRANSITION_BUCKET},
+                    "upper-bound savings is defined on {} profiles")
     baseline = avg_power(profile, catalog).avg_power_w
     if baseline <= 0:
         return 0.0
@@ -260,13 +262,8 @@ def avg_power_aw(
     model, renames C1 -> C6A and C1E -> C6AE, and reprices it.  The
     result carries savings_vs against the unmodified baseline.
     """
-    allowed = (set(CSTATE_NAMES) - AGILE_STATES) | {TRANSITION_BUCKET}
-    extra = set(profile.residency) - allowed
-    if extra:
-        raise ValidationError(
-            f"agile estimate expects a baseline profile over {sorted(allowed)}; "
-            f"got extra states {sorted(extra)}"
-        )
+    _require_states(profile, (set(CSTATE_NAMES) - AGILE_STATES) | {TRANSITION_BUCKET},
+                    "agile estimate expects a baseline profile over {}")
 
     baseline = avg_power(profile, catalog).avg_power_w
     scaled = rescale_residency(profile, perf)

@@ -358,18 +358,6 @@ class ParsedSimConfig:
     variants: Dict[str, VariantSpec] = field(default_factory=dict)
 
 
-def _read_section(cp, section, cls, **given):
-    """cls from one INI section (errors.read_section), its spec fields composed.
-
-    A field whose type is a spec dataclass is read from the section
-    named after it, so it is not a key here.
-    """
-    for f, _, hint in file_fields(cls):
-        if is_dataclass(hint) and f.name not in given:
-            given[f.name] = _read_section(cp, f.name, hint)
-    return read_section(cp[section] if section in cp else {}, section, cls, **given)
-
-
 def loads_sim_config(text: str) -> ParsedSimConfig:
     """Parse the INI-style simulation config (see docs/formats.md).
 
@@ -391,10 +379,10 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         if section not in known and not section.startswith("variant:"):
             raise ParseError(f"unknown section [{section}]")
 
-    config = _read_section(cp, "sim", SimConfig)
+    config = read_section(cp, "sim", SimConfig)
     # Not a [perf] key: the field keeps its default.
-    perf = _read_section(cp, "perf", PerfModel,
-                         delta_transition_ns=PerfModel.delta_transition_ns)
+    perf = read_section(cp, "perf", PerfModel,
+                        delta_transition_ns=PerfModel.delta_transition_ns)
 
     variants: Dict[str, VariantSpec] = {}
     for section in cp.sections():
@@ -405,7 +393,7 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
             raise ParseError(f"variant section {section!r} needs a name")
         if not cp[section].get("cstates", "").replace(",", " ").split():
             raise ParseError(f"[{section}] needs a cstates list")
-        variants[name] = _read_section(cp, section, VariantSpec, name=name)
+        variants[name] = read_section(cp, section, VariantSpec, name=name)
 
     return ParsedSimConfig(config=config, perf=perf, variants=variants)
 

@@ -16,6 +16,7 @@ import math
 import pytest
 
 from cstatesim import fsm
+from cstatesim.catalog import AGILE_STATES, CSTATE_NAMES
 from cstatesim.errors import ValidationError
 from cstatesim.fsm import (
     ACTIVE_STATE,
@@ -82,6 +83,18 @@ def test_entry_rejects_non_agile_variants_and_bad_clock():
         entry_timeline("C6")
     with pytest.raises(ValidationError):
         entry_timeline("C6A", 0)
+
+
+@pytest.mark.parametrize("flow", [entry_timeline, exit_timeline, snoop_timeline])
+@pytest.mark.parametrize("name", CSTATE_NAMES)
+def test_flows_accept_exactly_the_catalog_agile_states(flow, name):
+    # fsm cannot import catalog (catalog imports fsm), so its own list
+    # of agile states is pinned to catalog's here.
+    if name in AGILE_STATES:
+        assert flow(name).variant == name
+    else:
+        with pytest.raises(ValidationError, match="use reference_flow"):
+            flow(name)
 
 
 # ---------------------------------------------------------------------------

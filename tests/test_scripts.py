@@ -237,6 +237,41 @@ def test_bench_pairs_medians_and_paired_wins(monkeypatch):
             assert m["median_change"] == 13.5 / 13.0 - 1.0
             assert m["change_wins"] == (4 if metric["better"] == "lower" else 1)
             assert (m["pairs"], m["bound"]) == (5, metric["bound"])
+            # The parent's quartile distance, 2.0, against the bound's allowance.
+            expected = "unresolved" if 2.0 > metric["bound"] * 13.0 else "no_regression"
+            assert m["verdict"] == expected
+
+
+STEADY = [10.0, 10.1, 9.9, 10.0, 10.2, 9.8, 10.0, 10.1, 9.9, 10.0]
+
+
+@pytest.mark.parametrize("better, before, after, expected", [
+    # Ten of ten pairs won, by more than the parent's quartile distance.
+    ("lower", STEADY, [9.0] * 10, "gain"),
+    ("higher", STEADY, [11.0] * 10, "gain"),
+    # Eight wins and two ties: ties count for neither side.
+    ("lower", [10.0] * 10, [9.0] * 8 + [10.0] * 2, "no_regression"),
+    # The median 30 % worse, beyond the 20 % bound.
+    ("lower", STEADY, [13.0] * 10, "worse"),
+    ("higher", STEADY, [7.0] * 10, "worse"),
+    # Inside the bound, with the parent's spread far wider than it.
+    ("lower", [5.0, 10.0, 15.0] * 3 + [10.0], [10.0] * 10, "unresolved"),
+    # As wide a parent spread, but every change run beats every parent run.
+    ("lower", [10.0] * 7 + [30.0, 40.0, 50.0], [9.0] * 10, "no_regression"),
+    ("lower", STEADY, [10.5] * 10, "no_regression"),
+])
+def test_bench_pairs_verdicts(monkeypatch, better, before, after, expected):
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    import bench_pairs
+
+    def runs(values):
+        return {seed: {"correct": True, "attempted": 6, "failed": 0,
+                       "metrics": {"m": {"value": value, "unit": "s"}}}
+                for seed, value in enumerate(values, 1)}
+
+    metric = {"name": "m", "unit": "s", "better": better, "bound": 0.2}
+    summary = bench_pairs.summarise(runs(before), runs(after), [metric])
+    assert summary["metrics"]["m"]["verdict"] == expected
 
 
 def test_bench_pairs_refuses_a_root_that_is_not_a_checkout(tmp_path):
