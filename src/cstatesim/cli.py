@@ -436,7 +436,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     demop.add_argument("--seed", type=int, default=DEMO_SEED)
     demop.add_argument("--duration", type=float, default=DEMO_DURATION_S,
-                       help="simulated seconds per point")
+                       help="simulated seconds per point; the 2%% p99 self-check is "
+                            "calibrated for the default 0.2 and fails on about 3%% "
+                            "of seeds at 0.1")
     demop.set_defaults(func=cmd_demo)
 
     # fsm

@@ -19,12 +19,11 @@ the arrival ends or the horizon cuts (the exit follows the arrival), or
 else an entry the arrival aborts (the exit follows the entry's end).
 Snoops never move a core out of its state, so they are drawn lazily:
 when a resident agile interval ends, _serve_snoops draws the core's own
-Poisson snoop stream across it, which is exact by memorylessness.  A
-snoop window that starts at or after the end of the core's previous
-one, in an interval that ends at least one window before the horizon,
-is only added to a nanosecond total charged once per interval; windows
-that overlap or clip at the horizon are charged one by one, for their
-uncovered part.
+Poisson snoop stream across it, which is exact by memorylessness.  One
+rule charges the windows: each snoop is counted at its whole window,
+and the overlaps with the core's previous window and the part past the
+horizon are taken off once, which is each window's uncovered part
+because a core's windows all have one length.
 
 The recursion is one loop over (index, owner, arrival time, service
 time).  Owners come from an iterator chosen once per run by the
@@ -139,11 +138,17 @@ __all__ = [
     "select_state",
     "derive_subseed",
     "MAX_CORES",
+    "MAX_ARRIVALS",
 ]
 
 # Per-core state is allocated up front, several lists of cores entries
 # each, so the core count is bounded before anything is allocated.
 MAX_CORES = 4096
+# The arrival and service streams, one entry per request, are drawn
+# before the loop, so the expected arrival count (rate_qps * duration_s)
+# is bounded before anything is drawn.  At about 52 B per request, a run
+# at the limit holds about 0.5 GB.
+MAX_ARRIVALS = 10 ** 7
 
 _ARRIVAL_PROCESSES = ("poisson", "periodic", "bursty")
 _SERVICE_DISTS = ("fixed", "exponential", "lognormal")
@@ -293,6 +298,11 @@ class SimConfig:
                 raise ValidationError(
                     f"bursty arrivals expect {cycles:.3g} on/off cycles over duration_s; "
                     f"at most 1e6 are allowed")
+        expected = arrival.rate_qps * self.duration_s
+        if not expected <= MAX_ARRIVALS:
+            raise ValidationError(
+                f"rate_qps {arrival.rate_qps:g} over duration_s {self.duration_s:g} "
+                f"expects {expected:.3g} arrivals; at most {MAX_ARRIVALS:,} are allowed")
         if not (0 <= self.seed < 2 ** 64):
             raise ValidationError("seed must be a 64-bit nonnegative integer")
         if self.dispatch not in _DISPATCH_POLICIES:
@@ -306,7 +316,7 @@ class SimConfig:
         util = self.arrival.rate_qps * self.service.mean_us * 1e-6 / self.cores
         if util >= 1.0:
             raise ValidationError(
-                f"offered per-core utilization {util:.3f} is not below 1"
+                f"offered per-core utilization {util:.3g} is not below 1"
             )
         if self.network_rtt_us < 0:
             raise ValidationError("network_rtt_us must be nonnegative")
@@ -658,14 +668,17 @@ def _serve_snoops(uniform, neg_rate: float, ts: int, t_stop: int, clear: int,
 
     uniform is the core's snoop stream's random method, neg_rate the
     negated rate in Hz, and clear the end of the core's previous window.
-    A window that starts at or after clear, in an interval whose every
-    window ends by the horizon (t_stop + window <= t_end), is counted and
-    charged whole.  Any other window overlaps the previous one or clips
-    at the horizon, and only its uncovered part is charged.
+    Every snoop is counted and charged its whole window; then the part
+    each window shares with the one before it, and the part of the last
+    one past the horizon, are taken off.  That is each window's
+    uncovered part before t_end, because all of a core's windows have
+    one length (C6A and C6AE share one snoop flow), and because the
+    clear a call receives is at most t_end and ends before ts + window
+    for every snoop the call draws (each resident interval starts after
+    the previous one stopped).
     """
     log, floor, m = math.log, math.floor, _ROUND_NS
-    unclipped = t_stop + window <= t_end
-    fast = slow = slow_ns = 0
+    served = covered = 0
     while True:
         # expovariate(-neg_rate), inlined and rounded as in
         # _arrival_times.  A gap past any float (at very low rates)
@@ -678,19 +691,12 @@ def _serve_snoops(uniform, neg_rate: float, ts: int, t_stop: int, clear: int,
             break
         if ts >= t_stop:
             break
-        if ts >= clear and unclipped:
-            fast += 1
-            clear = ts + window
-            continue
-        slow += 1
-        end = ts + window
-        if end > t_end:
-            end = t_end
-        start = ts if ts > clear else clear
-        if end > start:
-            slow_ns += end - start
-            clear = end
-    return fast + slow, fast * window + slow_ns, clear
+        served += 1
+        if ts < clear:
+            covered += clear - ts
+        clear = ts + window
+    past = clear - t_end if clear > t_end else 0
+    return served, served * window - covered - past, clear - past
 
 
 def _pack_owners(arrivals, queues, cap: int):

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -453,6 +454,19 @@ class TestSimCli:
         assert code == 1
         assert out == ""
         assert err == "error: a service time is not below 2**63 ns\n"
+
+    def test_run_past_the_arrival_limit_is_exit_1_before_any_draw(self, capsys, tmp_path):
+        # 10^10 expected arrivals: drawn, they ran out of memory.
+        path = tmp_path / "long.ini"
+        path.write_text("[sim]\ncores = 1\nduration_s = 1000000\nseed = 3\n\n"
+                        "[arrival]\nrate_qps = 10000\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert out == ""
+        assert err == ("error: rate_qps 10000 over duration_s 1e+06 expects 1e+10 "
+                       "arrivals; at most 10,000,000 are allowed\n")
 
     def test_run_catalog_power_past_64_bits_is_exit_1(self, capsys, tmp_path):
         path = tmp_path / "one.ini"

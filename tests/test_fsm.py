@@ -169,6 +169,16 @@ def test_snoop_service_window_is_configurable():
     assert tl.total_ns == 10                 # still excluded from total
 
 
+@pytest.mark.parametrize("controller_mhz", [100, 500, 1000, 3000])
+@pytest.mark.parametrize("service_ns", [0, 1, 50, 200, 12345])
+def test_agile_states_share_one_snoop_window(controller_mhz, service_ns):
+    # The simulator charges a core's snoop windows by one rule that
+    # needs them all of one length, across C6A and C6AE intervals.
+    totals = {snoop_timeline(name, controller_mhz, service_ns).total_ns
+              for name in AGILE_STATES}
+    assert len(totals) == 1
+
+
 # ---------------------------------------------------------------------------
 # Reference flows
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from cstatesim.model import PerfModel
 from cstatesim.demo import demo_sweep
 from cstatesim.reporting import canonical_hash, emit_plot_table, sim_report_document
 from cstatesim.sim import (
+    MAX_ARRIVALS,
     MAX_CORES,
     ArrivalSpec,
     GovernorPolicy,
@@ -461,6 +462,25 @@ class TestConfigValidation:
                 arrival=ArrivalSpec(rate_qps=100000.0),
                 service=ServiceSpec(dist="fixed", mean_us=10.0),
             )
+        # A huge mean stays a short figure, not 300 digits.
+        with pytest.raises(ValidationError, match="utilization") as info:
+            quiet_config(arrival=ArrivalSpec(rate_qps=1.0),
+                         service=ServiceSpec(dist="fixed", mean_us=1e300))
+        assert len(str(info.value)) < 60
+
+    def test_expected_arrivals_past_the_limit_rejected_before_any_draw(self):
+        # 10^10 expected arrivals used to be drawn until memory ran out.
+        start = time.perf_counter()
+        with pytest.raises(ValidationError,
+                           match=r"expects 1e\+10 arrivals; at most 10,000,000"):
+            quiet_config(duration_s=1e6, arrival=ArrivalSpec(rate_qps=1e4))
+        assert time.perf_counter() - start < 1.0
+        for rate_qps in (MAX_ARRIVALS / 1000.0 - 1.0, MAX_ARRIVALS / 1000.0):
+            cfg = quiet_config(duration_s=1000.0, arrival=ArrivalSpec(rate_qps=rate_qps))
+            assert cfg.arrival.rate_qps == rate_qps
+        with pytest.raises(ValidationError, match="arrivals"):
+            quiet_config(duration_s=1000.0,
+                         arrival=ArrivalSpec(rate_qps=MAX_ARRIVALS / 1000.0 + 1.0))
 
     def test_c0_required(self):
         with pytest.raises(ValidationError, match="C0"):
@@ -979,6 +999,39 @@ class TestSnoops:
                           t_stop + 10 ** 9):
                 cases.append((k, rate, ts, t_stop, clear, window, t_end))
         assert self.snoop_mismatches(cases) == []
+
+    def test_chained_intervals_match_the_reference(self):
+        # One core in engine order: clear starts at 0, each resident
+        # interval starts after the previous one stops, and each side
+        # carries its own returned clear and its own snoop stream.  At
+        # 1e6 to 3e8 Hz against 1 to 60 ns windows, windows overlap
+        # within and across intervals.  The horizon falls inside the
+        # last interval (which it cuts, as the engine does), at its end,
+        # within the last window's reach past it, and far past it.
+        mismatches = []
+        for k in range(1000):
+            pick = random.Random(f"chain {k}")
+            rate, window = 10 ** pick.uniform(6.0, math.log10(3e8)), pick.randint(1, 60)
+            intervals, t_stop = [], 0
+            for _ in range(pick.randint(1, 5)):
+                ts = t_stop + pick.randint(1, 300)
+                t_stop = ts + pick.randint(0, 400)
+                intervals.append((ts, t_stop))
+            last_ts = intervals[-1][0]
+            for t_end in (last_ts + pick.randint(1, t_stop - last_ts) if t_stop > last_ts
+                          else t_stop, t_stop, t_stop + pick.randint(1, window),
+                          t_stop + 10 ** 9):
+                uniform, rng = random.Random(k).random, random.Random(k)
+                clear = ref_clear = 0
+                for ts, stop in intervals:
+                    stop = min(stop, t_end)
+                    got = _serve_snoops(uniform, -rate, ts, stop, clear, window, t_end)
+                    want = self.reference_snoops(rng, rate, ts, stop, ref_clear, window,
+                                                 t_end)
+                    if got != want:
+                        mismatches.append((k, t_end, ts, got, want))
+                    clear, ref_clear = got[2], want[2]
+        assert mismatches == []
 
     def test_snoop_gaps_past_2_52_ns_are_the_stdlib_draws(self):
         # At 10^-8 to 10^-6.5 Hz most gaps are past 2**52 ns, where they
@@ -1569,8 +1622,8 @@ GOLDEN = [
           pack_queue_cap=1, governor=GovernorPolicy("ewma", 0.5)),
      "17d3c85b499f59da8829b9acc15d8bfdeb0651a68009ccc9c78b40c08ad2164a"),
     # 5 MHz snoops with a 60 ns window: about a quarter of the windows
-    # overlap the one before, and some clip at the horizon, so both
-    # charging paths of _serve_snoops run (18,618 snoops served).
+    # overlap the one before, and some reach past the horizon, so both
+    # of _serve_snoops' deductions apply (18,618 snoops served).
     (dict(cores=2, duration_s=0.002, seed=27, arrival=ArrivalSpec("poisson", 5_000.0),
           service=ServiceSpec("exponential", 20.0), dispatch="round_robin",
           governor=GovernorPolicy("clairvoyant"),
