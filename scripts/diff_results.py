@@ -174,27 +174,24 @@ def random_sweep(rng: random.Random, rate_qps: float) -> dict:
     }
 
 
-def run_one(description: dict) -> dict:
-    """Run one config with the cstatesim on sys.path; plain-data outcome.
+def build(description: dict):
+    """(catalog, SimConfig) of a drawn config, with the cstatesim on sys.path.
 
     A drawn c0_power_w becomes the [C0] power of the default catalog,
     in whole milliwatts, and drawn latency_scales scale its idle states'
     hw latencies (rounded to whole ns) and target residencies; the
-    catalog is then read back through the catalog file reader.
+    catalog is then read back through the catalog file reader.  With
+    neither, the catalog is None (the default).  The SimConfig raises
+    ValidationError when the config breaks a contract.
     """
     from dataclasses import replace
 
     from cstatesim.catalog import Catalog, default_catalog, dumps_catalog, loads_catalog
-    from cstatesim.errors import ParseError, ValidationError
-    from cstatesim.reporting import sim_report_document, sweep_document
-    from cstatesim.sim import (ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig,
-                               SnoopSpec, VariantSpec, run, sweep)
+    from cstatesim.sim import ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig, SnoopSpec
 
-    kwargs = dict(description)
-    trace = kwargs.pop("trace")
-    grid = kwargs.pop("sweep")
-    c0_power_w = kwargs.pop("c0_power_w")
-    scales = kwargs.pop("latency_scales")
+    kwargs = {key: value for key, value in description.items()
+              if key not in ("trace", "sweep", "c0_power_w", "latency_scales")}
+    c0_power_w, scales = description["c0_power_w"], description["latency_scales"]
     catalog = None
     if c0_power_w is not None or scales is not None:
         cstates = dict(default_catalog().cstates)
@@ -206,14 +203,25 @@ def run_one(description: dict) -> dict:
                                     hw_exit_ns=round(spec.hw_exit_ns * exit_),
                                     target_residency_us=spec.target_residency_us * target)
         catalog = loads_catalog(dumps_catalog(Catalog(cstates)))
+    config = SimConfig(
+        **{**kwargs,
+           "arrival": ArrivalSpec(**kwargs["arrival"]),
+           "service": ServiceSpec(**kwargs["service"]),
+           "governor": GovernorPolicy(**kwargs["governor"]),
+           "snoop": SnoopSpec(**kwargs["snoop"]),
+           "cstates_enabled": frozenset(kwargs["cstates_enabled"])})
+    return catalog, config
+
+
+def run_one(description: dict) -> dict:
+    """Run one config with the cstatesim on sys.path; plain-data outcome."""
+    from cstatesim.errors import ParseError, ValidationError
+    from cstatesim.reporting import sim_report_document, sweep_document
+    from cstatesim.sim import VariantSpec, run, sweep
+
+    trace, grid = description["trace"], description["sweep"]
     try:
-        config = SimConfig(
-            **{**kwargs,
-               "arrival": ArrivalSpec(**kwargs["arrival"]),
-               "service": ServiceSpec(**kwargs["service"]),
-               "governor": GovernorPolicy(**kwargs["governor"]),
-               "snoop": SnoopSpec(**kwargs["snoop"]),
-               "cstates_enabled": frozenset(kwargs["cstates_enabled"])})
+        catalog, config = build(description)
         if grid:
             variants = [VariantSpec(f"v{k}", frozenset(menu))
                         for k, menu in enumerate(grid["menus"])]

@@ -358,17 +358,33 @@ class ParsedSimConfig:
     variants: Dict[str, VariantSpec] = field(default_factory=dict)
 
 
+# Keys that only one mode reads, each with that mode and its test: given
+# in another mode, such a key would be parsed and then ignored.  Reads
+# that depend on the menu stay out, because a sweep variant changes it.
+_MODE_KEYS = (
+    ("sim", "pack_queue_cap", "dispatch = pack_lowest_index",
+     lambda c: c.dispatch == "pack_lowest_index"),
+    ("arrival", "burst_on_ms", "process = bursty", lambda c: c.arrival.process == "bursty"),
+    ("arrival", "burst_off_ms", "process = bursty", lambda c: c.arrival.process == "bursty"),
+    ("service", "sigma", "dist = lognormal", lambda c: c.service.dist == "lognormal"),
+    ("governor", "ewma_alpha", "predictor = ewma", lambda c: c.governor.predictor == "ewma"),
+    ("snoop", "service_ns", "rate_per_core_hz > 0", lambda c: c.snoop.rate_per_core_hz > 0),
+)
+
+
 def loads_sim_config(text: str) -> ParsedSimConfig:
     """Parse the INI-style simulation config (see docs/formats.md).
 
     [sim] holds SimConfig's keys, and each of its spec fields has a
     section of the same name.  An absent or empty key keeps its field's
-    dataclass default; a field with none is a missing key.  [perf] takes
-    only the PerfModel fields run reads, through
+    dataclass default; a field with none is a missing key.  A non-empty
+    key that only one mode reads (_MODE_KEYS) is refused outside that
+    mode.  [perf] takes only the PerfModel fields run reads, through
     PerfModel.service_inflation: delta_transition_ns is the analytic
     model's knob (model estimate-aw --delta-ns), not the simulator's.
-    Unknown sections and keys and malformed numbers raise ParseError;
-    values that parse but break a contract raise ValidationError.
+    Unknown sections and keys, malformed numbers and keys outside their
+    mode raise ParseError; values that parse but break a contract raise
+    ValidationError.
     """
     cp = read_ini(text, "sim config")
     if "sim" not in cp:
@@ -380,6 +396,9 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
             raise ParseError(f"unknown section [{section}]")
 
     config = read_section(cp, "sim", SimConfig)
+    for section, key, mode, reads in _MODE_KEYS:
+        if cp.get(section, key, fallback="").strip() and not reads(config):
+            raise ParseError(f"[{section}] key {key!r} is read only when {mode}")
     # Not a [perf] key: the field keeps its default.
     perf = read_section(cp, "perf", PerfModel,
                         delta_transition_ns=PerfModel.delta_transition_ns)

@@ -763,7 +763,7 @@ def run(
     # state (the governor never picks C0, index 0).
     entry_ns = [catalog[name].hw_entry_ns for name in names]
     exit_ns = [catalog[name].hw_exit_ns for name in names]
-    round_trip_ns = [0] + [a + b for a, b in zip(entry_ns[1:], exit_ns[1:])]
+    round_trip_ns = [catalog[name].hw_total_ns for name in names]
 
     # Snoop window: cache wake + service + re-entry, charged at the
     # power of the state's shallow twin (its cache subsystem is awake

@@ -8,6 +8,7 @@ from dataclasses import MISSING, fields
 
 import pytest
 
+from cstatesim.cli import main
 from cstatesim.errors import ParseError, ValidationError
 from cstatesim.fsm import entry_timeline, exit_timeline
 from cstatesim.model import PerfModel, ResidencyProfile
@@ -555,17 +556,36 @@ _SECTION_CLASSES = {
 }
 
 
-def _ini_with(section, key, raw):
-    """MINIMAL_INI's [sim] keys, plus (or with) one key set to raw."""
-    sim = {"cores": "2", "duration_s": "0.5", "seed": "42"}
-    extra = ""
-    if section == "sim":
-        sim[key] = raw
-    else:
-        extra = f"\n[{section}]\n{key} = {raw}\n"
-        if section.startswith("variant:") and key != "cstates":
-            extra += "cstates = C0, C1\n"
-    return "[sim]\n" + "".join(f"{k} = {v}\n" for k, v in sim.items()) + extra
+# Each key that only one mode reads: (section, key) -> (the key that sets
+# the mode, in the same section; the value that reads the key; another
+# value that does not; the mode as the refusal names it).
+_MODE_KEYS = {
+    ("sim", "pack_queue_cap"):
+        ("dispatch", "pack_lowest_index", "random", "dispatch = pack_lowest_index"),
+    ("arrival", "burst_on_ms"): ("process", "bursty", "periodic", "process = bursty"),
+    ("arrival", "burst_off_ms"): ("process", "bursty", "periodic", "process = bursty"),
+    ("service", "sigma"): ("dist", "lognormal", "fixed", "dist = lognormal"),
+    ("governor", "ewma_alpha"): ("predictor", "ewma", "last_idle", "predictor = ewma"),
+    ("snoop", "service_ns"): ("rate_per_core_hz", "100", "0", "rate_per_core_hz > 0"),
+}
+
+
+def _ini_with(section, key, raw, mode=None):
+    """MINIMAL_INI's [sim] keys, plus (or with) one key set to raw.
+
+    A key that only one mode reads is written with its mode key, set to
+    mode, or when mode is None to the value that reads the key.
+    """
+    sections = {"sim": {"cores": "2", "duration_s": "0.5", "seed": "42"}}
+    keys = sections.setdefault(section, {})
+    if (section, key) in _MODE_KEYS:
+        mode_key, reading, _, _ = _MODE_KEYS[section, key]
+        keys[mode_key] = reading if mode is None else mode
+    keys[key] = raw
+    if section.startswith("variant:") and key != "cstates":
+        keys["cstates"] = "C0, C1"
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in body.items()) + "\n"
+                   for name, body in sections.items())
 
 
 def _parsed_value(parsed, section, key):
@@ -606,6 +626,27 @@ class TestSimConfigKeys:
         default = {f.name: f.default for f in fields(_SECTION_CLASSES[section])}[key]
         assert default is not MISSING
         assert _parsed_value(parsed, section, key) == default
+
+    @pytest.mark.parametrize("section, key", sorted(_MODE_KEYS))
+    def test_mode_specific_key_is_refused_outside_its_mode(self, section, key, tmp_path,
+                                                           capsys):
+        _, _, other, mode_text = _MODE_KEYS[section, key]
+        raw, value = {(s, k): (raw, value) for s, k, raw, value in _KEY_VALUES}[section, key]
+        message = f"[{section}] key '{key}' is read only when {mode_text}"
+        path = tmp_path / "sim.ini"
+        # An empty mode key is the default mode, which does not read the key.
+        for mode in ("", other):
+            text = _ini_with(section, key, raw, mode)
+            with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
+                loads_sim_config(text)
+            path.write_text(text)
+            assert main(["sim", "run", "--config", str(path)]) == 1
+            assert capsys.readouterr().err == f"error: {message}\n"
+            # Empty, the key means its default in any mode.
+            path.write_text(_ini_with(section, key, "", mode))
+            assert main(["sim", "run", "--config", str(path)]) == 0
+        assert _parsed_value(loads_sim_config(_ini_with(section, key, raw)),
+                             section, key) == value
 
     def test_empty_cstates_enabled_is_not_the_default_menu(self):
         with pytest.raises(ValidationError, match="cstates_enabled must contain C0"):
