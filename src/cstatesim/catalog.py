@@ -16,10 +16,12 @@ Six states are modeled:
     C6AE   C6A plus the minimum-voltage/frequency point (agile deep idle)
     C6     caches flushed, context saved off-core, PLL off, domain shut off
 
-C6A deliberately shares C1's latency class (same transition time and
-target residency) and C6AE shares C1E's, while drawing close-to-C6
-power; that pairing is what the analytic model and simulator exploit,
-and Catalog refuses a catalog whose agile states break it.
+C6A deliberately shares C1's latency class and C6AE shares C1E's,
+while drawing close-to-C6 power; that pairing is what the analytic
+model and simulator exploit.  Catalog enforces the transition time
+only: it refuses an agile state whose transition time differs from its
+donor's, and a catalog file may still give one its own target
+residency.
 The built-in C6A/C6AE hardware entry/exit latencies are the totals of
 their controller flows (fsm), so the flows stay their one definition.
 """

@@ -372,6 +372,17 @@ _MODE_KEYS = (
 )
 
 
+def _require_state_names(section: str, key: str, states: frozenset) -> None:
+    """Refuse a state list naming a state outside CSTATE_NAMES.
+
+    Checked as the file is read, so a variant that a sweep reaches late,
+    or does not select, cannot carry a bad name unseen.
+    """
+    unknown = sorted(states - set(CSTATE_NAMES))
+    if unknown:
+        raise ParseError(f"[{section}] {key}: unknown state {unknown[0]!r}")
+
+
 def loads_sim_config(text: str) -> ParsedSimConfig:
     """Parse the INI-style simulation config (see docs/formats.md).
 
@@ -382,7 +393,8 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
     mode.  [perf] takes only the PerfModel fields run reads, through
     PerfModel.service_inflation: delta_transition_ns is the analytic
     model's knob (model estimate-aw --delta-ns), not the simulator's.
-    Unknown sections and keys, malformed numbers and keys outside their
+    Unknown sections, keys and state names (in [sim] and in every
+    variant, selected or not), malformed numbers and keys outside their
     mode raise ParseError; values that parse but break a contract raise
     ValidationError.
     """
@@ -396,6 +408,7 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
             raise ParseError(f"unknown section [{section}]")
 
     config = read_section(cp, "sim", SimConfig)
+    _require_state_names("sim", "cstates_enabled", config.cstates_enabled)
     for section, key, mode, reads in _MODE_KEYS:
         if cp.get(section, key, fallback="").strip() and not reads(config):
             raise ParseError(f"[{section}] key {key!r} is read only when {mode}")
@@ -413,6 +426,7 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         if not cp[section].get("cstates", "").replace(",", " ").split():
             raise ParseError(f"[{section}] needs a cstates list")
         variants[name] = read_section(cp, section, VariantSpec, name=name)
+        _require_state_names(section, "cstates", variants[name].cstates)
 
     return ParsedSimConfig(config=config, perf=perf, variants=variants)
 

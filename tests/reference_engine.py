@@ -1,4 +1,4 @@
-"""An independent reference for cstatesim.sim.run on snoop-free runs.
+"""An independent reference for cstatesim.sim.run.
 
 It is written from the spec that sim.py's module docstring, its
 same-nanosecond tie rules and the GovernorPolicy docstring give, not
@@ -14,19 +14,50 @@ from its parent shows up as a difference.  It keeps it plain, not fast:
   ties, and the shallowest idle state when none fits;
 * the clairvoyant prediction is found by a linear scan for the first
   arrival after the idle period starts, on any core;
-* the backlog is counted from the job lists at each arrival.
+* the backlog is counted from the job lists at each arrival;
+* snoops are drawn one resident agile interval at a time, from the
+  entry's end to the arrival or the horizon (reference_snoops), each
+  core's latest window end carried from one interval to the next.
 
 From cstatesim.sim it takes only the stream draws (_draw_streams and
-its service_ns method), derive_subseed and _rank_index.  Snoops are not
-modelled: a config with a snoop rate is refused.
+its service_ns method), derive_subseed and _rank_index.
 """
 
 import random
 
+from cstatesim import fsm
 from cstatesim.sim import _draw_streams, _rank_index, derive_subseed
 
-# The agile deep idle states: with one on the menu, service is inflated.
-AGILE = {"C6A", "C6AE"}
+# The agile deep idle states, each with the shallow twin whose power its
+# caches draw while they serve a snoop.  With one on the menu, service
+# is inflated.
+TWIN = {"C6A": "C1", "C6AE": "C1E"}
+
+
+def reference_snoops(rng, rate, ts, t_stop, clear, window, t_end):
+    """(served, charged ns, clear) of a core resident over [ts, t_stop).
+
+    rng is the core's snoop stream, clear the end of its previous
+    window.  One expovariate draw per gap, in whole ns as round() makes
+    them and at least 1; a gap past any float ends the interval, as a
+    gap reaching t_stop does.  Each snoop is charged for the part of its
+    window that the previous window does not cover and that falls
+    before t_end.
+    """
+    served = charged_ns = 0
+    while True:
+        try:
+            ts += max(1, round(rng.expovariate(rate) * 1e9))
+        except OverflowError:
+            break
+        if ts >= t_stop:
+            break
+        served += 1
+        end, start = min(ts + window, t_end), max(ts, clear)
+        if end > start:
+            charged_ns += end - start
+            clear = end
+    return served, charged_ns, clear
 
 
 def pick_state(idle_states, predicted_us):
@@ -47,20 +78,27 @@ def reference_run(config, catalog, perf):
 
     Returns a dict: energy_j, per_core (one {"residency", "transitions"}
     dict per core), latency_us (mean, p50, p95, p99, p999), and the
-    counters wakeups_aborted, peak_queue, requests_offered and
-    requests_completed, and the trace lists decisions and idle_intervals.
+    counters wakeups_aborted, peak_queue, requests_offered,
+    requests_completed and snoops_served, and the trace lists decisions
+    and idle_intervals.
     """
-    if config.snoop.rate_per_core_hz > 0:
-        raise ValueError("the reference engine models no snoops")
     names = sorted(config.cstates_enabled)
     idle_states = [catalog[name] for name in names if name != "C0"]
-    inflation = perf.service_inflation if AGILE & set(names) else 1.0
+    inflation = perf.service_inflation if TWIN.keys() & set(names) else 1.0
     streams = _draw_streams(config)
     arrivals = list(streams.arrivals)
     services = list(streams.service_ns(inflation))
     t_end = round(config.duration_s * 1e9)
     n_cores = config.cores
     predictor = config.governor.predictor
+    # A snoop's window in an agile state: cache wake, service, re-entry.
+    # It draws the twin's power instead of the state's (nothing extra
+    # where a catalog puts the state above its twin).
+    rate, service_ns = config.snoop.rate_per_core_hz, config.snoop.service_ns
+    window_ns = {name: fsm.snoop_timeline(name, service_ns=service_ns).total_ns + service_ns
+                 for name in names if name in TWIN and rate > 0}
+    snoop_rngs = [random.Random(derive_subseed(config.seed, "snoop", c))
+                  for c in range(n_cores)]
 
     jobs = [[] for _ in range(n_cores)]          # (arrival, completion) per core
     free = [0] * n_cores                         # when the core's last job completes
@@ -69,8 +107,9 @@ def reference_run(config, catalog, perf):
     resident = [{s.name: 0 for s in idle_states} for _ in range(n_cores)]
     entries = [{name: 0 for name in names} for _ in range(n_cores)]
     transition = [0] * n_cores
+    snoop_clear = [0] * n_cores                  # when the core's latest snoop window ends
     decisions, idle_intervals = [], []
-    wakeups_aborted = peak_queue = 0
+    wakeups_aborted = peak_queue = snoops_served = snoop_pj = 0
 
     def clipped(start, end):
         return max(0, min(end, t_end) - min(start, t_end))
@@ -90,7 +129,7 @@ def reference_run(config, catalog, perf):
     def idle_period(c, f, t, index):
         """Resolve core c's idle period from f, ended at t by arrival index
         (by the horizon when t == t_end); the time service can start."""
-        nonlocal wakeups_aborted
+        nonlocal wakeups_aborted, snoops_served, snoop_pj
         if predictor == "clairvoyant":
             # The first arrival after f on any core (the one after the
             # last drawn is the lookahead).
@@ -113,6 +152,13 @@ def reference_run(config, catalog, perf):
         entry_end = f + state.hw_entry_ns
         if t >= entry_end:  # resident from the entry's end up to t
             resident[c][state.name] += clipped(entry_end, t)
+            if state.name in window_ns:
+                served, charged_ns, snoop_clear[c] = reference_snoops(
+                    snoop_rngs[c], rate, entry_end, t, snoop_clear[c],
+                    window_ns[state.name], t_end)
+                snoops_served += served
+                twin_mw = catalog[TWIN[state.name]].power_mw
+                snoop_pj += max(0, twin_mw - state.power_mw) * charged_ns
             exit_start = t
         else:  # t aborts the entry, which completes before the exit starts
             exit_start = entry_end
@@ -153,7 +199,7 @@ def reference_run(config, catalog, perf):
         if free[c] < t_end:
             idle_period(c, free[c], t_end, len(arrivals))
 
-    energy_pj = 0
+    energy_pj = snoop_pj
     per_core = []
     for c in range(n_cores):
         idle_ns = sum(resident[c].values())
@@ -180,6 +226,7 @@ def reference_run(config, catalog, perf):
         "peak_queue": peak_queue,
         "requests_offered": len(arrivals),
         "requests_completed": n,
+        "snoops_served": snoops_served,
         "decisions": decisions,
         "idle_intervals": idle_intervals,
     }

@@ -414,7 +414,7 @@ class TestSimCli:
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
-        assert err == "error: unknown C-state 'C9'\n"
+        assert err == "error: [sim] cstates_enabled: unknown state 'C9'\n"
 
     def test_run_turbo_c0_key_is_parse_error(self, capsys, tmp_path):
         # C0 power comes only from the catalog's [C0] power_w.
@@ -485,7 +485,17 @@ class TestSimCli:
                                  "--qps", "1000", "--variants", "baseline,bad")
         assert code == 1
         assert out == ""
-        assert err == "error: unknown C-state 'C9'\n"
+        assert err == "error: [variant:bad] cstates: unknown state 'C9'\n"
+
+    def test_sweep_unknown_state_in_an_unselected_variant_is_exit_1(self, capsys, tmp_path):
+        # A variant the command line does not select is read all the same.
+        path = tmp_path / "c9.ini"
+        path.write_text(SIM_INI + "\n[variant:bad]\ncstates = C0,C1,c6\n")
+        code, out, err = run_cli(capsys, "sim", "sweep", "--config", str(path),
+                                 "--qps", "1000", "--variants", "baseline")
+        assert code == 1
+        assert out == ""
+        assert err == "error: [variant:bad] cstates: unknown state 'c6'\n"
 
     def test_run_prints_saturation_warning(self, capsys, tmp_path):
         # 0.9 utilization at nominal speed; halving the clock saturates the core.

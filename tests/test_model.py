@@ -29,6 +29,7 @@ from cstatesim.model import (
     TRANSITION_BUCKET,
     PerfModel,
     ResidencyProfile,
+    SavingsVs,
     avg_power,
     avg_power_aw,
     rescale_residency,
@@ -286,6 +287,14 @@ def test_aw_pure_deep_idle_nothing_to_replace():
     est = avg_power_aw(profile({"C6": 1.0}), CAT, ZERO_PERF)
     assert est.avg_power_w == pytest.approx(0.1)
     assert est.savings_vs.savings_fraction == 0.0
+
+
+def test_aw_on_a_zero_power_baseline_saves_nothing():
+    free_c6 = dataclasses.replace(CAT["C6"], power_mw=0)
+    catalog = Catalog({**CAT.cstates, "C6": free_c6}, CAT.pstates)
+    est = avg_power_aw(profile({"C6": 1.0}), catalog, ZERO_PERF)
+    assert est.avg_power_w == 0.0
+    assert est.savings_vs == SavingsVs(baseline_w=0.0, savings_fraction=0.0)
 
 
 def test_aw_with_penalty_golden():

@@ -1,15 +1,16 @@
 """run against the independent reference engine (tests/reference_engine.py).
 
-Snoop-free configs of two kinds: those scripts/diff_results.py draws,
-with the snoop rate set to 0, and tie-dense ones, where arrivals,
-completions, entry ends and the horizon meet on the same nanosecond
-(periodic arrivals, fixed service, and catalog latencies, target
-residencies and horizons on a whole-microsecond grid).  Snoops are
-covered by TestSnoops' per-window reference in test_sim.py.
+Configs of two kinds: those scripts/diff_results.py draws, and
+tie-dense ones, where arrivals, completions, entry ends and the horizon
+meet on the same nanosecond (periodic arrivals, fixed service, and
+catalog latencies, target residencies and horizons on a
+whole-microsecond grid).  Both kinds serve snoops on some configs.
 """
 
+import ast
 import dataclasses
 import random
+from pathlib import Path
 
 from reference_engine import reference_run
 from test_scripts import diff_results_module
@@ -17,22 +18,20 @@ from test_scripts import diff_results_module
 from cstatesim.catalog import Catalog, default_catalog
 from cstatesim.errors import ValidationError
 from cstatesim.model import PerfModel
-from cstatesim.sim import ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig, run
+from cstatesim.sim import ArrivalSpec, GovernorPolicy, ServiceSpec, SimConfig, SnoopSpec, run
 
 CATALOG = default_catalog()
 DIFF_RESULTS = diff_results_module()
 
 
 def drawn_cases(n, seed):
-    """(catalog, config, perf) of n diff_results configs, snoops off; a
-    config that breaks a contract is left out."""
+    """(catalog, config, perf) of n diff_results configs; a config that
+    breaks a contract is left out."""
     rng = random.Random(seed)
     cases = []
     for _ in range(n):
-        description = DIFF_RESULTS.random_config(rng)
-        description["snoop"]["rate_per_core_hz"] = 0.0
         try:
-            catalog, config = DIFF_RESULTS.build(description)
+            catalog, config = DIFF_RESULTS.build(DIFF_RESULTS.random_config(rng))
         except ValidationError:
             continue
         cases.append((catalog or CATALOG, config, PerfModel()))
@@ -62,8 +61,10 @@ def tie_dense_catalog(rng):
 
 
 def tie_dense_cases(n, seed):
-    """(catalog, config, perf) of n configs whose times meet on the ns."""
-    rng = random.Random(seed)
+    """(catalog, config, perf) of n configs whose times meet on the ns;
+    about half of them with dense snoops (from a stream of their own),
+    so the horizon often falls in a snoop window."""
+    rng, snoop_rng = random.Random(seed), random.Random(f"snoop {seed}")
     cases = []
     for _ in range(n):
         cores = rng.randint(1, 3)
@@ -80,6 +81,8 @@ def tie_dense_cases(n, seed):
             cstates_enabled=frozenset(rng.choice(DIFF_RESULTS.MENUS)),
             network_rtt_us=float(rng.choice([0, 0, 3])),
             pack_queue_cap=rng.randint(1, 3),
+            snoop=SnoopSpec(snoop_rng.choice([0.0, 10 ** snoop_rng.uniform(5.0, 6.8)]),
+                            snoop_rng.randint(0, 100)),
         )
         # No frequency penalty: agile menus serve whole-us times too.
         cases.append((tie_dense_catalog(rng), config, PerfModel(freq_penalty=0.0)))
@@ -98,6 +101,7 @@ def differences(catalog, config, perf):
         "peak_queue": report.peak_queue,
         "requests_offered": report.requests_offered,
         "requests_completed": report.requests_completed,
+        "snoops_served": report.snoops_served,
         "decisions": report.trace.decisions,
         "idle_intervals": report.trace.idle_intervals,
     }
@@ -114,3 +118,23 @@ def test_run_matches_the_reference_engine():
     # A count, not the list: pytest would diff a long list of configs.
     count = len(differing)
     assert count == 0, f"{count} configs differ; the first, and where: {differing[0]}"
+
+
+def taken_from_sim(source):
+    """What source imports from cstatesim.sim: each name, or the module
+    itself when it is imported whole."""
+    taken = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "cstatesim.sim":
+            taken |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module == "cstatesim":
+            taken |= {"cstatesim.sim" for alias in node.names if alias.name == "sim"}
+        elif isinstance(node, ast.Import):
+            taken |= {"cstatesim.sim" for alias in node.names if alias.name == "cstatesim.sim"}
+    return taken
+
+
+def test_the_reference_takes_only_the_stream_draws_from_sim():
+    # Anything more of run's code would be checked against itself.
+    source = Path(__file__).with_name("reference_engine.py").read_text()
+    assert taken_from_sim(source) <= {"_draw_streams", "derive_subseed", "_rank_index"}

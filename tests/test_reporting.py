@@ -21,6 +21,7 @@ from cstatesim.reporting import (
     format_timeline,
     load_sim_config,
     loads_residency_csv,
+    loads_residency_items,
     loads_sim_config,
     make_document,
     parse_document,
@@ -154,6 +155,19 @@ class TestResidencyCsv:
         with pytest.warns(UserWarning, match="renormalizing"):
             prof = loads_residency_csv(text)
         assert sum(prof.residency.values()) == pytest.approx(1.0, abs=1e-12)
+
+    def test_blank_lines_are_skipped(self):
+        text = "\n" + self.GOOD.replace("\nC1", "\n  \nC1") + "\n"
+        assert loads_residency_csv(text) == loads_residency_csv(self.GOOD)
+
+    def test_inline_items_skip_empty_items(self):
+        prof = loads_residency_items(" C0=0.45, ,C1 = 0.55,")
+        assert prof.residency == {"C0": 0.45, "C1": 0.55}
+        assert prof.duration_s == 1.0
+
+    def test_inline_items_all_empty(self):
+        with pytest.raises(ParseError, match="^empty residency specification$"):
+            loads_residency_items(" , ")
 
     def test_parse_error_carries_line_attribute(self):
         try:
@@ -492,6 +506,17 @@ class TestSimConfigFile:
     def test_variant_needs_cstates(self):
         text = MINIMAL_INI + "\n[variant:empty]\nnote = nothing\n"
         with pytest.raises(ParseError, match="needs a cstates list"):
+            loads_sim_config(text)
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("sim", "cstates_enabled = C0,C6B", "[sim] cstates_enabled: unknown state 'C6B'"),
+        ("variant:bad", "cstates = C0,C1,c6", "[variant:bad] cstates: unknown state 'c6'"),
+    ])
+    def test_unknown_state_name_is_a_parse_error(self, section, line, message):
+        text = MINIMAL_INI + f"\n[{section}]\n{line}\n"
+        if section == "sim":
+            text = MINIMAL_INI.replace("[sim]\n", f"[sim]\n{line}\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             loads_sim_config(text)
 
     def test_variant_needs_a_name(self):
