@@ -262,6 +262,15 @@ class GovernorPolicy:
             raise ValidationError("ewma_alpha must be in (0, 1]")
 
 
+def _require_menu(enabled: frozenset, what: str) -> None:
+    """Refuse an idle-state menu without C0 or without an idle state;
+    what names the menu in the message."""
+    if "C0" not in enabled:
+        raise ValidationError(f"{what} must contain C0")
+    if not (enabled - {"C0"}):
+        raise ValidationError(f"{what} needs at least one idle state")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     cores: int
@@ -309,10 +318,7 @@ class SimConfig:
             raise ValidationError(f"dispatch must be one of {_DISPATCH_POLICIES}")
         enabled = frozenset(self.cstates_enabled)
         object.__setattr__(self, "cstates_enabled", enabled)
-        if "C0" not in enabled:
-            raise ValidationError("cstates_enabled must contain C0")
-        if not (enabled - {"C0"}):
-            raise ValidationError("cstates_enabled needs at least one idle state")
+        _require_menu(enabled, "cstates_enabled")
         util = self.arrival.rate_qps * self.service.mean_us * 1e-6 / self.cores
         if util >= 1.0:
             raise ValidationError(
@@ -1016,10 +1022,18 @@ def run(
 
 @dataclass(frozen=True)
 class VariantSpec:
-    """A named idle-state menu to sweep; a point runs the base config with it."""
+    """A named idle-state menu to sweep; a point runs the base config with it.
+
+    The menu is checked here, as SimConfig checks cstates_enabled, so a
+    sweep never reaches a variant it cannot run; the message names the
+    config section the variant is read from.
+    """
 
     name: str
     cstates: frozenset
+
+    def __post_init__(self):
+        _require_menu(frozenset(self.cstates), f"[variant:{self.name}] cstates")
 
 
 @dataclass(frozen=True)

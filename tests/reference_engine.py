@@ -76,11 +76,12 @@ def pick_state(idle_states, predicted_us):
 def reference_run(config, catalog, perf):
     """What run(config, catalog, perf, trace=True) reports, as plain data.
 
-    Returns a dict: energy_j, per_core (one {"residency", "transitions"}
-    dict per core), latency_us (mean, p50, p95, p99, p999), and the
-    counters wakeups_aborted, peak_queue, requests_offered,
-    requests_completed and snoops_served, and the trace lists decisions
-    and idle_intervals.
+    Returns a dict: energy_j, avg_power_w, per_core (one {"residency",
+    "transitions"} dict per core), the residency and transitions of all
+    cores together, latency_us (mean, p50, p95, p99, p999), the counters
+    wakeups_aborted, peak_queue, requests_offered, requests_completed
+    and snoops_served, the saturated flag (docs/formats.md's rule), and
+    the trace lists decisions and idle_intervals.
     """
     names = sorted(config.cstates_enabled)
     idle_states = [catalog[name] for name in names if name != "C0"]
@@ -200,15 +201,16 @@ def reference_run(config, catalog, perf):
             idle_period(c, free[c], t_end, len(arrivals))
 
     energy_pj = snoop_pj
-    per_core = []
+    per_core, buckets = [], []
     for c in range(n_cores):
         idle_ns = sum(resident[c].values())
         energy_pj += (t_end - idle_ns) * catalog["C0"].power_mw
         energy_pj += sum(ns * catalog[name].power_mw for name, ns in resident[c].items())
-        buckets = {"C0": t_end - idle_ns - transition[c], **resident[c],
-                   "transition": transition[c]}
-        per_core.append({"residency": {name: ns / t_end for name, ns in buckets.items()},
+        buckets.append({"C0": t_end - idle_ns - transition[c], **resident[c],
+                        "transition": transition[c]})
+        per_core.append({"residency": {name: ns / t_end for name, ns in buckets[c].items()},
                          "transitions": entries[c]})
+    energy_j = energy_pj * 1e-12
 
     rtt_ns = round(config.network_rtt_us * 1000)
     latencies = sorted(done - t + rtt_ns for core_jobs in jobs for t, done in core_jobs
@@ -218,14 +220,21 @@ def reference_run(config, catalog, perf):
     if n:
         latency_us = (sum(latencies) / n / 1000.0,) + tuple(
             latencies[_rank_index(n, pct)] / 1000.0 for pct in (50.0, 95.0, 99.0, 99.9))
+    offered = len(arrivals)
     return {
-        "energy_j": energy_pj * 1e-12,
+        "energy_j": energy_j,
+        # Over the horizon of every core, as are the aggregated fractions.
+        "avg_power_w": energy_j / (t_end * 1e-9 * n_cores),
         "per_core": per_core,
+        "residency": {name: sum(b[name] for b in buckets) / (t_end * n_cores)
+                      for name in buckets[0]},
+        "transitions": {name: sum(e[name] for e in entries) for name in names},
         "latency_us": latency_us,
         "wakeups_aborted": wakeups_aborted,
         "peak_queue": peak_queue,
-        "requests_offered": len(arrivals),
+        "requests_offered": offered,
         "requests_completed": n,
+        "saturated": peak_queue >= max(32, 8 * n_cores) and offered - n >= peak_queue / 2,
         "snoops_served": snoops_served,
         "decisions": decisions,
         "idle_intervals": idle_intervals,

@@ -497,6 +497,22 @@ class TestSimCli:
         assert out == ""
         assert err == "error: [variant:bad] cstates: unknown state 'c6'\n"
 
+    @pytest.mark.parametrize("cstates, problem", [
+        ("C1,C6", "must contain C0"),
+        ("C0", "needs at least one idle state"),
+    ])
+    @pytest.mark.parametrize("selected", ["baseline,bad", "baseline"])
+    def test_sweep_bad_variant_menu_is_exit_1_before_any_load(self, capsys, tmp_path,
+                                                              cstates, problem, selected):
+        # Checked as the file is read, selected or not: no load runs first.
+        path = tmp_path / "menu.ini"
+        path.write_text(SIM_INI + f"\n[variant:bad]\ncstates = {cstates}\n")
+        code, out, err = run_cli(capsys, "sim", "sweep", "--config", str(path),
+                                 "--qps", "1000", "--variants", selected)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: [variant:bad] cstates {problem}\n"
+
     def test_run_prints_saturation_warning(self, capsys, tmp_path):
         # 0.9 utilization at nominal speed; halving the clock saturates the core.
         path = tmp_path / "saturated.ini"

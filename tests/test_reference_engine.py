@@ -1,10 +1,19 @@
 """run against the independent reference engine (tests/reference_engine.py).
 
+The reference is the one place each of run's rules is written a second
+time: dispatch (the pack rule included), the backlog and request
+counts, state choice, idle-period, abort and snoop accounting, and
+every SimReport field but the config.  A new engine rule enters it
+there.  tests/test_sim.py checks select_state against its pick_state
+and pins the tie rules, the first-name rule and whole-report hashes
+with directed tests.
+
 Configs of two kinds: those scripts/diff_results.py draws, and
 tie-dense ones, where arrivals, completions, entry ends and the horizon
 meet on the same nanosecond (periodic arrivals, fixed service, and
 catalog latencies, target residencies and horizons on a
-whole-microsecond grid).  Both kinds serve snoops on some configs.
+whole-microsecond grid), and equally deep states meet on name.  Both
+kinds serve snoops on some configs.
 """
 
 import ast
@@ -41,8 +50,8 @@ def drawn_cases(n, seed):
 def tie_dense_catalog(rng):
     """The default catalog with each idle state's hw entry and exit and
     its target residency redrawn in whole us (within its contracts), and
-    on about one in four, each agile state at its donor's power, so that
-    equally deep states tie on name."""
+    on about one in four, each agile state at its donor's power and
+    target residency, so that equally deep states tie on name."""
     cstates = dict(CATALOG.cstates)
     for name, spec in CATALOG.cstates.items():
         if name == "C0":
@@ -55,8 +64,9 @@ def tie_dense_catalog(rng):
             target_residency_us=float(rng.randint(budget, budget + 40)))
     if rng.random() < 0.25:
         for agile, donor in (("C6A", "C1"), ("C6AE", "C1E")):
-            cstates[agile] = dataclasses.replace(cstates[agile],
-                                                 power_mw=cstates[donor].power_mw)
+            cstates[agile] = dataclasses.replace(
+                cstates[agile], power_mw=cstates[donor].power_mw,
+                target_residency_us=cstates[donor].target_residency_us)
     return Catalog(cstates)
 
 
@@ -94,19 +104,23 @@ def differences(catalog, config, perf):
     report = run(config, catalog=catalog, perf=perf, trace=True)
     got = {
         "energy_j": repr(report.energy_j),
+        "avg_power_w": repr(report.avg_power_w),
         "per_core": [{"residency": p.residency, "transitions": p.transitions}
                      for p in report.per_core],
+        "residency": report.residency.residency,
+        "transitions": report.transitions,
         "latency_us": dataclasses.astuple(report.latency_us),
         "wakeups_aborted": report.wakeups_aborted,
         "peak_queue": report.peak_queue,
         "requests_offered": report.requests_offered,
         "requests_completed": report.requests_completed,
+        "saturated": report.saturated,
         "snoops_served": report.snoops_served,
         "decisions": report.trace.decisions,
         "idle_intervals": report.trace.idle_intervals,
     }
     want = reference_run(config, catalog, perf)
-    want["energy_j"] = repr(want["energy_j"])
+    want["energy_j"], want["avg_power_w"] = repr(want["energy_j"]), repr(want["avg_power_w"])
     return sorted(key for key in want if got[key] != want[key])
 
 

@@ -22,7 +22,6 @@ Hand-derived expectations used below:
 import concurrent.futures
 import dataclasses
 import hashlib
-import heapq
 import itertools
 import json
 import math
@@ -32,13 +31,12 @@ import struct
 import sys
 import time
 from array import array
-from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from reference_engine import reference_snoops
+from reference_engine import pick_state, reference_snoops
 
 from cstatesim import fsm
 from cstatesim import sim as sim_module
@@ -61,7 +59,6 @@ from cstatesim.sim import (
     _arrival_times,
     _cut_ns,
     _draw_streams,
-    _pack_owners,
     _rank_index,
     _serve_snoops,
     _service_seconds,
@@ -177,11 +174,8 @@ class TestSelectState:
                                 catalog).name == "C1E"
 
     def test_matches_scan_over_every_menu(self):
-        # The threshold table agrees with the definition: the deepest
-        # fitting state by (target residency, -power), else the
-        # shallowest, first name among equals.
-        def key(s):
-            return (s.target_residency_us, -s.power_mw)
+        # The threshold table agrees with the reference engine's pick,
+        # which is written from the definition.
         idle = ["C1", "C1E", "C6", "C6A", "C6AE"]
         predictions = [-1.0, 0.0, math.nan, math.inf] + [
             s.target_residency_us + d
@@ -191,9 +185,8 @@ class TestSelectState:
             for menu in itertools.combinations(idle, r):
                 states = [CATALOG[n] for n in sorted(menu)]
                 for p in predictions:
-                    fits = [s for s in states if s.target_residency_us <= p]
-                    want = max(fits, key=key) if fits else min(states, key=key)
-                    assert self.pick(p, set(menu) | {"C0"}) == want.name, (menu, p)
+                    want = pick_state(states, p).name
+                    assert self.pick(p, set(menu) | {"C0"}) == want, (menu, p)
 
 
 class TestCutPoints:
@@ -797,95 +790,6 @@ class TestDispatch:
             )
         )
         assert all(p.residency["C0"] > 0.0 for p in report.per_core)
-
-    @staticmethod
-    def popping_pack_owner(queues, cap, t):
-        """The pack rule on popped queues: pop each scanned queue up to t,
-        then test len < cap; when no core has room, the shortest queue."""
-        for c, queue in enumerate(queues):
-            while queue and queue[0] <= t:
-                queue.popleft()
-            if len(queue) < cap:
-                return c
-        lengths = [len(queue) for queue in queues]
-        return lengths.index(min(lengths))
-
-    def test_pack_owners_match_popping_each_scanned_queue(self):
-        # _pack_owners only reads its queues, so they keep completions
-        # the reference has popped, and each owner leaves them as they
-        # were.  Arrivals and completions share one small range of whole
-        # times, so they tie often, and completions tie with each other.
-        for seed in range(200):
-            rng = random.Random(seed)
-            n_cores, cap = rng.randint(1, 5), rng.randint(1, 4)
-            arrivals = sorted(rng.sample(range(1, 60), rng.randint(1, 59)))
-            queues = [deque() for _ in range(n_cores)]
-            reference = [deque() for _ in range(n_cores)]
-            owners = _pack_owners(arrivals, queues, cap)
-            for t in arrivals:
-                before = [list(queue) for queue in queues]
-                c = next(owners)
-                assert [list(queue) for queue in queues] == before, (seed, t)  # only read
-                assert c == self.popping_pack_owner(reference, cap, t), (seed, t)
-                done = t + rng.randint(1, 12)
-                if reference[c] and reference[c][-1] > done:
-                    done = reference[c][-1]  # completions stay ascending
-                queues[c].append(done)
-                reference[c].append(done)
-
-    def test_peak_queue_and_completions_match_an_independent_count(self):
-        # With no entry or exit latency each core is a plain FIFO queue:
-        # a request completes at max(arrival, previous completion) +
-        # service.  The peak is then counted with one heap of the
-        # completions of every core: the most requests that arrived by
-        # an arrival's time and complete after it.  Queues build up near
-        # the top utilizations and in bursts, where the engine drains.
-        zero = Catalog({name: dataclasses.replace(spec, hw_entry_ns=0, hw_exit_ns=0)
-                        for name, spec in CATALOG.cstates.items()})
-        menus = [frozenset({"C0", "C1"}), frozenset({"C0", "C1", "C1E", "C6"})]
-        for seed in range(150):
-            rng = random.Random(seed)
-            cores = rng.randint(1, 4)
-            mean_us = rng.uniform(2.0, 20.0)
-            rate_qps = rng.uniform(0.3, 0.97) * cores / mean_us * 1e6
-            config = SimConfig(
-                cores=cores,
-                duration_s=rng.randint(100, 600) / rate_qps,
-                seed=seed,
-                arrival=ArrivalSpec(rng.choice(["poisson", "periodic", "bursty"]), rate_qps,
-                                    burst_on_ms=rng.uniform(0.02, 0.5),
-                                    burst_off_ms=rng.uniform(0.02, 0.5)),
-                service=ServiceSpec(rng.choice(["fixed", "exponential", "lognormal"]), mean_us,
-                                    sigma=rng.uniform(0.2, 1.5)),
-                dispatch=rng.choice(["round_robin", "random", "pack_lowest_index"]),
-                cstates_enabled=rng.choice(menus),
-                pack_queue_cap=rng.randint(1, 4),
-            )
-            streams = _draw_streams(config)
-            t_end = round(config.duration_s * 1e9)
-            dispatch = random.Random(derive_subseed(seed, "dispatch")).randrange
-            turns = itertools.cycle(range(cores))
-            free = [0] * cores
-            queues = [deque() for _ in range(cores)]
-            pending = []
-            peak = completed = 0
-            for t, service_ns in zip(streams.arrivals, streams.service_ns(1.0)):
-                if config.dispatch == "round_robin":
-                    c = next(turns)
-                elif config.dispatch == "random":
-                    c = dispatch(cores)
-                else:
-                    c = self.popping_pack_owner(queues, config.pack_queue_cap, t)
-                done = free[c] = max(t, free[c]) + service_ns
-                queues[c].append(done)
-                heapq.heappush(pending, done)
-                while pending[0] <= t:
-                    heapq.heappop(pending)
-                peak = max(peak, len(pending))
-                completed += done < t_end
-            report = run(config, catalog=zero, streams=streams)
-            assert (report.peak_queue, report.requests_completed, report.requests_offered) == (
-                peak, completed, len(streams.arrivals)), (seed, config)
 
 
 # ---------------------------------------------------------------------------
