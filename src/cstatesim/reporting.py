@@ -372,17 +372,6 @@ _MODE_KEYS = (
 )
 
 
-def _require_state_names(section: str, key: str, states: frozenset) -> None:
-    """Refuse a state list naming a state outside CSTATE_NAMES.
-
-    Checked as the file is read, so a variant that a sweep reaches late,
-    or does not select, cannot carry a bad name unseen.
-    """
-    unknown = sorted(states - set(CSTATE_NAMES))
-    if unknown:
-        raise ParseError(f"[{section}] {key}: unknown state {unknown[0]!r}")
-
-
 def loads_sim_config(text: str) -> ParsedSimConfig:
     """Parse the INI-style simulation config (see docs/formats.md).
 
@@ -393,10 +382,11 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
     mode.  [perf] takes only the PerfModel fields run reads, through
     PerfModel.service_inflation: delta_transition_ns is the analytic
     model's knob (model estimate-aw --delta-ns), not the simulator's.
-    Unknown sections, keys and state names (in [sim] and in every
-    variant, selected or not), malformed numbers and keys outside their
+    Unknown sections and keys, malformed numbers and keys outside their
     mode raise ParseError; values that parse but break a contract raise
-    ValidationError.
+    ValidationError.  Every menu, [sim] cstates_enabled and each
+    variant's cstates (selected or not), is checked as it is built, by
+    sim._require_menu: an unknown state, no C0 or no idle state.
     """
     cp = read_ini(text, "sim config")
     if "sim" not in cp:
@@ -408,7 +398,6 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
             raise ParseError(f"unknown section [{section}]")
 
     config = read_section(cp, "sim", SimConfig)
-    _require_state_names("sim", "cstates_enabled", config.cstates_enabled)
     for section, key, mode, reads in _MODE_KEYS:
         if cp.get(section, key, fallback="").strip() and not reads(config):
             raise ParseError(f"[{section}] key {key!r} is read only when {mode}")
@@ -423,10 +412,7 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         name = section.split(":", 1)[1].strip()
         if not name:
             raise ParseError(f"variant section {section!r} needs a name")
-        if not cp[section].get("cstates", "").replace(",", " ").split():
-            raise ParseError(f"[{section}] needs a cstates list")
         variants[name] = read_section(cp, section, VariantSpec, name=name)
-        _require_state_names(section, "cstates", variants[name].cstates)
 
     return ParsedSimConfig(config=config, perf=perf, variants=variants)
 

@@ -113,14 +113,14 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import accumulate, chain, count, cycle, repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import fsm
-from .catalog import AGILE_STATES, REPLACEMENTS, Catalog, default_catalog
-from .errors import ValidationError
+from .catalog import AGILE_STATES, CSTATE_NAMES, REPLACEMENTS, Catalog, default_catalog
+from .errors import ValidationError, file_fields
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
 
 __all__ = [
@@ -162,9 +162,12 @@ _SNOOP_POWER_TWIN = {agile: shallow for shallow, agile in REPLACEMENTS.items()}
 
 
 def _require_finite(spec) -> None:
-    """Reject a NaN or infinite float in any field (integers are always finite)."""
-    for f in fields(spec):
+    """Reject a NaN or infinite float in any field, and anything but an
+    int (a bool included) in a field annotated int."""
+    for f, _, hint in file_fields(type(spec)):
         value = getattr(spec, f.name)
+        if hint is int and type(value) is not int:
+            raise ValidationError(f"{f.name} must be an integer, got {value!r}")
         if isinstance(value, float) and not math.isfinite(value):
             raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
@@ -263,8 +266,13 @@ class GovernorPolicy:
 
 
 def _require_menu(enabled: frozenset, what: str) -> None:
-    """Refuse an idle-state menu without C0 or without an idle state;
-    what names the menu in the message."""
+    """Refuse an idle-state menu naming a state outside CSTATE_NAMES,
+    without C0 or without an idle state; what names the menu in the
+    message.  The one menu check: SimConfig and VariantSpec call it as
+    they are built, from a file or from the API, before any run."""
+    unknown = sorted(enabled.difference(CSTATE_NAMES))
+    if unknown:
+        raise ValidationError(f"{what}: unknown state {unknown[0]!r}")
     if "C0" not in enabled:
         raise ValidationError(f"{what} must contain C0")
     if not (enabled - {"C0"}):
@@ -1024,9 +1032,9 @@ def run(
 class VariantSpec:
     """A named idle-state menu to sweep; a point runs the base config with it.
 
-    The menu is checked here, as SimConfig checks cstates_enabled, so a
-    sweep never reaches a variant it cannot run; the message names the
-    config section the variant is read from.
+    The menu is checked here by _require_menu, as SimConfig's
+    cstates_enabled is, and the message names the config section the
+    variant is read from: [variant:<name>] cstates.
     """
 
     name: str

@@ -360,29 +360,6 @@ class TestSimCli:
         assert out == ""
         assert err == "error: bad --qps list '1000,abc'\n"
 
-    @pytest.mark.parametrize("typo, message", [
-        ("[arrival]\nrate_qp = 1000\n", "[arrival] unknown key 'rate_qp'"),
-        ("[servce]\nmean_us = 20\n", "unknown section [servce]"),
-        ("[arrival]\nrate_qps = abc\n", "[arrival] bad number for 'rate_qps': 'abc'"),
-        ("[perf]\ndelta_transition_ns = 100\n", "[perf] unknown key 'delta_transition_ns'"),
-    ])
-    def test_run_config_typo_is_parse_error(self, capsys, tmp_path, typo, message):
-        path = tmp_path / "typo.ini"
-        path.write_text("[sim]\ncores = 1\nduration_s = 0.01\nseed = 3\n\n" + typo)
-        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
-        assert code == 1
-        assert out == ""
-        assert err == f"error: {message}\n"
-
-    def test_run_catalog_turbo_section_is_parse_error(self, capsys, tmp_path, sim_config):
-        path = tmp_path / "turbo.ini"
-        path.write_text("[turbo]\nc0_power_w = 11\n")
-        code, out, err = run_cli(capsys, "sim", "run", "--config", sim_config,
-                                 "--catalog", str(path))
-        assert code == 1
-        assert out == ""
-        assert err == "error: unknown section [turbo]\n"
-
     def test_run_catalog_c0_latency_is_exit_1(self, capsys, tmp_path, sim_config):
         # C0 is never entered or exited: its latencies would be ignored.
         path = tmp_path / "c0.ini"
@@ -402,28 +379,6 @@ class TestSimCli:
         assert code == 1
         assert out == ""
         assert err == "error: snoop rate 1e+10 Hz times the 60 ns C6A snoop window is not below 1\n"
-
-    @pytest.mark.parametrize("c0_power_w", [None, 11.0], ids=["catalog-c0", "catalog-file-c0"])
-    def test_run_unknown_state_is_exit_1(self, capsys, tmp_path, c0_power_w):
-        path = tmp_path / "c9.ini"
-        path.write_text("[sim]\ncores = 1\nduration_s = 0.01\nseed = 3\n"
-                        "cstates_enabled = C0,C1,C9\n")
-        argv = ["sim", "run", "--config", str(path)]
-        if c0_power_w is not None:
-            argv += ["--catalog", c0_catalog_file(tmp_path, c0_power_w)]
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1
-        assert out == ""
-        assert err == "error: [sim] cstates_enabled: unknown state 'C9'\n"
-
-    def test_run_turbo_c0_key_is_parse_error(self, capsys, tmp_path):
-        # C0 power comes only from the catalog's [C0] power_w.
-        path = tmp_path / "turbo.ini"
-        path.write_text(SIM_INI.replace("[sim]\n", "[sim]\nturbo_c0_power_w = 11\n"))
-        code, out, err = run_cli(capsys, "sim", "run", "--config", str(path))
-        assert code == 1
-        assert out == ""
-        assert err == "error: [sim] unknown key 'turbo_c0_power_w'\n"
 
     def test_run_catalog_c0_power_raises_power(self, capsys, tmp_path, sim_config):
         def power(*argv):
@@ -477,41 +432,6 @@ class TestSimCli:
         assert code == 1
         assert out == ""
         assert err == "error: C0: power must be nonnegative and below 2**63 mW\n"
-
-    def test_sweep_unknown_state_in_a_config_variant_is_exit_1(self, capsys, tmp_path):
-        path = tmp_path / "c9.ini"
-        path.write_text(SIM_INI + "\n[variant:bad]\ncstates = C0,C9\n")
-        code, out, err = run_cli(capsys, "sim", "sweep", "--config", str(path),
-                                 "--qps", "1000", "--variants", "baseline,bad")
-        assert code == 1
-        assert out == ""
-        assert err == "error: [variant:bad] cstates: unknown state 'C9'\n"
-
-    def test_sweep_unknown_state_in_an_unselected_variant_is_exit_1(self, capsys, tmp_path):
-        # A variant the command line does not select is read all the same.
-        path = tmp_path / "c9.ini"
-        path.write_text(SIM_INI + "\n[variant:bad]\ncstates = C0,C1,c6\n")
-        code, out, err = run_cli(capsys, "sim", "sweep", "--config", str(path),
-                                 "--qps", "1000", "--variants", "baseline")
-        assert code == 1
-        assert out == ""
-        assert err == "error: [variant:bad] cstates: unknown state 'c6'\n"
-
-    @pytest.mark.parametrize("cstates, problem", [
-        ("C1,C6", "must contain C0"),
-        ("C0", "needs at least one idle state"),
-    ])
-    @pytest.mark.parametrize("selected", ["baseline,bad", "baseline"])
-    def test_sweep_bad_variant_menu_is_exit_1_before_any_load(self, capsys, tmp_path,
-                                                              cstates, problem, selected):
-        # Checked as the file is read, selected or not: no load runs first.
-        path = tmp_path / "menu.ini"
-        path.write_text(SIM_INI + f"\n[variant:bad]\ncstates = {cstates}\n")
-        code, out, err = run_cli(capsys, "sim", "sweep", "--config", str(path),
-                                 "--qps", "1000", "--variants", selected)
-        assert code == 1
-        assert out == ""
-        assert err == f"error: [variant:bad] cstates {problem}\n"
 
     def test_run_prints_saturation_warning(self, capsys, tmp_path):
         # 0.9 utilization at nominal speed; halving the clock saturates the core.

@@ -8,12 +8,15 @@ there.  tests/test_sim.py checks select_state against its pick_state
 and pins the tie rules, the first-name rule and whole-report hashes
 with directed tests.
 
-Configs of two kinds: those scripts/diff_results.py draws, and
+Configs of three kinds: those scripts/diff_results.py draws;
 tie-dense ones, where arrivals, completions, entry ends and the horizon
 meet on the same nanosecond (periodic arrivals, fixed service, and
 catalog latencies, target residencies and horizons on a
-whole-microsecond grid), and equally deep states meet on name.  Both
-kinds serve snoops on some configs.
+whole-microsecond grid), and equally deep states meet on name; and
+near-saturated ones on 5 to 12 cores, whose backlogs reach or stop
+short of saturated's 8 x cores bound (the other kinds draw at most 4
+cores, where the bound of 32 rules).  The first two kinds serve snoops
+on some configs.
 """
 
 import ast
@@ -99,6 +102,30 @@ def tie_dense_cases(n, seed):
     return cases
 
 
+def saturation_cases(n, seed):
+    """(catalog, config, perf) of n configs on 5 to 12 cores at 90 to 99 %
+    of full load, about 1000 requests each, on an agile menu whose
+    frequency penalty of 0 to 10 % can push the load past full; drawn
+    from a stream of their own."""
+    rng = random.Random(f"saturation {seed}")
+    cases = []
+    for _ in range(n):
+        cores = rng.randint(5, 12)
+        mean_us = rng.uniform(5.0, 20.0)
+        rate_qps = rng.uniform(0.9, 0.99) * cores * 1e6 / mean_us
+        config = SimConfig(
+            cores=cores,
+            duration_s=1000 / rate_qps,
+            seed=rng.randrange(2 ** 32),
+            arrival=ArrivalSpec("poisson", rate_qps),
+            service=ServiceSpec(rng.choice(["fixed", "exponential"]), mean_us),
+            dispatch=rng.choice(["random", "round_robin", "pack_lowest_index"]),
+            cstates_enabled=frozenset(rng.choice(DIFF_RESULTS.AGILE_MENUS)),
+        )
+        cases.append((CATALOG, config, PerfModel(freq_penalty=rng.uniform(0.0, 0.1))))
+    return cases
+
+
 def differences(catalog, config, perf):
     """The outputs where run and the reference engine differ."""
     report = run(config, catalog=catalog, perf=perf, trace=True)
@@ -125,8 +152,9 @@ def differences(catalog, config, perf):
 
 
 def test_run_matches_the_reference_engine():
-    cases = drawn_cases(500, seed=35) + tie_dense_cases(500, seed=35)
-    assert len(cases) >= 950
+    cases = (drawn_cases(500, seed=35) + tie_dense_cases(500, seed=35)
+             + saturation_cases(8, seed=35))
+    assert len(cases) >= 958
     differing = [(config, keys) for catalog, config, perf in cases
                  if (keys := differences(catalog, config, perf))]
     # A count, not the list: pytest would diff a long list of configs.

@@ -462,62 +462,9 @@ class TestSimConfigFile:
     def test_missing_required_key(self):
         with pytest.raises(ParseError, match=r"\[sim\] missing key 'seed'"):
             loads_sim_config("[sim]\ncores = 1\nduration_s = 1\n")
-
-    def test_bad_number(self):
-        with pytest.raises(ParseError, match="bad integer for 'cores'"):
-            loads_sim_config("[sim]\ncores = two\nduration_s = 1\nseed = 1\n")
-
-    def test_unknown_section_rejected(self):
-        with pytest.raises(ParseError, match=r"unknown section \[servce\]"):
-            loads_sim_config(MINIMAL_INI + "\n[servce]\nmean_us = 20\n")
-
-    def test_unknown_default_section_rejected(self):
-        with pytest.raises(ParseError, match=r"unknown section \[DEFAULT\]"):
-            loads_sim_config(MINIMAL_INI + "\n[DEFAULT]\nmean_us = 20\n")
-
-    @pytest.mark.parametrize("section, line, key", [
-        ("arrival", "rate_qp = 1000", "rate_qp"),
-        ("sim", "core = 4", "core"),
-        ("perf", "freq_penalti = 0.1", "freq_penalti"),
-        # The analytic model's knob: the simulator never reads it.
-        ("perf", "delta_transition_ns = 100", "delta_transition_ns"),
-        ("variant:x", "cstates = C0,C1\nturbo = 12", "turbo"),
-        # A variant is only a menu.
-        ("variant:x", "cstates = C0,C1\nturbo_c0_power_w = 12", "turbo_c0_power_w"),
-        # C0 power comes only from the catalog's [C0] power_w.
-        ("sim", "turbo_c0_power_w = 11", "turbo_c0_power_w"),
-    ])
-    def test_unknown_key_rejected(self, section, line, key):
-        text = MINIMAL_INI + f"\n[{section}]\n{line}\n"
-        if section == "sim":
-            text = MINIMAL_INI.replace("[sim]\n", f"[sim]\n{line}\n")
-        with pytest.raises(ParseError, match=rf"\[{section}\] unknown key '{key}'"):
-            loads_sim_config(text)
-
-    @pytest.mark.parametrize("section, line, message", [
-        ("arrival", "rate_qps = abc", r"\[arrival\] bad number for 'rate_qps': 'abc'"),
-        ("service", "mean_us = 1O", r"\[service\] bad number for 'mean_us'"),
-        ("snoop", "service_ns = 5.5", r"\[snoop\] bad integer for 'service_ns'"),
-    ])
-    def test_bad_number_in_any_section(self, section, line, message):
-        with pytest.raises(ParseError, match=message):
-            loads_sim_config(MINIMAL_INI + f"\n[{section}]\n{line}\n")
-
-    def test_variant_needs_cstates(self):
-        text = MINIMAL_INI + "\n[variant:empty]\nnote = nothing\n"
-        with pytest.raises(ParseError, match="needs a cstates list"):
-            loads_sim_config(text)
-
-    @pytest.mark.parametrize("section, line, message", [
-        ("sim", "cstates_enabled = C0,C6B", "[sim] cstates_enabled: unknown state 'C6B'"),
-        ("variant:bad", "cstates = C0,C1,c6", "[variant:bad] cstates: unknown state 'c6'"),
-    ])
-    def test_unknown_state_name_is_a_parse_error(self, section, line, message):
-        text = MINIMAL_INI + f"\n[{section}]\n{line}\n"
-        if section == "sim":
-            text = MINIMAL_INI.replace("[sim]\n", f"[sim]\n{line}\n")
-        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
-            loads_sim_config(text)
+        # A variant is its menu: it has no default one.
+        with pytest.raises(ParseError, match=r"^\[variant:x\] missing key 'cstates'$"):
+            loads_sim_config(MINIMAL_INI + "\n[variant:x]\n")
 
     def test_variant_needs_a_name(self):
         with pytest.raises(ParseError, match=r"^variant section 'variant: ' needs a name$"):
@@ -539,10 +486,6 @@ mean_us = 10
 """
         with pytest.raises(ValidationError, match="utilization"):
             loads_sim_config(text)
-
-    def test_malformed_ini(self):
-        with pytest.raises(ParseError, match="bad sim config"):
-            loads_sim_config("[sim\ncores = 1\n")
 
     def test_load_from_file(self, tmp_path):
         path = tmp_path / "sim.ini"
@@ -672,7 +615,3 @@ class TestSimConfigKeys:
             assert main(["sim", "run", "--config", str(path)]) == 0
         assert _parsed_value(loads_sim_config(_ini_with(section, key, raw)),
                              section, key) == value
-
-    def test_empty_cstates_enabled_is_not_the_default_menu(self):
-        with pytest.raises(ValidationError, match="cstates_enabled must contain C0"):
-            loads_sim_config(_ini_with("sim", "cstates_enabled", ""))

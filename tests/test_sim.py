@@ -476,14 +476,6 @@ class TestConfigValidation:
             quiet_config(duration_s=1000.0,
                          arrival=ArrivalSpec(rate_qps=MAX_ARRIVALS / 1000.0 + 1.0))
 
-    def test_c0_required(self):
-        with pytest.raises(ValidationError, match="C0"):
-            quiet_config(cstates_enabled=frozenset({"C1", "C6"}))
-
-    def test_some_idle_state_required(self):
-        with pytest.raises(ValidationError, match="idle state"):
-            quiet_config(cstates_enabled=frozenset({"C0"}))
-
     @pytest.mark.parametrize("cores", [0, MAX_CORES + 1, 10**11])
     def test_core_count_out_of_bounds_rejected(self, cores):
         # Rejected at construction, before any per-core list exists.
@@ -516,8 +508,17 @@ class TestConfigValidation:
         (lambda: GovernorPolicy(ewma_alpha=0.0), r"ewma_alpha must be in \(0, 1\]"),
         (lambda: GovernorPolicy(ewma_alpha=1.5), r"ewma_alpha must be in \(0, 1\]"),
         (lambda: quiet_config(pack_queue_cap=0), "pack_queue_cap must be >= 1"),
+        # An int field takes only an int: a float would reach run, and a
+        # bool reads as 0 or 1.
+        (lambda: quiet_config(cores=2.0), r"^cores must be an integer, got 2\.0$"),
+        (lambda: quiet_config(cores=True), r"^cores must be an integer, got True$"),
+        (lambda: quiet_config(seed=1.5), r"^seed must be an integer, got 1\.5$"),
+        (lambda: quiet_config(pack_queue_cap=2.5),
+         r"^pack_queue_cap must be an integer, got 2\.5$"),
+        (lambda: SnoopSpec(service_ns=50.5), r"^service_ns must be an integer, got 50\.5$"),
     ], ids=["process", "rate", "dist", "mean", "sigma", "snoop-rate", "snoop-service",
-            "alpha-zero", "alpha-above-one", "pack-cap"])
+            "alpha-zero", "alpha-above-one", "pack-cap", "cores-float", "cores-bool",
+            "seed-float", "pack-cap-float", "snoop-service-float"])
     def test_out_of_range_field_rejected(self, build, message):
         with pytest.raises(ValidationError, match=message):
             build()
@@ -755,6 +756,19 @@ class TestLoadBehaviour:
         assert report.saturated
         assert report.peak_queue >= 32
         assert report.requests_completed < report.requests_offered
+
+    def test_saturated_on_both_bounds(self):
+        # Found by search: the peak backlog is exactly max(32, 8 x cores)
+        # and the requests left in the system exactly half of it, so
+        # saturated reads both of its bounds on equality.
+        cfg = SimConfig(cores=1, duration_s=0.004, seed=64,
+                        arrival=ArrivalSpec("poisson", 95000.0),
+                        service=ServiceSpec("exponential", 10.0),
+                        cstates_enabled=frozenset({"C0", "C6A"}))
+        report = run(cfg, perf=PerfModel(freq_penalty=0.05))
+        assert report.peak_queue == 32
+        assert 2 * (report.requests_offered - report.requests_completed) == 32
+        assert report.saturated
 
 
 # ---------------------------------------------------------------------------
