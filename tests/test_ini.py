@@ -27,12 +27,17 @@ READERS = {
 
 # reader: rule: the names it is tried with, each a section, (section,
 # key) or (section, key, value); the first is the case named after the
-# rule alone, a later one the case rule:name.
+# rule alone, a later one the case rule:section.key.  An unknown section
+# is tried with x = 1 or with its own key and value, and its case name
+# ends in =value: the section is refused whatever its values.
 NAMES = {
     "catalog": {
         # P-states and turbo power have no section: active power is
         # [C0] power_w.
-        "unknown_section": ["bogus", "C9", "turbo", "pstate:P9", "pstate:P1", "pstate:Pn"],
+        "unknown_section": ["bogus", "C9", ("turbo", "c0_power_w", "11"),
+                            ("turbo", "c0_power_w", "inf"), ("turbo", "c0_power_w", "1e306"),
+                            "pstate:P9", "pstate:P1", ("pstate:P1", "frequency_ghz", "nan"),
+                            ("pstate:P1", "frequency_ghz", "inf"), "pstate:Pn"],
         # Nothing reads implied_pstate or clocks.
         "unknown_key": [("C1", "bogus"), ("C6A", "bogus_key"), ("C1", "implied_pstate"),
                         ("C6", "clocks")],
@@ -63,7 +68,8 @@ def malformed(reader):
     message as a regex)."""
     what = READERS[reader][4]
     rules = {
-        "unknown_section": lambda s: (f"\n[{s}]\nx = 1\n", f"unknown section [{s}]"),
+        "unknown_section": lambda s, k="x", v="1": (f"\n[{s}]\n{k} = {v}\n",
+                                                    f"unknown section [{s}]"),
         "unknown_key": lambda s, k: (under(reader, s, f"{k} = 1\n"), f"[{s}] unknown key '{k}'"),
         "bad_number": lambda s, k, v: (under(reader, s, f"{k} = {v}\n"),
                                        f"[{s}] bad number for '{k}': '{v}'"),
@@ -75,11 +81,13 @@ def malformed(reader):
         for i, name in enumerate(names):
             name = name if isinstance(name, tuple) else (name,)
             text, message = rules[rule](*name)
-            cases[f"{rule}:{'.'.join(name[:2])}" if i else rule] = (text, re.escape(message))
+            label = ".".join(name[:2]) + (f"={name[2]}" if rule == "unknown_section" and name[1:] else "")
+            cases[f"{rule}:{label}" if i else rule] = (text, re.escape(message))
     # configparser would hand [DEFAULT]'s keys to every section.
     section, key, _ = NAMES[reader]["bad_number"][0]
     default = re.escape("unknown section [DEFAULT]")
     cases["default_section"] = ("\n[DEFAULT]\nx = 1\n", default)
+    cases["default_known_key"] = (f"\n[DEFAULT]\n{key} = 1\n", default)
     cases["default_beside"] = (f"\n[DEFAULT]\n{key} = 1\n" + under(reader, section, f"{key} = 1\n"),
                                default)
     cases["syntax_error"] = ("\n[oops\nx = 1\n", re.escape(f"bad {what}: ") + r".*'\[oops\\n'")
@@ -90,13 +98,18 @@ CASES = [(reader, case) for reader in READERS for case in malformed(reader)]
 
 
 @pytest.mark.parametrize("reader, case", CASES, ids=[f"{r}-{c}" for r, c in CASES])
-def test_malformed_input(reader, case, tmp_path, capsys):
-    load, base, _, command, _ = READERS[reader]
+def test_malformed_input(reader, case):
+    load, base, *_ = READERS[reader]
     text, message = malformed(reader)[case]
     with pytest.raises(ParseError) as info:
         load(base + text)
     assert re.fullmatch(message, str(info.value), re.DOTALL)
 
+
+@pytest.mark.parametrize("reader, case", CASES, ids=[f"{r}-{c}" for r, c in CASES])
+def test_malformed_file_through_main(reader, case, tmp_path, capsys):
+    _, base, _, command, _ = READERS[reader]
+    text, message = malformed(reader)[case]
     path = tmp_path / "malformed.ini"
     path.write_text(base + text)
     assert main(command + [str(path)]) == 1

@@ -41,15 +41,21 @@ SIM_MENU = BASE + "cstates_enabled = {}\n"
 VARIANT_MENU = BASE + "\n[variant:bad]\ncstates = {}\n"
 SWEEP = ["sim", "sweep", "--qps", "1000", "--variants"]
 
-# source: (the menu's name in the message, the file, the command that
-# reads it with --config; {catalog} is a file that gives C0's power)
+# file: (the menu's name in the message, the file)
 FILES = {
-    "sim": ("cstates_enabled", SIM_MENU, ["sim", "run"]),
+    "sim": ("cstates_enabled", SIM_MENU),
+    "variant": ("[variant:bad] cstates", VARIANT_MENU),
+}
+
+# source: (the file, the command that reads it with --config; {catalog}
+# is a file that gives C0's power)
+COMMANDS = {
+    "sim": ("sim", ["sim", "run"]),
     # The config is refused before a catalog override is read.
-    "sim_with_catalog": ("cstates_enabled", SIM_MENU, ["sim", "run", "--catalog", "{catalog}"]),
-    "variant_selected": ("[variant:bad] cstates", VARIANT_MENU, SWEEP + ["baseline,bad"]),
+    "sim_with_catalog": ("sim", ["sim", "run", "--catalog", "{catalog}"]),
+    "variant_selected": ("variant", SWEEP + ["baseline,bad"]),
     # A variant the command line does not select is read all the same.
-    "variant_unselected": ("[variant:bad] cstates", VARIANT_MENU, SWEEP + ["baseline"]),
+    "variant_unselected": ("variant", SWEEP + ["baseline"]),
 }
 
 
@@ -65,17 +71,23 @@ def test_api_menu_refused(source, fault):
 
 @pytest.mark.parametrize("fault", list(FAULTS))
 @pytest.mark.parametrize("source", list(FILES))
-def test_file_menu_refused(source, fault, tmp_path, capsys):
-    what, template, command = FILES[source]
+def test_file_menu_refused(source, fault):
+    what, template = FILES[source]
     text, problem = FAULTS[fault]
-    message = what + problem
     with pytest.raises(ValidationError) as info:
         loads_sim_config(template.format(text))
-    assert str(info.value) == message
+    assert str(info.value) == what + problem
 
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("source", list(COMMANDS))
+def test_file_menu_refused_through_main(source, fault, tmp_path, capsys):
+    file, command = COMMANDS[source]
+    what, template = FILES[file]
+    text, problem = FAULTS[fault]
     config, catalog = tmp_path / "menu.ini", tmp_path / "c0.ini"
     config.write_text(template.format(text))
     catalog.write_text("[C0]\npower_w = 11\n")
     argv = [arg.format(catalog=catalog) for arg in command]
     assert main(argv + ["--config", str(config)]) == 1
-    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert capsys.readouterr() == ("", f"error: {what}{problem}\n")
