@@ -29,13 +29,13 @@ their controller flows (fsm), so the flows stay their one definition.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, List, Optional, Tuple
 
 from . import fsm
-from .errors import ParseError, ValidationError, file_fields, read_ini, read_input, read_section
+from .errors import (ParseError, ValidationError, file_fields, read_ini, read_input,
+                     read_section, require_fields)
 
 __all__ = [
     "CSTATE_NAMES",
@@ -81,6 +81,7 @@ class PState:
     def __post_init__(self):
         if self.name != "P1":
             raise ValidationError(f"unknown P-state name {self.name!r}")
+        require_fields(self, f"{self.name}: ")
         # Powers stay below 2**63 mW, as service times stay below 2**63 ns.
         if not 0 < self.c0_power_mw < 2 ** 63:
             raise ValidationError(f"{self.name}: C0 power must be positive and below 2**63 mW")
@@ -94,7 +95,7 @@ class CStateSpec:
     cost; target_residency_us is the break-even idle duration the
     governor uses; hw_entry_ns/hw_exit_ns are the hardware-only
     latencies charged by the simulator.  C0 is never entered or exited,
-    so its four latencies must be zero.
+    so its four latencies must be zero.  Its messages start with its name.
     """
 
     name: str
@@ -115,10 +116,9 @@ class CStateSpec:
     def __post_init__(self):
         if self.name not in CSTATE_NAMES:
             raise ValidationError(f"unknown C-state name {self.name!r}")
-        # Chained comparisons also reject NaN, which compares false.
-        if not (0 <= self.transition_time_us < math.inf
-                and 0 <= self.target_residency_us < math.inf):
-            raise ValidationError(f"{self.name}: times must be finite and nonnegative")
+        require_fields(self, f"{self.name}: ")
+        if self.transition_time_us < 0 or self.target_residency_us < 0:
+            raise ValidationError(f"{self.name}: times must be nonnegative")
         # With the horizon below 2**62 ns and at most 2**12 cores, a run's
         # energy in integer picojoules then stays below 2**137, well
         # inside a float.

@@ -23,7 +23,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, get_args, get_type_hints
 
 from . import __version__, fsm
 from .catalog import (
@@ -445,7 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
     fsmp = sub.add_parser("fsm", help="controller flow timelines")
     fsm_sub = fsmp.add_subparsers(dest="fsm_command", required=True)
     trace = fsm_sub.add_parser("trace", help="print one flow's steps")
-    trace.add_argument("--flow", required=True, choices=["entry", "exit", "snoop"])
+    trace.add_argument("--flow", required=True,
+                       choices=get_args(get_type_hints(fsm.FsmTimeline)["flow"]))
     trace.add_argument("--variant", required=True, choices=[*sorted(AGILE_STATES), "C1", "C6"])
     trace.add_argument("--mhz", type=int, default=fsm.DEFAULT_CONTROLLER_MHZ,
                        help="controller clock (default %(default)s)")

@@ -1,4 +1,4 @@
-"""Shared exception types and the reader for input files.
+"""Shared exception types, the field check and the reader for input files.
 
 Everything user-facing raises one of these two, so the CLI can map
 domain errors to exit code 1 and malformed input files to helpful
@@ -13,10 +13,10 @@ import configparser
 import math
 from dataclasses import MISSING, Field, fields, is_dataclass
 from functools import lru_cache
-from typing import Tuple, get_type_hints
+from typing import Literal, Tuple, get_args, get_origin, get_type_hints
 
 __all__ = ["ValidationError", "ParseError", "read_input", "read_ini", "file_fields",
-           "read_section"]
+           "require_fields", "read_section"]
 
 
 class ValidationError(ValueError):
@@ -79,6 +79,32 @@ def file_fields(cls) -> Tuple[Tuple[Field, str, type], ...]:
     )
 
 
+@lru_cache(maxsize=None)
+def _field_rules(cls) -> Tuple[Tuple[str, object], ...]:
+    """(name, rule) per checked field of cls: int, float or a Literal's values."""
+    return tuple((f.name, get_args(hint) if get_origin(hint) is Literal else hint)
+                 for f, _, hint in file_fields(cls)
+                 if hint in (int, float) or get_origin(hint) is Literal)
+
+
+def require_fields(spec, where: str = "") -> None:
+    """Check each field of a spec against its annotation: a Literal field
+    takes one of its values, an int field an int and a float field a
+    finite int or float, never a bool.  Messages name the field after where."""
+    for name, rule in _field_rules(type(spec)):
+        value = getattr(spec, name)
+        if rule is int:
+            if type(value) is not int:
+                raise ValidationError(f"{where}{name} must be an integer, got {value!r}")
+        elif rule is float:
+            if type(value) is bool or not isinstance(value, (int, float)):
+                raise ValidationError(f"{where}{name} must be a number, got {value!r}")
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValidationError(f"{where}{name} must be finite, got {value!r}")
+        elif value not in rule:
+            raise ValidationError(f"{where}{name} must be one of {rule}, got {value!r}")
+
+
 def _milliwatts(raw: str) -> int:
     # Powers are quantized to whole milliwatts on ingest.
     mw = float(raw) * 1000.0
@@ -96,6 +122,7 @@ _READERS = {
     int: int,
     float: float,
     str: str.strip,
+    Literal: str.strip,
     frozenset: _state_list,
 }
 
@@ -105,11 +132,12 @@ def read_section(cp, section: str, cls, base=None, **given):
 
     A field whose type is a spec dataclass is read the same way from the
     section named after it, so it is not a key.  Every other field that
-    is not given is a key, parsed by the field's type; an absent section
-    has no keys.  An absent or empty key keeps its base value: base's
-    attribute, or with no base the dataclass default; a field with
-    neither is a missing key.  An empty state list is read as empty: an
-    empty menu is an error, not the default menu.
+    is not given is a key, parsed by the field's type (a Literal field as
+    a stripped string, which cls's require_fields checks); an absent
+    section has no keys.  An absent or empty key keeps its base value:
+    base's attribute, or with no base the dataclass default; a field
+    with neither is a missing key.  An empty state list is read as
+    empty: an empty menu is an error, not the default menu.
     """
     for f, _, hint in file_fields(cls):
         if is_dataclass(hint) and f.name not in given:
@@ -123,8 +151,9 @@ def read_section(cp, section: str, cls, base=None, **given):
         raw = sec.get(key)
         if raw is not None and (raw.strip() or hint is frozenset):
             watts = key != f.name
+            read = _milliwatts if watts else _READERS[get_origin(hint) or hint]
             try:
-                given[f.name] = _milliwatts(raw) if watts else _READERS[hint](raw)
+                given[f.name] = read(raw)
             except ValueError:
                 word = "integer" if hint is int and not watts else "number"
                 note = " (a power must be finite and nonnegative)" if watts else ""

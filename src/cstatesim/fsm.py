@@ -26,9 +26,9 @@ timeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Optional, Tuple
+from typing import Literal, NamedTuple, Optional, Tuple
 
-from .errors import ValidationError
+from .errors import ValidationError, require_fields
 
 __all__ = [
     "CoreDomainState",
@@ -47,15 +47,7 @@ __all__ = [
 DEFAULT_CONTROLLER_MHZ = 500
 DEFAULT_SNOOP_SERVICE_NS = 50  # see snoop_timeline
 
-_UFPG = ("powered", "clock_gated", "power_gated")
-_CACHES = ("active", "sleep_mode")
-_CACHE_CLOCK = ("running", "gated")
-_PLL = ("on_locked", "off")
-_CONTEXT = ("live", "retained_in_place", "saved_external")
-_VOLTAGE = ("nominal_p1", "min_pn", "retention")
-
 _AGILE = ("C6A", "C6AE")
-_FLOWS = ("entry", "exit", "snoop")
 
 # C6AE's background switch to and from the minimum voltage/frequency
 # point (an annotation: it never blocks entry or exit).
@@ -77,26 +69,18 @@ class CoreDomainState:
     the L1/L2 arrays; cache_clock their clock tree; context says where
     architectural state lives; voltage names the supply point of the
     ungated portion (retention marks the shut-down level used by C6).
+    Each field takes one of its Literal values (errors.require_fields).
     """
 
-    ufpg: str = "powered"
-    caches: str = "active"
-    cache_clock: str = "running"
-    pll: str = "on_locked"
-    context: str = "live"
-    voltage: str = "nominal_p1"
+    ufpg: Literal["powered", "clock_gated", "power_gated"] = "powered"
+    caches: Literal["active", "sleep_mode"] = "active"
+    cache_clock: Literal["running", "gated"] = "running"
+    pll: Literal["on_locked", "off"] = "on_locked"
+    context: Literal["live", "retained_in_place", "saved_external"] = "live"
+    voltage: Literal["nominal_p1", "min_pn", "retention"] = "nominal_p1"
 
     def __post_init__(self):
-        for value, allowed, name in (
-            (self.ufpg, _UFPG, "ufpg"),
-            (self.caches, _CACHES, "caches"),
-            (self.cache_clock, _CACHE_CLOCK, "cache_clock"),
-            (self.pll, _PLL, "pll"),
-            (self.context, _CONTEXT, "context"),
-            (self.voltage, _VOLTAGE, "voltage"),
-        ):
-            if value not in allowed:
-                raise ValidationError(f"{name} must be one of {allowed}, got {value!r}")
+        require_fields(self)
         if self.ufpg == "power_gated" and self.context == "live":
             raise ValidationError(
                 "power-gated core logic requires context retained or saved"
@@ -124,6 +108,7 @@ class FsmStep:
     blocking: bool = True
 
     def __post_init__(self):
+        require_fields(self)
         if self.cycles < 0 or self.fixed_ns < 0:
             raise ValidationError(f"step {self.label!r}: negative cost")
         if self.blocking and self.cycles == 0 and self.fixed_ns == 0:
@@ -155,6 +140,7 @@ class StaggerPlan:
     per_zone_ns: int = 15
 
     def __post_init__(self):
+        require_fields(self)
         if self.zones <= 0:
             raise ValidationError("stagger plan needs at least one zone")
         if self.per_zone_ns <= 0:
@@ -169,15 +155,14 @@ class StaggerPlan:
 class FsmTimeline:
     """An ordered flow of steps with its starting state and clock."""
 
-    flow: str
+    flow: Literal["entry", "exit", "snoop"]
     variant: str
     initial: CoreDomainState
     steps: Tuple[FsmStep, ...]
     controller_mhz: int = DEFAULT_CONTROLLER_MHZ
 
     def __post_init__(self):
-        if self.flow not in _FLOWS:
-            raise ValidationError(f"flow must be one of {_FLOWS}")
+        require_fields(self)
         if self.controller_mhz <= 0:
             raise ValidationError("controller clock must be positive")
         if not self.steps:

@@ -16,13 +16,12 @@ the fraction of time spent in it.  On top of that this module provides:
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Set
 
 from .catalog import AGILE_STATES, CSTATE_NAMES, REPLACEMENTS, Catalog
-from .errors import ValidationError
+from .errors import ValidationError, require_fields
 
 __all__ = [
     "TRANSITION_BUCKET",
@@ -48,10 +47,11 @@ _RENORM_TOL = 1e-6    # ... but small drift is silently repaired with a warning
 class ResidencyProfile:
     """Fractions of an interval spent in each state, plus entry counts.
 
-    residency maps state name -> fraction of duration_s; fractions must
-    sum to 1 (drift up to 1e-6 is renormalized with a warning, anything
-    larger is rejected).  transitions maps state name -> number of
-    entries into that state over the interval.
+    duration_s is finite and positive; residency maps state name ->
+    fraction of it; fractions must sum to 1 (drift up to 1e-6 is
+    renormalized with a warning, anything larger is rejected).
+    transitions maps state name -> number of entries into that state
+    over the interval.
     """
 
     duration_s: float
@@ -59,7 +59,8 @@ class ResidencyProfile:
     transitions: Dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+        require_fields(self)
+        if not self.duration_s > 0:
             raise ValidationError(f"duration must be positive, got {self.duration_s}")
         for name, frac in self.residency.items():
             if not (0.0 <= frac <= 1.0 + _RENORM_TOL):
@@ -94,7 +95,7 @@ class PerfModel:
     freq_penalty is the relative frequency loss while active (default
     1%); scalability in [0, 1] says how much of that loss the workload
     actually feels; delta_transition_ns is the extra per-transition
-    latency of an agile state over the state it replaces.
+    latency, in whole ns, of an agile state over the state it replaces.
     """
 
     freq_penalty: float = 0.01
@@ -102,6 +103,7 @@ class PerfModel:
     delta_transition_ns: int = 100
 
     def __post_init__(self):
+        require_fields(self)
         if not (0.0 <= self.freq_penalty < 1.0):
             raise ValidationError(f"freq_penalty {self.freq_penalty} out of [0, 1)")
         if not (0.0 <= self.scalability <= 1.0):

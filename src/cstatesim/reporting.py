@@ -382,8 +382,9 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
     mode.  [perf] takes only the PerfModel fields run reads, through
     PerfModel.service_inflation: delta_transition_ns is the analytic
     model's knob (model estimate-aw --delta-ns), not the simulator's.
-    Unknown sections and keys, malformed numbers and keys outside their
-    mode raise ParseError; values that parse but break a contract raise
+    Unknown sections and keys, malformed numbers, keys outside their
+    mode and a repeated variant name ([variant: x] after [variant:x])
+    raise ParseError; values that parse but break a contract raise
     ValidationError.  Every menu, [sim] cstates_enabled and each
     variant's cstates (selected or not), is checked as it is built, by
     sim._require_menu: an unknown state, no C0 or no idle state.
@@ -412,6 +413,8 @@ def loads_sim_config(text: str) -> ParsedSimConfig:
         name = section.split(":", 1)[1].strip()
         if not name:
             raise ParseError(f"variant section {section!r} needs a name")
+        if name in variants:
+            raise ParseError(f"[{section}] repeats variant {name!r}")
         variants[name] = read_section(cp, section, VariantSpec, name=name)
 
     return ParsedSimConfig(config=config, perf=perf, variants=variants)

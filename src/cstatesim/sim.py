@@ -116,11 +116,11 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import accumulate, chain, count, cycle, repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Literal, Optional, Sequence, Tuple
 
 from . import fsm
 from .catalog import AGILE_STATES, CSTATE_NAMES, REPLACEMENTS, Catalog, default_catalog
-from .errors import ValidationError, file_fields
+from .errors import ValidationError, require_fields
 from .model import TRANSITION_BUCKET, PerfModel, ResidencyProfile
 
 __all__ = [
@@ -150,26 +150,10 @@ MAX_CORES = 4096
 # at the limit holds about 0.5 GB.
 MAX_ARRIVALS = 10 ** 7
 
-_ARRIVAL_PROCESSES = ("poisson", "periodic", "bursty")
-_SERVICE_DISTS = ("fixed", "exponential", "lognormal")
-_DISPATCH_POLICIES = ("random", "round_robin", "pack_lowest_index")
-_PREDICTORS = ("clairvoyant", "ewma", "last_idle")
-
 # Which shallow state's power the caches draw while serving a snoop from
 # an agile deep idle state (the cache subsystem is awake exactly as in
 # that state).
 _SNOOP_POWER_TWIN = {agile: shallow for shallow, agile in REPLACEMENTS.items()}
-
-
-def _require_finite(spec) -> None:
-    """Reject a NaN or infinite float in any field, and anything but an
-    int (a bool included) in a field annotated int."""
-    for f, _, hint in file_fields(type(spec)):
-        value = getattr(spec, f.name)
-        if hint is int and type(value) is not int:
-            raise ValidationError(f"{f.name} must be an integer, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValidationError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,15 +166,13 @@ class ArrivalSpec:
     on-phase rate is scaled up so the long-run average stays rate_qps.
     """
 
-    process: str = "poisson"
+    process: Literal["poisson", "periodic", "bursty"] = "poisson"
     rate_qps: float = 0.0
     burst_on_ms: float = 1.0
     burst_off_ms: float = 1.0
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.process not in _ARRIVAL_PROCESSES:
-            raise ValidationError(f"arrival process must be one of {_ARRIVAL_PROCESSES}")
+        require_fields(self)
         if self.rate_qps < 0:
             raise ValidationError("rate_qps must be nonnegative")
         if self.process == "bursty":
@@ -213,14 +195,12 @@ class ArrivalSpec:
 class ServiceSpec:
     """Per-request service time distribution (mean in microseconds)."""
 
-    dist: str = "exponential"
+    dist: Literal["fixed", "exponential", "lognormal"] = "exponential"
     mean_us: float = 10.0
     sigma: float = 0.5  # lognormal shape parameter
 
     def __post_init__(self):
-        _require_finite(self)
-        if self.dist not in _SERVICE_DISTS:
-            raise ValidationError(f"service dist must be one of {_SERVICE_DISTS}")
+        require_fields(self)
         if self.mean_us <= 0:
             raise ValidationError("mean_us must be positive")
         # The samplers work in seconds, and divide by or take the log of
@@ -239,7 +219,7 @@ class SnoopSpec:
     service_ns: int = fsm.DEFAULT_SNOOP_SERVICE_NS
 
     def __post_init__(self):
-        _require_finite(self)
+        require_fields(self)
         if self.rate_per_core_hz < 0:
             raise ValidationError("snoop rate must be nonnegative")
         if self.service_ns < 0:
@@ -255,12 +235,11 @@ class GovernorPolicy:
     one; last_idle repeats the previous idle duration.
     """
 
-    predictor: str = "clairvoyant"
+    predictor: Literal["clairvoyant", "ewma", "last_idle"] = "clairvoyant"
     ewma_alpha: float = 0.5
 
     def __post_init__(self):
-        if self.predictor not in _PREDICTORS:
-            raise ValidationError(f"predictor must be one of {_PREDICTORS}")
+        require_fields(self)
         if not (0.0 < self.ewma_alpha <= 1.0):
             raise ValidationError("ewma_alpha must be in (0, 1]")
 
@@ -286,7 +265,7 @@ class SimConfig:
     seed: int
     arrival: ArrivalSpec
     service: ServiceSpec = ServiceSpec()
-    dispatch: str = "round_robin"
+    dispatch: Literal["random", "round_robin", "pack_lowest_index"] = "round_robin"
     governor: GovernorPolicy = GovernorPolicy()
     cstates_enabled: frozenset = frozenset({"C0", "C1", "C1E", "C6"})
     snoop: SnoopSpec = SnoopSpec()
@@ -294,7 +273,7 @@ class SimConfig:
     pack_queue_cap: int = 4  # pack_lowest_index spills past this queue depth
 
     def __post_init__(self):
-        _require_finite(self)
+        require_fields(self)
         if not 1 <= self.cores <= MAX_CORES:
             raise ValidationError(f"cores must be in [1, {MAX_CORES}], got {self.cores}")
         # Arrival times are stored as 64-bit integer nanoseconds; the
@@ -322,8 +301,6 @@ class SimConfig:
                 f"expects {expected:.3g} arrivals; at most {MAX_ARRIVALS:,} are allowed")
         if not (0 <= self.seed < 2 ** 64):
             raise ValidationError("seed must be a 64-bit nonnegative integer")
-        if self.dispatch not in _DISPATCH_POLICIES:
-            raise ValidationError(f"dispatch must be one of {_DISPATCH_POLICIES}")
         enabled = frozenset(self.cstates_enabled)
         object.__setattr__(self, "cstates_enabled", enabled)
         _require_menu(enabled, "cstates_enabled")

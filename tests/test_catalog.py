@@ -280,16 +280,6 @@ def test_negative_power_in_file_rejected():
         loads_catalog(text)
 
 
-def test_nan_target_residency_in_file_rejected():
-    # NaN compares false against every bound, so it used to pass the
-    # range checks and leave the governor's depth order undefined.
-    text = "[C6]\n" \
-           "transition_time_us = 133\ntarget_residency_us = nan\n" \
-           "power_w = 0.1\nhw_entry_ns = 87000\nhw_exit_ns = 30000\n"
-    with pytest.raises(ValidationError, match="finite"):
-        loads_catalog(text)
-
-
 def test_infinite_power_in_file_rejected():
     # round() of an infinite wattage raised a bare OverflowError.
     text = "[C6A]\n" \

@@ -242,10 +242,6 @@ def test_domain_state_invariants():
         CoreDomainState(ufpg="powered", caches="sleep_mode",
                         cache_clock="running", pll="on_locked",
                         context="live", voltage="nominal_p1")
-    with pytest.raises(ValidationError):
-        CoreDomainState(ufpg="bogus", caches="active",
-                        cache_clock="running", pll="on_locked",
-                        context="live", voltage="nominal_p1")
 
 
 def test_agile_flows_keep_pll_locked():
@@ -266,12 +262,10 @@ def test_blocking_step_needs_a_cost():
 
 @pytest.mark.parametrize("build, message", [
     (lambda: FsmStep("stall", ACTIVE_STATE, cycles=-1), "step 'stall': negative cost"),
-    (lambda: FsmTimeline("resume", "C6A", ACTIVE_STATE,
-                         (FsmStep("wake", ACTIVE_STATE, cycles=1),)), "flow must be one of"),
     (lambda: FsmTimeline("entry", "C6A", ACTIVE_STATE, ()),
      "a timeline needs at least one step"),
     (lambda: snoop_timeline("C6A", service_ns=-1), "service_ns must be nonnegative"),
-], ids=["step-cost", "flow", "no-steps", "snoop-service"])
+], ids=["step-cost", "no-steps", "snoop-service"])
 def test_out_of_range_field_rejected(build, message):
     with pytest.raises(ValidationError, match=message):
         build()

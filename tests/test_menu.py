@@ -1,12 +1,13 @@
 """Every idle-state menu, from the Python API or from a sim config file,
 is checked by one function, sim._require_menu, as it is built: each
 faulty menu below fails with one message from each source, and a file
-run through main exits 1 with nothing on stdout, before any load runs."""
+run through main exits 1 with nothing on stdout, before any load runs.
+A variant name is one menu: a second section that names it is refused."""
 
 import pytest
 
 from cstatesim.cli import main
-from cstatesim.errors import ValidationError
+from cstatesim.errors import ParseError, ValidationError
 from cstatesim.reporting import loads_sim_config
 from cstatesim.sim import ArrivalSpec, SimConfig, VariantSpec
 
@@ -45,6 +46,13 @@ SWEEP = ["sim", "sweep", "--qps", "1000", "--variants"]
 FILES = {
     "sim": ("cstates_enabled", SIM_MENU),
     "variant": ("[variant:bad] cstates", VARIANT_MENU),
+}
+
+# repeat: a second section for the variant [variant:bad] names, which
+# configparser keeps apart and the reader strips to the same name
+REPEATS = {
+    "space_after_colon": "[variant: bad]",
+    "space_before_bracket": "[variant:bad ]",
 }
 
 # source: (the file, the command that reads it with --config; {catalog}
@@ -91,3 +99,26 @@ def test_file_menu_refused_through_main(source, fault, tmp_path, capsys):
     argv = [arg.format(catalog=catalog) for arg in command]
     assert main(argv + ["--config", str(config)]) == 1
     assert capsys.readouterr() == ("", f"error: {what}{problem}\n")
+
+
+def repeated_variant(header):
+    """A file whose second variant section repeats the first's name, and its message."""
+    text = VARIANT_MENU.format("C0, C1") + f"\n{header}\ncstates = C0, C6\n"
+    return text, f"{header} repeats variant 'bad'"
+
+
+@pytest.mark.parametrize("repeat", list(REPEATS))
+def test_repeated_variant_refused(repeat):
+    text, message = repeated_variant(REPEATS[repeat])
+    with pytest.raises(ParseError) as info:
+        loads_sim_config(text)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("repeat", list(REPEATS))
+def test_repeated_variant_refused_through_main(repeat, tmp_path, capsys):
+    text, message = repeated_variant(REPEATS[repeat])
+    config = tmp_path / "repeat.ini"
+    config.write_text(text)
+    assert main(SWEEP + ["baseline", "--config", str(config)]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
